@@ -43,7 +43,7 @@
 //! ```
 
 use crate::cluster::LeastLoadedWeighted;
-use crate::engine::{EngineConfig, MeadowEngine};
+use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::serve::{LatencySummary, ServeConfig, ServeError};
 use crate::spec::ServeSpec;
@@ -300,13 +300,15 @@ impl CapacityPlanner {
         mix: &PaletteMix,
         chips: usize,
     ) -> Result<Probe, CoreError> {
-        let fleet = mix.fleet_of(chips);
-        let engine = MeadowEngine::new(fleet[0].clone().with_exec(self.exec))?;
         let spec = ServeSpec::builder()
-            .chip_specs(fleet)
+            .chip_specs(mix.fleet_of(chips))
             .config(self.serve)
             .placement(LeastLoadedWeighted)
             .build()?;
+        // The first chip's engine, built with the spec, supplies the run's
+        // thread budget.
+        let engines = spec.config().chip_engines().expect("a chip_specs spec carries its engines");
+        let engine = engines[0].clone().with_exec(self.exec);
         let report =
             spec.run(&engine, trace)?.into_cluster().expect("placement selects cluster mode");
 

@@ -596,11 +596,13 @@ pub struct ClusterConfig {
     phase_placement: Box<dyn PhasePlacement>,
     noc: NocConfig,
     scheduler: SchedulerCore,
-    /// Per-chip engine specs of a heterogeneous cluster (`None` = replica
-    /// cluster of whatever engine the run is given). Validated at build:
-    /// non-empty, every spec constructs a valid engine, and all specs
-    /// share one model architecture.
-    chip_specs: Option<Vec<EngineConfig>>,
+    /// Per-chip engines of a heterogeneous cluster, built once from the
+    /// [`chip_specs`](ClusterConfigBuilder::chip_specs) at build (`None` =
+    /// replica cluster of whatever engine the run is given); each chip's
+    /// spec is its engine's `config()`. Validated at build: non-empty,
+    /// every spec constructs a valid engine, and all specs share one model
+    /// architecture.
+    chip_engines: Option<Vec<MeadowEngine>>,
     /// Per-link hop costs of the linear chip interconnect (`link_hops[i]`
     /// = cost of the link between chips `i` and `i + 1`; `None` = every
     /// link costs one hop, the historical `|i - j|` distance).
@@ -650,10 +652,11 @@ impl ClusterConfig {
         self.scheduler
     }
 
-    /// Per-chip engine specs of a heterogeneous cluster, or `None` for a
-    /// replica cluster of the engine handed to [`Cluster::new`].
-    pub fn chip_specs(&self) -> Option<&[EngineConfig]> {
-        self.chip_specs.as_deref()
+    /// Per-chip engines of a heterogeneous cluster (each chip's spec is its
+    /// engine's [`config`](MeadowEngine::config)), or `None` for a replica
+    /// cluster of the engine handed to [`Cluster::new`].
+    pub fn chip_engines(&self) -> Option<&[MeadowEngine]> {
+        self.chip_engines.as_deref()
     }
 
     /// Per-link hop costs of the linear interconnect, or `None` when
@@ -721,7 +724,10 @@ impl ClusterConfigBuilder {
     /// Builds a heterogeneous cluster with one chip per engine spec. The
     /// cluster's size becomes `specs.len()`; combining this with a
     /// disagreeing [`chips`](Self::chips) call is rejected at
-    /// [`build`](Self::build).
+    /// [`build`](Self::build). [`build`](Self::build) constructs each
+    /// chip's engine once, and every run reuses it; packing statistics are
+    /// computed once per distinct model, packing configuration and packing
+    /// level.
     pub fn chip_specs(mut self, specs: Vec<EngineConfig>) -> Self {
         self.chip_specs = Some(specs);
         self
@@ -788,7 +794,7 @@ impl ClusterConfigBuilder {
     /// [`ServeConfig::validate`] rejections (zero `max_batch`, zero
     /// `page_bytes` under `PagedLru`, invalid SLOs).
     pub fn build(self) -> Result<ClusterConfig, ServeError> {
-        let chips = match &self.chip_specs {
+        let chip_engines = match self.chip_specs {
             Some(specs) => {
                 if specs.is_empty() {
                     return Err(ServeError::EmptyChipSpecs);
@@ -799,10 +805,11 @@ impl ClusterConfigBuilder {
                         chips: self.chips,
                     });
                 }
-                for (chip, spec) in specs.iter().enumerate() {
-                    MeadowEngine::new(spec.clone())
+                let mut engines: Vec<MeadowEngine> = Vec::with_capacity(specs.len());
+                for (chip, spec) in specs.into_iter().enumerate() {
+                    let engine = chip_engine(spec, &engines)
                         .map_err(|e| ServeError::InvalidChipSpec { chip, reason: e.to_string() })?;
-                    if spec.model != specs[0].model {
+                    if engines.first().is_some_and(|e| e.config().model != engine.config().model) {
                         return Err(ServeError::InvalidChipSpec {
                             chip,
                             reason: "all chips of a cluster must serve the same model \
@@ -810,11 +817,13 @@ impl ClusterConfigBuilder {
                                 .to_string(),
                         });
                     }
+                    engines.push(engine);
                 }
-                specs.len()
+                Some(engines)
             }
-            None => self.chips,
+            None => None,
         };
+        let chips = chip_engines.as_ref().map_or(self.chips, Vec::len);
         if chips == 0 {
             return Err(ServeError::ZeroChips);
         }
@@ -832,9 +841,26 @@ impl ClusterConfigBuilder {
             phase_placement: self.phase_placement,
             noc: self.noc,
             scheduler: self.scheduler,
-            chip_specs: self.chip_specs,
+            chip_engines,
             link_hops: self.link_hops,
         })
+    }
+}
+
+/// Builds one chip's engine, reusing the packing statistics of an earlier
+/// chip with the same model, packing configuration and packing level —
+/// the statistics are a pure function of those three, so the engine equals
+/// a fresh [`MeadowEngine::new`] of `spec`.
+fn chip_engine(spec: EngineConfig, built: &[MeadowEngine]) -> Result<MeadowEngine, CoreError> {
+    let same_stats = built.iter().find(|e| {
+        let c = e.config();
+        c.model == spec.model
+            && c.packing_config == spec.packing_config
+            && c.plan.packing == spec.plan.packing
+    });
+    match same_stats {
+        Some(e) => MeadowEngine::with_packing_stats(spec, e.packing_stats().cloned()),
+        None => MeadowEngine::new(spec),
     }
 }
 
@@ -1097,8 +1123,9 @@ impl Cluster {
     /// Builds a cluster of `config.chips()` replicas of `engine` — or,
     /// when the configuration carries
     /// [`chip_specs`](ClusterConfigBuilder::chip_specs), one
-    /// [`ChipNode`] per spec (heterogeneous fleet); `engine` then only
-    /// supplies the thread budget below.
+    /// [`ChipNode`] per spec (heterogeneous fleet), cloned from the engine
+    /// the configuration built for it; `engine` then only supplies the
+    /// thread budget below.
     ///
     /// The engine's thread budget is split between the two nested
     /// fan-outs: the chip fan-out keeps the full [`ExecConfig`] (it is
@@ -1113,22 +1140,18 @@ impl Cluster {
 
     /// Shared-config constructor behind [`ServeSpec`](crate::spec::ServeSpec):
     /// a spec can be run many times (the perf bench repeats trials) without
-    /// rebuilding the boxed policy objects each run.
+    /// rebuilding the boxed policy objects or the per-chip engines each
+    /// run.
     pub(crate) fn from_shared(engine: MeadowEngine, config: Arc<ClusterConfig>) -> Self {
         let exec = engine.config().exec;
         let threads = exec.threads().max(1);
         let concurrent_chips = config.chips.clamp(1, threads);
         let inner = ExecConfig::with_threads((threads / concurrent_chips).max(1));
-        let nodes = match config.chip_specs() {
-            Some(specs) => specs
+        let nodes = match config.chip_engines() {
+            Some(engines) => engines
                 .iter()
                 .enumerate()
-                .map(|(chip, spec)| ChipNode {
-                    chip,
-                    engine: MeadowEngine::new(spec.clone())
-                        .expect("chip specs are validated at ClusterConfigBuilder::build")
-                        .with_exec(inner),
-                })
+                .map(|(chip, e)| ChipNode { chip, engine: e.clone().with_exec(inner) })
                 .collect(),
             None => (0..config.chips)
                 .map(|chip| ChipNode { chip, engine: engine.clone().with_exec(inner) })
@@ -1386,7 +1409,7 @@ impl Cluster {
         }
         // Per-chip utilization only materializes on heterogeneous runs —
         // replica-cluster reports (and their goldens) stay byte-stable.
-        if self.config.chip_specs().is_some() && makespan > 0.0 {
+        if self.config.chip_engines().is_some() && makespan > 0.0 {
             for chip_report in &mut per_chip {
                 chip_report.utilization = Some(chip_report.report.makespan_ms / makespan);
             }

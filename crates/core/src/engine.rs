@@ -109,10 +109,21 @@ pub struct EndToEndReport {
     pub total_ms: f64,
 }
 
+/// What one step's latency depends on: the tokens it processes and the KV
+/// context they attend over. A prefill of `p` tokens is `(p, p)`; the
+/// `i`-th decode step after a `p`-token prompt is `(1, p + i - 1)` (§6.1),
+/// so every decode step with the same context measures the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct StepShape {
+    pub(crate) tokens_new: usize,
+    pub(crate) context: usize,
+}
+
 /// The MEADOW engine.
 ///
 /// Construction precomputes per-matrix packing statistics when the plan
-/// packs weights; measurements are then pure functions of the workload.
+/// packs weights; measurements are then pure functions of the step shape
+/// (tokens processed, context attended over).
 ///
 /// # Example
 ///
@@ -233,8 +244,30 @@ impl MeadowEngine {
             .map_err(CoreError::from)
     }
 
-    fn measure(&self, tokens_new: usize, context: usize) -> Result<LatencyReport, CoreError> {
+    /// The shape of a prefill pass over `prompt_tokens`, validated as
+    /// [`prefill_latency`](Self::prefill_latency) validates it.
+    pub(crate) fn prefill_shape(&self, prompt_tokens: usize) -> Result<StepShape, CoreError> {
+        let w = PrefillWorkload::new(&self.config.model, prompt_tokens)?;
+        Ok(StepShape { tokens_new: w.prompt_tokens, context: w.prompt_tokens })
+    }
+
+    /// The shape of the `token_index`-th decode step after
+    /// `prefill_tokens` of prompt, validated as
+    /// [`decode_latency`](Self::decode_latency) validates it.
+    pub(crate) fn decode_shape(
+        &self,
+        prefill_tokens: usize,
+        token_index: usize,
+    ) -> Result<StepShape, CoreError> {
+        let w = DecodeWorkload::new(&self.config.model, prefill_tokens, token_index)?;
+        Ok(StepShape { tokens_new: 1, context: w.context_len() })
+    }
+
+    /// Measures one step. Every call builds a fresh DRAM channel, so the
+    /// result is a pure function of `shape`.
+    pub(crate) fn measure(&self, shape: StepShape) -> Result<LatencyReport, CoreError> {
         use meadow_dataflow::schedule::{layer_latency, LayerParams};
+        let StepShape { tokens_new, context } = shape;
         let mut dram = self.fresh_dram()?;
         let layers: Vec<LayerLatency> = (0..self.config.model.layers)
             .map(|layer| {
@@ -266,8 +299,7 @@ impl MeadowEngine {
     ///
     /// Propagates workload validation and executor errors.
     pub fn prefill_latency(&self, prompt_tokens: usize) -> Result<LatencyReport, CoreError> {
-        let w = PrefillWorkload::new(&self.config.model, prompt_tokens)?;
-        self.measure(w.prompt_tokens, w.prompt_tokens)
+        self.measure(self.prefill_shape(prompt_tokens)?)
     }
 
     /// Time between tokens: predicting the `token_index`-th generated token
@@ -282,8 +314,7 @@ impl MeadowEngine {
         prefill_tokens: usize,
         token_index: usize,
     ) -> Result<LatencyReport, CoreError> {
-        let w = DecodeWorkload::new(&self.config.model, prefill_tokens, token_index)?;
-        self.measure(1, w.context_len())
+        self.measure(self.decode_shape(prefill_tokens, token_index)?)
     }
 
     /// Single-pass inference latency for a vision transformer.
@@ -293,7 +324,9 @@ impl MeadowEngine {
     /// Returns [`CoreError::InvalidConfig`] for decoder-LM configs.
     pub fn vit_inference_latency(&self) -> Result<LatencyReport, CoreError> {
         match self.config.model.kind {
-            ModelKind::VisionTransformer { tokens } => self.measure(tokens, tokens),
+            ModelKind::VisionTransformer { tokens } => {
+                self.measure(StepShape { tokens_new: tokens, context: tokens })
+            }
             ModelKind::DecoderLm => Err(CoreError::InvalidConfig {
                 param: "model",
                 reason: "vit_inference_latency requires a vision transformer".into(),
@@ -430,6 +463,37 @@ mod tests {
         let r = engine.prefill_latency(16).unwrap();
         let (f, c, s) = r.components();
         assert_eq!(f + c + s, r.cycles, "GEMM is fully sequential");
+    }
+
+    /// The serving step memo keys on [`StepShape`], which holds only if a
+    /// decode step's whole report depends on `prompt + index` alone and a
+    /// one-token prefill measures as the first decode step after a
+    /// one-token prompt. Each `sum` is checked at prompts spread across
+    /// its range.
+    fn assert_steps_depend_only_on_shape(engine: &MeadowEngine, sums: &[usize]) {
+        for &sum in sums {
+            let reference = engine.decode_latency(1, sum - 1).unwrap();
+            for prompt in [2, sum / 3, sum / 2, sum - 2, sum - 1] {
+                if (1..sum).contains(&prompt) {
+                    let report = engine.decode_latency(prompt, sum - prompt).unwrap();
+                    assert_eq!(report, reference, "prompt {prompt}, index {}", sum - prompt);
+                }
+            }
+        }
+        assert_eq!(engine.prefill_latency(1).unwrap(), engine.decode_latency(1, 1).unwrap());
+    }
+
+    #[test]
+    fn tiny_decoder_steps_depend_only_on_shape() {
+        let engine =
+            MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap();
+        assert_steps_depend_only_on_shape(&engine, &[9, 33, 65]);
+    }
+
+    #[test]
+    fn opt125m_steps_depend_only_on_shape() {
+        let engine = MeadowEngine::new(EngineConfig::zcu102(presets::opt_125m(), 12.0)).unwrap();
+        assert_steps_depend_only_on_shape(&engine, &[17, 130, 513, 2049]);
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //!   the scheduler's step order *and* the LRU victim order. Selecting the
 //!   step set is a prefix walk; finding an eviction victim is an in-order
 //!   scan that skips the step set — no per-tick clone-and-sort.
-//! * [`StepCache`] — a memo of step measurements keyed by
-//!   `(prompt_tokens, token_index)` (`token_index == 0` encodes the
-//!   prefill pass). [`MeadowEngine::measure`] is a pure function of the
-//!   workload shape — every call builds a fresh DRAM channel — so caching
-//!   is bit-exact, and it removes the dominant cost of long traces:
-//!   re-measuring the same decode step shape millions of times.
+//! * [`StepCache`] — a memo of step measurements keyed by the measured
+//!   step shape `(tokens_new, context)`: `(p, p)` for a `p`-token prefill,
+//!   `(1, p + i - 1)` for the `i`-th decode step. [`MeadowEngine::measure`]
+//!   is a pure function of that shape — every call builds a fresh DRAM
+//!   channel — so caching is bit-exact, and it removes the dominant cost
+//!   of long traces: re-measuring the same step shape millions of times.
+//!   Keying on the shape rather than `(prompt, index)` lets every request
+//!   whose decode reaches the same context share one measurement.
 //!
 //! Step completion is the third event kind: the batch's flow-shop makespan
 //! decides the next time the scheduler wakes, so it is always the nearest
@@ -39,7 +41,7 @@
 //!
 //! [`MeadowEngine::measure`]: crate::engine::MeadowEngine
 
-use crate::engine::LatencyReport;
+use crate::engine::{LatencyReport, StepShape};
 use crate::error::CoreError;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -155,23 +157,27 @@ impl ReadyOrder {
     }
 }
 
-/// Memoized step measurements, keyed by `(prompt_tokens, token_index)`
-/// with `token_index == 0` encoding the prefill pass (decode indices start
-/// at 1). Results — including errors — are cached verbatim: the underlying
-/// measurement is a pure function of the key, so replaying a cached result
-/// is bit-identical to re-measuring.
+/// Memoized step measurements, keyed by the measured [`StepShape`]
+/// `(tokens_new, context)`. A step's latency depends only on the tokens it
+/// processes and the KV context they attend over (the paper's §6.1 TBT is
+/// "the Nth token after N−1 tokens"), so decode steps of different
+/// requests that reach the same context share one entry, and a one-token
+/// prefill shares the first decode step's `(1, 1)`. The engine's
+/// shape-purity tests pin that property. Results — including errors — are
+/// cached verbatim: the measurement is a pure function of the key, so
+/// replaying a cached result is bit-identical to re-measuring.
 ///
 /// The key deliberately omits the chip: a cache lives and dies inside one
 /// `serve_on_chip_event` call, so it is private to one chip's engine.
 /// That per-chip scoping is load-bearing for heterogeneous clusters
 /// ([`ClusterConfigBuilder::chip_specs`](crate::cluster::ClusterConfigBuilder::chip_specs)):
-/// the same `(prompt_tokens, token_index)` shape measures differently on
-/// a big chip than on a LITTLE one, so a cache shared across chips would
-/// silently serve one chip's latencies to another. Never hoist this memo
-/// above the per-chip serving loop.
+/// the same shape measures differently on a big chip than on a LITTLE
+/// one, so a cache shared across chips would silently serve one chip's
+/// latencies to another. Never hoist this memo above the per-chip serving
+/// loop.
 #[derive(Debug, Default)]
 pub(crate) struct StepCache {
-    cache: HashMap<(usize, usize), Result<LatencyReport, CoreError>>,
+    cache: HashMap<StepShape, Result<LatencyReport, CoreError>>,
 }
 
 impl StepCache {
@@ -179,16 +185,16 @@ impl StepCache {
         Self::default()
     }
 
-    pub(crate) fn contains(&self, key: (usize, usize)) -> bool {
-        self.cache.contains_key(&key)
+    pub(crate) fn contains(&self, shape: StepShape) -> bool {
+        self.cache.contains_key(&shape)
     }
 
-    pub(crate) fn insert(&mut self, key: (usize, usize), result: Result<LatencyReport, CoreError>) {
-        self.cache.insert(key, result);
+    pub(crate) fn insert(&mut self, shape: StepShape, result: Result<LatencyReport, CoreError>) {
+        self.cache.insert(shape, result);
     }
 
-    pub(crate) fn get(&self, key: (usize, usize)) -> Option<&Result<LatencyReport, CoreError>> {
-        self.cache.get(&key)
+    pub(crate) fn get(&self, shape: StepShape) -> Option<&Result<LatencyReport, CoreError>> {
+        self.cache.get(&shape)
     }
 }
 

@@ -71,7 +71,7 @@
 //! ```
 
 use crate::cluster::{Cluster, MigrationCtx};
-use crate::engine::{LatencyReport, MeadowEngine};
+use crate::engine::{LatencyReport, MeadowEngine, StepShape};
 use crate::error::CoreError;
 use crate::events::{EventQueue, ReadyOrder, StepCache};
 use crate::kv_pages::KvPageAllocator;
@@ -2021,11 +2021,12 @@ fn kv_summary(
 ///   demand for eviction) are running `u64` totals — exact, because
 ///   unsigned sums are order-independent — with per-session sizes cached
 ///   and refreshed at each state change.
-/// * Step measurements are memoized by shape ([`StepCache`]): the
-///   engine's latency model is a pure function of
-///   `(prompt_tokens, token_index)` — every call builds a fresh DRAM
-///   channel — so a cache hit (errors included) is bit-identical to
-///   re-measuring. Misses fan out through the same order-preserving
+/// * Step measurements are memoized by the measured step shape
+///   `(tokens_new, context)` ([`StepCache`]): the engine's latency model
+///   is a pure function of it — every call builds a fresh DRAM channel —
+///   so a cache hit (errors included) is bit-identical to re-measuring,
+///   and decode steps of different requests at the same context share
+///   one measurement. Misses fan out through the same order-preserving
 ///   parallel map as the tick core, preserving `MEADOW_THREADS`
 ///   bit-identity.
 ///
@@ -2154,7 +2155,8 @@ fn serve_on_chip_event(
     // Scratch buffers reused across iterations (no per-tick churn).
     let mut step_set: Vec<usize> = Vec::new();
     let mut reload_cycles: Vec<Cycles> = Vec::new();
-    let mut miss_keys: Vec<(usize, usize)> = Vec::new();
+    let mut step_shapes: Vec<Result<StepShape, CoreError>> = Vec::new();
+    let mut miss_shapes: Vec<StepShape> = Vec::new();
     let mut matrix: Vec<Vec<Cycles>> = Vec::new();
     let mut solo_ms: Vec<f64> = Vec::new();
     let mut finished: Vec<usize> = Vec::new();
@@ -2454,38 +2456,38 @@ fn serve_on_chip_event(
             }
         }
         // Measure each *distinct* step shape once. The engine's latency
-        // model is a pure function of (prompt, token index) — every call
+        // model is a pure function of (tokens new, context) — every call
         // builds a fresh DRAM channel — so a cached result (errors
         // included) is bit-identical to re-measuring, and the misses fan
         // out through the same order-preserving parallel map as the tick
         // core.
-        miss_keys.clear();
+        step_shapes.clear();
+        miss_shapes.clear();
         for &i in &step_set {
-            let key = step_key(&sessions[i]);
-            if !cache.contains(key) && !miss_keys.contains(&key) {
-                miss_keys.push(key);
-            }
-        }
-        if !miss_keys.is_empty() {
-            let measured = par_map(&miss_keys, &exec, |&(prompt, token)| {
-                if token == 0 {
-                    engine.prefill_latency(prompt)
-                } else {
-                    engine.decode_latency(prompt, token)
+            let shape = step_shape(engine, &sessions[i]);
+            if let Ok(shape) = shape {
+                if !cache.contains(shape) && !miss_shapes.contains(&shape) {
+                    miss_shapes.push(shape);
                 }
-            });
-            for (&key, result) in miss_keys.iter().zip(measured) {
-                cache.insert(key, result);
+            }
+            step_shapes.push(shape);
+        }
+        if !miss_shapes.is_empty() {
+            let measured = par_map(&miss_shapes, &exec, |&shape| engine.measure(shape));
+            for (&shape, result) in miss_shapes.iter().zip(measured) {
+                cache.insert(shape, result);
             }
         }
         matrix.clear();
         solo_ms.clear();
         for (pos, &i) in step_set.iter().enumerate() {
-            let report = match cache.get(step_key(&sessions[i])).expect("measured above") {
-                Ok(report) => report,
+            let measured =
+                step_shapes[pos].as_ref().map(|&shape| cache.get(shape).expect("measured above"));
+            let report = match measured {
+                Ok(Ok(report)) => report,
                 // First failing step in step order propagates, exactly as
                 // the tick core's in-order `?` over the parallel map.
-                Err(e) => return Err(e.clone()),
+                Ok(Err(e)) | Err(e) => return Err(e.clone()),
             };
             let mut row: Vec<Cycles> = report.layers.iter().map(LayerLatency::makespan).collect();
             let mut stall = reload_cycles[pos];
@@ -2618,15 +2620,14 @@ fn serve_on_chip_event(
     Ok(finalize_report(config, model, &sizer, &sessions, ledger, totals))
 }
 
-/// Memo key of one session's next step: `(prompt_tokens, token_index)`,
-/// with index 0 encoding the prefill pass (decode indices start at 1, so
-/// the key reproduces the exact `decode_latency(prompt, generated + 1)` /
-/// `prefill_latency(prompt)` calls of the tick core).
-fn step_key(s: &Session) -> (usize, usize) {
+/// Memo key of one session's next step: the shape the tick core's
+/// `decode_latency(prompt, generated + 1)` / `prefill_latency(prompt)` call
+/// measures, validated the same way.
+fn step_shape(engine: &MeadowEngine, s: &Session) -> Result<StepShape, CoreError> {
     if s.prefilled {
-        (s.req.prompt_tokens, s.generated + 1)
+        engine.decode_shape(s.req.prompt_tokens, s.generated + 1)
     } else {
-        (s.req.prompt_tokens, 0)
+        engine.prefill_shape(s.req.prompt_tokens)
     }
 }
 

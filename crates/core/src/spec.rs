@@ -69,9 +69,13 @@ enum ServeMode {
 /// A validated serving specification — see the [module docs](self).
 ///
 /// Built once via [`ServeSpec::builder`], a spec is reusable: every
-/// [`ServeSpec::run`] materializes a fresh [`Cluster`] over the shared
+/// [`ServeSpec::run`] lays out the chips of a [`Cluster`] over the shared
 /// configuration (the simulator is stateless between runs), so repeated
-/// trials of the same spec are bit-identical.
+/// trials of the same spec are bit-identical. No run builds an engine: a
+/// replica cluster clones the engine handed to `run`, and a
+/// [`chip_specs`](ServeSpecBuilder::chip_specs) fleet clones the engines
+/// [`build`](ServeSpecBuilder::build) constructed once, so a run computes
+/// no packing statistics.
 #[derive(Debug)]
 pub struct ServeSpec {
     config: Arc<ClusterConfig>,

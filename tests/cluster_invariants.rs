@@ -13,8 +13,10 @@ use meadow::core::cluster::{
 };
 use meadow::core::serve::{serve, KvPolicy, ServeConfig};
 use meadow::core::{EngineConfig, MeadowEngine};
+use meadow::dataflow::ExecutionPlan;
 use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};
+use meadow::packing::PackingLevel;
 use meadow::tensor::parallel::ExecConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -375,6 +377,40 @@ fn cluster_report_is_byte_stable() {
         "ClusterReport diverged from the committed snapshot; if the change is intentional, \
          regenerate with MEADOW_UPDATE_GOLDEN=1 cargo test --test cluster_invariants"
     );
+}
+
+/// Engine sharing: `build` constructs each chip's engine once and reuses
+/// packing statistics between chips with the same model, packing
+/// configuration and packing level. Every node must still equal a fresh
+/// engine of its own spec — apart from the thread budget the cluster
+/// assigns — so the sharing key never hands one plan's statistics to
+/// another.
+#[test]
+fn chip_engines_equal_fresh_engines_of_their_specs() {
+    let model = presets::tiny_decoder();
+    let naive = EngineConfig {
+        plan: ExecutionPlan { packing: Some(PackingLevel::Naive), ..ExecutionPlan::meadow() },
+        ..EngineConfig::zcu102(model.clone(), 12.0)
+    };
+    let specs = vec![
+        EngineConfig::zcu102(model.clone(), 12.0),
+        EngineConfig::zcu102_little(model.clone(), 6.0),
+        EngineConfig::gemm_baseline(model.clone(), 12.0),
+        naive.clone(),
+        EngineConfig::gemm_baseline(model.clone(), 6.0),
+        naive,
+        EngineConfig::zcu102(model, 12.0),
+    ];
+    let config = ClusterConfig::builder().chip_specs(specs.clone()).build().unwrap();
+    let cluster = Cluster::new(engine(), config);
+    assert_eq!(cluster.chips(), specs.len());
+    for (node, spec) in cluster.nodes().iter().zip(specs) {
+        let fresh = MeadowEngine::new(spec).unwrap();
+        let got = node.engine();
+        let exec = fresh.config().exec;
+        assert_eq!(got.config().clone().with_exec(exec), *fresh.config(), "chip {}", node.chip());
+        assert_eq!(got.packing_stats(), fresh.packing_stats(), "chip {}", node.chip());
+    }
 }
 
 /// The pinned heterogeneous scenario: two fast ZCU102 chips and one
