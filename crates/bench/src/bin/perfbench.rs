@@ -13,11 +13,12 @@
 //! serve serial vs parallel
 //! (warmup + N trials, median/p95), emits a schema-versioned
 //! `BENCH_<id>.json`, and — in `--compare` mode — exits nonzero on a
-//! regression past `--max-regress` percent. `--gate absolute` (default)
-//! compares best-trial times (`min_ms`, the noise-robust statistic) and
-//! needs a baseline from like hardware; `--gate ratio` compares each case's
-//! parallel/serial ratio, which is machine-normalized and safe against
-//! baselines recorded on different hardware.
+//! regression past `--max-regress` percent, or when the current and
+//! baseline reports do not have the same case names. `--gate absolute`
+//! (default) compares best-trial times (`min_ms`, the noise-robust
+//! statistic) and needs a baseline from like hardware; `--gate ratio`
+//! compares each case's parallel/serial ratio, which is machine-normalized
+//! and safe against baselines recorded on different hardware.
 
 use meadow_bench::perf::{self, BenchReport, PerfOptions};
 use std::path::PathBuf;
@@ -54,7 +55,8 @@ fn print_help() {
     println!("  --trials <N>         timed trials per variant (default 10)");
     println!("  --quick              reduced problem sizes (CI smoke / tests)");
     println!("  --compare <FILE>     compare against a baseline BENCH json; exit 1 on");
-    println!("                       regression beyond --max-regress");
+    println!("                       regression beyond --max-regress or when the two");
+    println!("                       reports' case names differ");
     println!("  --current <FILE>     with --compare: read the current report from FILE");
     println!("                       instead of running the suite");
     println!("  --max-regress <PCT>  allowed slowdown in percent (default 25)");
@@ -217,7 +219,18 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let compared = current.cases.iter().filter(|c| baseline.case(&c.name).is_some()).count();
+    let unmatched = perf::unmatched_cases(&current, &baseline);
+    if !unmatched.is_empty() {
+        eprintln!("error: the case names differ from {}:", baseline_path.display());
+        for name in &unmatched.missing {
+            eprintln!("  `{name}` is in the baseline but not in the current report");
+        }
+        for name in &unmatched.unbaselined {
+            eprintln!("  `{name}` is in the current report but not in the baseline");
+        }
+        return ExitCode::FAILURE;
+    }
+    let compared = current.cases.len();
     match args.gate {
         GateMode::Absolute => {
             let regressions = perf::find_regressions(&current, &baseline, args.max_regress_pct);

@@ -47,7 +47,6 @@ const GENERATORS: &[(&str, Generator)] = &[
     ("serve_coldstart", figs_serve::serve_coldstart_artifact),
     ("serve_hetero", figs_serve::serve_hetero_artifact),
     ("plan_capacity", figs_serve::plan_capacity_artifact),
-    ("serve_scale", figs_serve::serve_scale_artifact),
     ("ablation_chunk", ablations::ablation_chunk),
     ("ablation_payload", ablations::ablation_payload),
     ("ablation_parallelism", ablations::ablation_parallelism),

@@ -3,10 +3,9 @@
 //! `serve_paged` (paged vs whole-cache eviction on an open-loop
 //! Poisson/Zipf workload, with SLO-aware admission) and `serve_cluster`
 //! (session-pool sharding across simulated chips: placement policies and
-//! NoC-charged cross-chip KV migration), plus `serve_scale` (the
-//! event-driven scheduler core vs the per-tick scan oracle on growing
-//! open-loop traces). Not paper figures; see the ROADMAP's serving north
-//! star. Every run goes through the unified [`ServeSpec`] front door.
+//! NoC-charged cross-chip KV migration), among others. Not paper figures;
+//! see the ROADMAP's serving north star. Every run goes through the
+//! unified [`ServeSpec`] front door.
 
 use crate::{Artifact, ReproContext};
 use meadow_core::baselines::Baseline;
@@ -16,9 +15,7 @@ use meadow_core::cluster::{
     RoundRobin, SessionAffinity, ToLeastLoaded,
 };
 use meadow_core::report::{fmt_ms, Table};
-use meadow_core::serve::{
-    AdmissionPolicy, KvPolicy, SchedulerCore, ServeConfig, ServeReport, SpecDecode,
-};
+use meadow_core::serve::{AdmissionPolicy, KvPolicy, ServeConfig, ServeReport, SpecDecode};
 use meadow_core::spec::ServeSpec;
 use meadow_core::{CoreError, EngineConfig, MeadowEngine};
 use meadow_models::presets;
@@ -943,115 +940,6 @@ pub fn serve_disagg_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> 
     })
 }
 
-/// The `serve_scale` workload ladder: open-loop Poisson traces (fixed
-/// seed, narrow Zipf lengths — the step-shape reuse the event core's
-/// measurement memo exploits) at the given request count, plus the
-/// contended serving configuration both scheduler cores run under.
-fn serve_scale_setup(requests: usize) -> (ArrivalTrace, ServeConfig) {
-    let model = presets::tiny_decoder();
-    let lengths = ZipfLengths {
-        prompt_min: 16,
-        prompt_max: 32,
-        generate_min: 4,
-        generate_max: 16,
-        exponent: 1.1,
-    };
-    let trace = ArrivalTrace::open_loop(
-        requests,
-        10_000.0,
-        &lengths,
-        &mut StdRng::seed_from_u64(1_000_000),
-    )
-    .expect("workload parameters are valid");
-    let single_max = trace.requests.iter().map(|r| r.peak_kv_bytes(&model)).max().unwrap_or(0);
-    // Overload: arrivals outpace service, so the backlog builds until the
-    // tight TTFT SLO sheds it — admission, eviction and deadline shedding
-    // all stay hot as the trace grows.
-    let config = ServeConfig::default()
-        .with_budget(8 * single_max)
-        .with_policy(KvPolicy::Lru)
-        .with_max_batch(8)
-        .with_admission(AdmissionPolicy::RejectAfter { ttft_slo_ms: 5.0 });
-    (trace, config)
-}
-
-/// `serve_scale`: the event-driven scheduler core against the per-tick
-/// scan oracle on a growing open-loop trace — wall-clock per run, processed
-/// events per second, and the speedup, with the two cores' reports checked
-/// bit-identical at every size (the `SchedulerCore` contract, measured
-/// rather than assumed).
-///
-/// Wall-clock columns vary run to run (this artifact measures the harness
-/// itself, not the simulated chip), so it is not part of the CI smoke set.
-///
-/// # Errors
-///
-/// Propagates engine and serving errors.
-///
-/// # Panics
-///
-/// Panics if the two scheduler cores ever disagree on a report — that is
-/// the contract this artifact exists to demonstrate.
-pub fn serve_scale_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> {
-    let model = presets::tiny_decoder();
-    let engine = ctx.engine(Baseline::Meadow, &model, 12.0)?;
-    let mut table = Table::new([
-        "requests",
-        "ticks",
-        "events",
-        "tick_ms",
-        "event_ms",
-        "speedup",
-        "events_per_s",
-    ]);
-    let mut top_speedup = 0.0f64;
-    let mut top_events_per_s = 0.0f64;
-    for requests in [500usize, 2_000, 8_000] {
-        let (trace, config) = serve_scale_setup(requests);
-        let run = |core| -> Result<(ServeReport, f64), CoreError> {
-            let spec = ServeSpec::builder()
-                .config(config)
-                .scheduler(core)
-                .build()
-                .map_err(CoreError::from)?;
-            let start = std::time::Instant::now();
-            let report = spec.run(&engine, &trace)?.into_single().expect("one chip");
-            Ok((report, start.elapsed().as_secs_f64() * 1e3))
-        };
-        let (tick_report, tick_ms) = run(SchedulerCore::Tick)?;
-        let (event_report, event_ms) = run(SchedulerCore::Event)?;
-        assert_eq!(event_report, tick_report, "scheduler cores diverged at {requests} requests");
-        // Processed events: one admission event per request, one step
-        // completion per scheduler iteration, one shed deadline per
-        // rejection.
-        let events = requests as u64 + event_report.ticks + event_report.rejected_requests;
-        let speedup = if event_ms > 0.0 { tick_ms / event_ms } else { f64::INFINITY };
-        let events_per_s = if event_ms > 0.0 { events as f64 / (event_ms / 1e3) } else { 0.0 };
-        top_speedup = speedup;
-        top_events_per_s = events_per_s;
-        table.row([
-            requests.to_string(),
-            event_report.ticks.to_string(),
-            events.to_string(),
-            format!("{tick_ms:.1}"),
-            format!("{event_ms:.1}"),
-            format!("{speedup:.1}"),
-            format!("{events_per_s:.0}"),
-        ]);
-    }
-    Ok(Artifact {
-        id: "serve_scale",
-        paper_claim: "beyond the paper: event-driven serving core — jumping the clock between scheduler events (with memoized step measurement) replaces the per-tick scan, bit-identically",
-        table,
-        notes: vec![
-            "open-loop Poisson arrivals (10k req/s overload, narrow Zipf lengths), tiny decoder @ 12 Gbps, batch cap 8, TTFT SLO 5 ms; both cores produce bit-identical reports at every size".to_string(),
-            format!(
-                "largest size: event core {top_speedup:.1}x faster than the tick scan, {top_events_per_s:.0} events/s"
-            ),
-        ],
-    })
-}
-
 /// The `serve_coldstart` workload: one summarization-style request at
 /// t=0 hitting a cold chip, then four chat-style requests arriving after
 /// the weight load has drained, so they prefill against a warm chip.
@@ -1412,34 +1300,6 @@ mod tests {
             );
             prev = report.makespan_ms;
         }
-    }
-
-    /// Acceptance criterion: both scheduler cores produce bit-identical
-    /// reports on a small slice of the `serve_scale` workload, and the
-    /// processed-events accounting the artifact reports is consistent.
-    /// (The full artifact's 8k-request tick run is release-binary scale,
-    /// so the test pins the contract on a 200-request slice instead.)
-    #[test]
-    fn scheduler_cores_agree_on_the_scale_workload() {
-        let ctx = ReproContext::new();
-        let engine = ctx.engine(Baseline::Meadow, &presets::tiny_decoder(), 12.0).unwrap();
-        let (trace, config) = serve_scale_setup(200);
-        let run = |core| {
-            ServeSpec::builder()
-                .config(config)
-                .scheduler(core)
-                .build()
-                .unwrap()
-                .run(&engine, &trace)
-                .unwrap()
-                .into_single()
-                .unwrap()
-        };
-        let tick = run(SchedulerCore::Tick);
-        let event = run(SchedulerCore::Event);
-        assert_eq!(event, tick);
-        assert!(event.ticks > 0);
-        assert!(event.total_evictions > 0, "the budget must churn under overload");
     }
 
     #[test]

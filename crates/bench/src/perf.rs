@@ -18,27 +18,25 @@
 //! machine-normalized, so the gate works even when the baseline was
 //! recorded on different hardware than the CI runner. The absolute
 //! [`find_regressions`] gate remains available via `perfbench --gate
-//! absolute` for same-machine comparisons.
+//! absolute` for same-machine comparisons. Either way, `--compare` also
+//! fails when the two reports' case names differ ([`unmatched_cases`]).
 
 use meadow_core::cluster::{
     LeastLoadedKv, LeastLoadedWeighted, PrefillDecodeSplit, SessionAffinity, ToLeastLoaded,
 };
-use meadow_core::serve::{AdmissionPolicy, KvPolicy, SchedulerCore, ServeConfig, SpecDecode};
+use meadow_core::serve::{KvPolicy, ServeConfig, SpecDecode};
 use meadow_core::spec::ServeSpec;
 use meadow_core::{EngineConfig, MeadowEngine};
 use meadow_dataflow::forward::{batch_model_forward, model_forward, ForwardMode, ForwardScales};
 use meadow_models::presets;
 use meadow_models::weights::ModelWeights;
 use meadow_models::workload::ArrivalTrace;
-use meadow_models::workload::ZipfLengths;
 use meadow_models::KvCompression;
 use meadow_packing::chunk::{decompose, decompose_with, ChunkConfig};
 use meadow_tensor::fixed::ExpLut;
 use meadow_tensor::gemm::{matmul_i8_tiled, matmul_i8_tiled_with};
 use meadow_tensor::parallel::ExecConfig;
 use meadow_tensor::Matrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -383,7 +381,7 @@ fn serve_cluster_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
 }
 
 /// The heterogeneous-cluster case: a mixed big/LITTLE fleet served twice.
-/// Like [`serve_1m_case`], the two variants are not serial-vs-parallel
+/// Unlike every other case, the two variants are not serial-vs-parallel
 /// threading: `serial` runs speed-oblivious [`LeastLoadedKv`] placement
 /// and `parallel` runs throughput-aware [`LeastLoadedWeighted`] on the
 /// same fleet and engine, so the committed baseline ratio pins the cost
@@ -463,60 +461,6 @@ fn serve_disagg_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
     named_case(format!("serve_disagg_3x{requests}x{generate}"), serial, parallel)
 }
 
-/// The event-core scaling case: one long open-loop Poisson trace through
-/// both scheduler cores. Unlike every other case, the two variants here
-/// are not serial-vs-parallel threading but **tick-scan vs event-driven
-/// scheduling** on the same engine: `serial` runs [`SchedulerCore::Tick`]
-/// (the O(resident × ticks) oracle) and `parallel` runs
-/// [`SchedulerCore::Event`], so the committed baseline ratio locks in the
-/// event core's advantage and the CI ratio gate fails if it erodes. The
-/// narrow length distribution is deliberate — it maximizes step-shape
-/// reuse, the axis the event core's measurement memo exploits, which is
-/// exactly the million-request regime the core exists for. The full-size
-/// trace (100k requests) makes the tick variant minutes-scale; CI runs
-/// `--quick` (2k requests).
-fn serve_1m_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let requests = if opts.quick { 2_000 } else { 100_000 };
-    let model = presets::tiny_decoder();
-    let lengths = ZipfLengths {
-        prompt_min: 16,
-        prompt_max: 32,
-        generate_min: 4,
-        generate_max: 16,
-        exponent: 1.1,
-    };
-    let trace = ArrivalTrace::open_loop(
-        requests,
-        10_000.0,
-        &lengths,
-        &mut StdRng::seed_from_u64(1_000_000),
-    )
-    .expect("workload parameters are valid");
-    let single_max = trace.requests.iter().map(|r| r.peak_kv_bytes(&model)).max().unwrap_or(0);
-    // Open-loop overload with a bounded budget, batch cap and a tight TTFT
-    // SLO: admission queues, the SLO sheds the backlog, and eviction
-    // churns — every scheduler path is hot.
-    let config = ServeConfig::default()
-        .with_budget(8 * single_max)
-        .with_policy(KvPolicy::Lru)
-        .with_max_batch(8)
-        .with_admission(AdmissionPolicy::RejectAfter { ttft_slo_ms: 5.0 });
-    let engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let spec_for = |core: SchedulerCore| {
-        ServeSpec::builder().config(config).scheduler(core).build().expect("valid spec")
-    };
-    let tick = spec_for(SchedulerCore::Tick);
-    let event = spec_for(SchedulerCore::Event);
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(tick.run(&engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(event.run(&engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_1m_open_loop_{requests}"), serial, parallel)
-}
-
 fn named_case(name: String, serial: TimingStats, parallel: TimingStats) -> BenchCase {
     let speedup =
         if parallel.median_ms > 0.0 { serial.median_ms / parallel.median_ms } else { 0.0 };
@@ -537,7 +481,6 @@ pub fn run_suite(bench_id: &str, opts: &PerfOptions) -> BenchReport {
         serve_cluster_case(opts, &exec),
         serve_hetero_case(opts, &exec),
         serve_disagg_case(opts, &exec),
-        serve_1m_case(opts, &exec),
     ];
     BenchReport {
         schema_version: SCHEMA_VERSION,
@@ -574,10 +517,10 @@ pub struct Regression {
 /// median on shared CI runners while still moving one-for-one with real
 /// code regressions. The medians/p95s stay in the report for humans.
 ///
-/// Cases present in only one report are skipped (renaming a case resets
-/// its baseline rather than failing the gate); comparing reports produced
-/// with different `quick` settings or thread counts is the caller's
-/// responsibility.
+/// Cases present in only one report are skipped here; [`unmatched_cases`]
+/// names them, and `perfbench --compare` fails on any. Comparing reports
+/// produced with different `quick` settings or thread counts is the
+/// caller's responsibility.
 pub fn find_regressions(
     current: &BenchReport,
     baseline: &BenchReport,
@@ -635,8 +578,8 @@ pub struct RatioRegression {
 /// runs for ratios to be comparable (the `perfbench` binary warns).
 ///
 /// Cases present in only one report, or with non-positive serial times, are
-/// skipped — renaming a case resets its baseline rather than failing the
-/// gate.
+/// skipped here; [`unmatched_cases`] names the former, and `perfbench
+/// --compare` fails on any.
 pub fn find_ratio_regressions(
     current: &BenchReport,
     baseline: &BenchReport,
@@ -666,6 +609,33 @@ pub fn find_ratio_regressions(
     regressions
 }
 
+/// Case names that only one of two reports has. Both gates compare only
+/// the cases the reports share, so a baseline case the run no longer
+/// produces (or a new case with no baseline) would otherwise drop out of
+/// the gate silently.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UnmatchedCases {
+    /// Baseline cases the current report lacks.
+    pub missing: Vec<String>,
+    /// Current cases the baseline lacks.
+    pub unbaselined: Vec<String>,
+}
+
+impl UnmatchedCases {
+    /// Whether the two reports have exactly the same case names.
+    pub fn is_empty(&self) -> bool {
+        self.missing.is_empty() && self.unbaselined.is_empty()
+    }
+}
+
+/// Compares the case-name sets of two reports, in either direction.
+pub fn unmatched_cases(current: &BenchReport, baseline: &BenchReport) -> UnmatchedCases {
+    let only_in = |a: &BenchReport, b: &BenchReport| -> Vec<String> {
+        a.cases.iter().filter(|c| b.case(&c.name).is_none()).map(|c| c.name.clone()).collect()
+    };
+    UnmatchedCases { missing: only_in(baseline, current), unbaselined: only_in(current, baseline) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,7 +658,7 @@ mod tests {
     fn suite_emits_versioned_round_trippable_json() {
         let report = run_suite("test", &quick_opts());
         assert_eq!(report.schema_version, SCHEMA_VERSION);
-        assert_eq!(report.cases.len(), 11);
+        assert_eq!(report.cases.len(), 10);
         assert!(report.cases.iter().all(|c| c.speedup > 0.0));
         assert_eq!(report.file_name(), "BENCH_test.json");
         let json = report.to_json().unwrap();
@@ -708,7 +678,7 @@ mod tests {
         assert_eq!(tree.get("threads").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(tree.get("quick").and_then(|v| v.as_bool()), Some(true));
         let cases = tree.get("cases").and_then(|v| v.as_seq()).unwrap();
-        assert_eq!(cases.len(), 11);
+        assert_eq!(cases.len(), 10);
         for case in cases {
             assert!(case.get("name").and_then(|v| v.as_str()).is_some());
             for variant in ["serial", "parallel"] {
@@ -801,5 +771,42 @@ mod tests {
         current.cases[1].serial.min_ms = 0.0;
         current.cases[1].parallel.min_ms *= 100.0;
         assert!(find_ratio_regressions(&current, &baseline, 25.0).is_empty());
+    }
+
+    /// A report with one case per name and identical timings.
+    fn report_with(names: &[&str]) -> BenchReport {
+        let stats = TimingStats { median_ms: 1.0, p95_ms: 1.0, min_ms: 1.0, mean_ms: 1.0 };
+        BenchReport {
+            schema_version: SCHEMA_VERSION,
+            bench_id: "names".into(),
+            threads: 2,
+            warmup: 0,
+            trials: 1,
+            quick: true,
+            cases: names.iter().map(|&name| named_case(name.into(), stats, stats)).collect(),
+        }
+    }
+
+    #[test]
+    fn baseline_case_missing_from_the_run_is_unmatched() {
+        let baseline = report_with(&["a", "b", "stale"]);
+        let current = report_with(&["a", "b"]);
+        // Both gates pass: they only see the shared cases.
+        assert!(find_regressions(&current, &baseline, 25.0).is_empty());
+        assert!(find_ratio_regressions(&current, &baseline, 25.0).is_empty());
+        let unmatched = unmatched_cases(&current, &baseline);
+        assert_eq!(unmatched.missing, vec!["stale".to_string()]);
+        assert!(unmatched.unbaselined.is_empty());
+        assert!(!unmatched.is_empty());
+    }
+
+    #[test]
+    fn run_case_missing_from_the_baseline_is_unmatched() {
+        let baseline = report_with(&["a", "b_4x6"]);
+        let current = report_with(&["a", "b_8x12"]);
+        let unmatched = unmatched_cases(&current, &baseline);
+        assert_eq!(unmatched.missing, vec!["b_4x6".to_string()]);
+        assert_eq!(unmatched.unbaselined, vec!["b_8x12".to_string()]);
+        assert!(unmatched_cases(&current, &current).is_empty());
     }
 }

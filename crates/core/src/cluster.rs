@@ -34,9 +34,9 @@
 //! some headroom going unused.
 //!
 //! A one-chip cluster with [`RoundRobin`] placement and [`NoMigration`]
-//! reproduces the single-chip [`serve`](crate::serve::serve) output
-//! bit-exactly — `serve` is now literally that wrapper — so all
-//! pre-cluster goldens and invariants carry over unchanged
+//! reproduces single-chip serving bit-exactly — a single-chip
+//! [`ServeSpec`](crate::spec::ServeSpec) run is literally that cluster —
+//! so all pre-cluster goldens and invariants carry over unchanged
 //! (`tests/cluster_invariants.rs`).
 //!
 //! # Examples
@@ -78,8 +78,8 @@
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::serve::{
-    kv_sizer, serve_on_chip, KvSummary, LatencySummary, SchedulerCore, ServeConfig, ServeError,
-    ServeReport, ServeTrace, WeightSummary,
+    kv_sizer, serve_on_chip, KvSummary, LatencySummary, ServeConfig, ServeError, ServeReport,
+    ServeTrace, WeightSummary,
 };
 use crate::session::SessionPhase;
 use crate::MeadowEngine;
@@ -595,7 +595,6 @@ pub struct ClusterConfig {
     migration: Box<dyn MigrationPolicy>,
     phase_placement: Box<dyn PhasePlacement>,
     noc: NocConfig,
-    scheduler: SchedulerCore,
     /// Per-chip engines of a heterogeneous cluster, built once from the
     /// [`chip_specs`](ClusterConfigBuilder::chip_specs) at build (`None` =
     /// replica cluster of whatever engine the run is given); each chip's
@@ -647,11 +646,6 @@ impl ClusterConfig {
         self.noc
     }
 
-    /// Which scheduler core each chip's serving loop runs on.
-    pub fn scheduler(&self) -> SchedulerCore {
-        self.scheduler
-    }
-
     /// Per-chip engines of a heterogeneous cluster (each chip's spec is its
     /// engine's [`config`](MeadowEngine::config)), or `None` for a replica
     /// cluster of the engine handed to [`Cluster::new`].
@@ -689,7 +683,6 @@ pub struct ClusterConfigBuilder {
     migration: Box<dyn MigrationPolicy>,
     phase_placement: Box<dyn PhasePlacement>,
     noc: NocConfig,
-    scheduler: SchedulerCore,
     chip_specs: Option<Vec<EngineConfig>>,
     link_hops: Option<Vec<u32>>,
 }
@@ -704,7 +697,6 @@ impl Default for ClusterConfigBuilder {
             migration: Box::new(NoMigration),
             phase_placement: Box::new(Colocated),
             noc: NocConfig::default(),
-            scheduler: SchedulerCore::default(),
             chip_specs: None,
             link_hops: None,
         }
@@ -773,14 +765,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Selects the scheduler core each chip's serving loop runs on
-    /// (defaults to [`SchedulerCore::Event`]; the two cores produce
-    /// bit-identical reports, so this is a performance knob).
-    pub fn scheduler(mut self, scheduler: SchedulerCore) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Validates and finishes the configuration.
     ///
     /// # Errors
@@ -840,7 +824,6 @@ impl ClusterConfigBuilder {
             migration: self.migration,
             phase_placement: self.phase_placement,
             noc: self.noc,
-            scheduler: self.scheduler,
             chip_engines,
             link_hops: self.link_hops,
         })
@@ -862,6 +845,17 @@ fn chip_engine(spec: EngineConfig, built: &[MeadowEngine]) -> Result<MeadowEngin
         Some(e) => MeadowEngine::with_packing_stats(spec, e.packing_stats().cloned()),
         None => MeadowEngine::new(spec),
     }
+}
+
+/// Request indices in arrival order, ties broken by id: the order
+/// placement routes requests in.
+fn arrival_order(trace: &ArrivalTrace) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..trace.requests.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&trace.requests[a], &trace.requests[b]);
+        a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id))
+    });
+    order
 }
 
 /// One simulated chip of the cluster: a replica engine. The chip's KV page
@@ -1160,20 +1154,6 @@ impl Cluster {
         Self { nodes, config, exec }
     }
 
-    /// A one-chip cluster with [`RoundRobin`] placement and
-    /// [`NoMigration`] — the configuration under which
-    /// [`Cluster::serve`] reproduces the single-chip
-    /// [`serve`](crate::serve::serve) bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Serve`] when `serve` fails
-    /// [`ServeConfig::validate`].
-    pub fn single_chip(engine: MeadowEngine, serve: ServeConfig) -> Result<Self, CoreError> {
-        let config = ClusterConfig::builder().serve(serve).build()?;
-        Ok(Self::new(engine, config))
-    }
-
     /// Number of chips.
     pub fn chips(&self) -> usize {
         self.nodes.len()
@@ -1216,11 +1196,8 @@ impl Cluster {
     /// # }
     /// ```
     ///
-    /// **Migration note:** prefer the unified front door —
-    /// `ServeSpec::builder().chips(n).build()?.run(&engine, &trace)`
-    /// ([`ServeSpec`](crate::spec::ServeSpec)) — which validates once and
-    /// dispatches here. This method stays as the thin mode-specific
-    /// entry point underneath it.
+    /// Most callers go through [`ServeSpec`](crate::spec::ServeSpec),
+    /// which validates once and dispatches here.
     ///
     /// # Errors
     ///
@@ -1233,26 +1210,11 @@ impl Cluster {
         trace.validate(model)?;
         let sizer = kv_sizer(model, &self.config.serve)?;
 
-        // Placement: route requests in arrival order (ties by id), keeping
-        // a running load picture for load-aware policies.
-        let mut order: Vec<usize> = (0..trace.requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            trace.requests[a]
-                .arrival_ms
-                .total_cmp(&trace.requests[b].arrival_ms)
-                .then(trace.requests[a].id.cmp(&trace.requests[b].id))
-        });
-        let mut loads: Vec<ChipLoad> = (0..chips)
-            .map(|chip| ChipLoad {
-                chip,
-                assigned_requests: 0,
-                assigned_peak_kv_bytes: 0,
-                kv_budget_bytes: self.config.serve.kv_budget_bytes,
-                throughput_score_milli: throughput_score_milli(self.nodes[chip].engine.config()),
-            })
-            .collect();
+        // Placement: route requests in arrival order, keeping a running
+        // load picture for load-aware policies.
+        let mut loads = self.empty_loads();
         let mut assignment = vec![0usize; trace.requests.len()];
-        for (seq, &idx) in order.iter().enumerate() {
+        for (seq, &idx) in arrival_order(trace).iter().enumerate() {
             let request = &trace.requests[idx];
             let chip = self.config.placement.place(seq, request, &loads);
             if chip >= chips {
@@ -1269,6 +1231,19 @@ impl Cluster {
             shards[assignment[idx]].requests.push(*request);
         }
         self.run_shards(&shards, &loads, None, trace.requests.len())
+    }
+
+    /// A fresh load picture of every chip, before placement.
+    fn empty_loads(&self) -> Vec<ChipLoad> {
+        (0..self.nodes.len())
+            .map(|chip| ChipLoad {
+                chip,
+                assigned_requests: 0,
+                assigned_peak_kv_bytes: 0,
+                kv_budget_bytes: self.config.serve.kv_budget_bytes,
+                throughput_score_milli: throughput_score_milli(self.nodes[chip].engine.config()),
+            })
+            .collect()
     }
 
     /// Runs per-chip shards through the serving loop: the shared backend
@@ -1322,7 +1297,6 @@ impl Cluster {
                     &self.config.serve,
                     phases.map(|p| p[chip].as_slice()),
                     Some(&mut ctx),
-                    self.config.scheduler,
                 )?;
                 Ok((report, ctx.into_stats()))
             });
@@ -1492,11 +1466,8 @@ impl Cluster {
     /// report bit-exactly (the `tests/disagg_invariants.rs` contract).
     /// Deterministic: bit-identical across `MEADOW_THREADS`.
     ///
-    /// **Migration note:** prefer the unified front door —
-    /// `ServeSpec::builder().chips(n).phases(policy).build()?.run(..)`
-    /// ([`ServeSpec`](crate::spec::ServeSpec)) — which selects this mode
-    /// whenever a phase placement is set. This method stays as the thin
-    /// mode-specific entry point underneath it.
+    /// Most callers go through [`ServeSpec`](crate::spec::ServeSpec),
+    /// which dispatches here whenever a phase placement is set.
     ///
     /// # Errors
     ///
@@ -1513,29 +1484,10 @@ impl Cluster {
         // `serve`, so `Colocated` degenerates to it exactly. The combined
         // `loads` picture (both legs of every request) feeds the policies;
         // each stage's run sees only its own legs.
-        let mut order: Vec<usize> = (0..trace.requests.len()).collect();
-        order.sort_by(|&a, &b| {
-            trace.requests[a]
-                .arrival_ms
-                .total_cmp(&trace.requests[b].arrival_ms)
-                .then(trace.requests[a].id.cmp(&trace.requests[b].id))
-        });
-        let new_loads = || -> Vec<ChipLoad> {
-            (0..chips)
-                .map(|chip| ChipLoad {
-                    chip,
-                    assigned_requests: 0,
-                    assigned_peak_kv_bytes: 0,
-                    kv_budget_bytes: self.config.serve.kv_budget_bytes,
-                    throughput_score_milli: throughput_score_milli(
-                        self.nodes[chip].engine.config(),
-                    ),
-                })
-                .collect()
-        };
-        let mut loads = new_loads();
-        let mut pass_a_loads = new_loads();
-        let mut pass_b_loads = new_loads();
+        let order = arrival_order(trace);
+        let mut loads = self.empty_loads();
+        let mut pass_a_loads = self.empty_loads();
+        let mut pass_b_loads = self.empty_loads();
         let mut assignment = vec![PhaseAssignment::colocated(0); trace.requests.len()];
         for (seq, &idx) in order.iter().enumerate() {
             let request = &trace.requests[idx];
@@ -1738,7 +1690,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::serve::{serve, KvPolicy};
+    use crate::serve::KvPolicy;
     use meadow_models::presets;
 
     fn engine() -> MeadowEngine {
@@ -1834,22 +1786,6 @@ mod tests {
         // One hop to chip 1: link bytes equal payload bytes.
         assert_eq!(stats.noc_link_bytes, 400 + 400 + 900 + 800);
         assert!(stats.noc_link_cycles > 0);
-    }
-
-    #[test]
-    fn single_chip_cluster_matches_serve_bit_exactly() {
-        let e = engine();
-        let model = presets::tiny_decoder();
-        let trace = ArrivalTrace::uniform(4, 0.0, 16, 8);
-        let budget = 2 * trace.requests[0].peak_kv_bytes(&model);
-        let config = ServeConfig::default().with_budget(budget).with_max_batch(2);
-        let single = serve(&e, &trace, &config).unwrap();
-        let report = Cluster::single_chip(e, config).unwrap().serve(&trace).unwrap();
-        assert_eq!(report.chips, 1);
-        assert_eq!(report.per_chip[0].report, single);
-        assert_eq!(report.migrated_out_bytes, 0);
-        assert_eq!(report.p50_latency_ms, single.p50_latency_ms);
-        assert_eq!(report.makespan_ms, single.makespan_ms);
     }
 
     #[test]

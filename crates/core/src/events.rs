@@ -7,9 +7,9 @@
 //! across `MEADOW_THREADS`):
 //!
 //! * [`EventQueue`] — a binary min-heap of `(time, request id)` pairs.
-//!   Ties break **by request id**, matching the arrival ordering the tick
-//!   scheduler used (`arrival_ms` then `id`), so the event core admits and
-//!   sheds requests in exactly the same order. Two event kinds live in
+//!   Ties break **by request id**, so the scheduler admits and sheds
+//!   requests in arrival order (`arrival_ms` then `id`), the order cluster
+//!   placement routes them in. Two event kinds live in
 //!   these queues: *arrival* events (keyed by the request's `arrival_ms`)
 //!   and *SLO deadline* events (also keyed by `arrival_ms` — the TTFT SLO
 //!   is a constant offset within one run, so deadline order equals arrival
@@ -90,8 +90,8 @@ impl Ord for Event {
 }
 
 /// Binary min-heap of `(time, request id, arena index)` events. Pops in
-/// `(time, id)` order — the same total order the tick scheduler's sorted
-/// arrival queue used.
+/// `(time, id)` order — the same total order cluster placement sorts
+/// arrivals by.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
     heap: BinaryHeap<Event>,
@@ -168,7 +168,7 @@ impl ReadyOrder {
 /// replaying a cached result is bit-identical to re-measuring.
 ///
 /// The key deliberately omits the chip: a cache lives and dies inside one
-/// `serve_on_chip_event` call, so it is private to one chip's engine.
+/// `serve_on_chip` call, so it is private to one chip's engine.
 /// That per-chip scoping is load-bearing for heterogeneous clusters
 /// ([`ClusterConfigBuilder::chip_specs`](crate::cluster::ClusterConfigBuilder::chip_specs)):
 /// the same shape measures differently on a big chip than on a LITTLE

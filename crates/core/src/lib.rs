@@ -64,8 +64,8 @@ pub use engine::{EngineConfig, LatencyReport, MeadowEngine};
 pub use error::CoreError;
 pub use kv_pages::KvPageAllocator;
 pub use serve::{
-    AdmissionPolicy, KvPolicy, LatencySummary, SchedulerCore, ServeConfig, ServeConfigBuilder,
-    ServeError, ServeReport, ServeTrace, SpecDecode,
+    AdmissionPolicy, KvPolicy, LatencySummary, ServeConfig, ServeError, ServeReport, ServeTrace,
+    SpecDecode,
 };
 pub use session::SessionPhase;
 pub use spec::{ServeOutcome, ServeSpec, ServeSpecBuilder};

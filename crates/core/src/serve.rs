@@ -2,9 +2,13 @@
 //!
 //! [`InferenceSession`](crate::session::InferenceSession) walks one request
 //! at a time; a deployed edge accelerator instead serves many concurrent
-//! sessions contending for one KV-cache memory budget. This module runs an
-//! [`ArrivalTrace`] of requests through a single [`MeadowEngine`] under a
-//! continuous-batching scheduler. Each tick:
+//! sessions contending for one KV-cache memory budget. This module holds
+//! the per-chip serving loop that runs an [`ArrivalTrace`] of requests
+//! through a single [`MeadowEngine`] under a continuous-batching
+//! scheduler, and the [`ServeConfig`] and [`ServeReport`] it speaks. Every
+//! run enters through the one front door,
+//! [`ServeSpec`](crate::spec::ServeSpec), whether it serves one chip, a
+//! cluster or a disaggregated fleet. Each tick:
 //!
 //! * **Admission** is head-of-line in arrival order: a request is admitted
 //!   only when its next step's KV cache fits alongside every resident
@@ -47,7 +51,8 @@
 //! admission:
 //!
 //! ```
-//! use meadow_core::serve::{serve, AdmissionPolicy, KvPolicy, ServeConfig};
+//! use meadow_core::serve::{AdmissionPolicy, KvPolicy, ServeConfig};
+//! use meadow_core::spec::ServeSpec;
 //! use meadow_core::{EngineConfig, MeadowEngine};
 //! use meadow_models::presets;
 //! use meadow_models::workload::ArrivalTrace;
@@ -63,15 +68,16 @@
 //!     .with_policy(KvPolicy::PagedLru)
 //!     .with_page_bytes(1024)
 //!     .with_admission(AdmissionPolicy::RejectAfter { ttft_slo_ms: 50.0 });
-//! let report = serve(&engine, &trace, &config)?;
+//! let spec = ServeSpec::builder().config(config).build()?;
+//! let report = spec.run(&engine, &trace)?.into_single().expect("one chip");
 //! assert_eq!(report.requests, 6);
 //! assert_eq!(report.total_generated_tokens + 8 * report.rejected_requests, 48);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::cluster::{Cluster, MigrationCtx};
-use crate::engine::{LatencyReport, MeadowEngine, StepShape};
+use crate::cluster::MigrationCtx;
+use crate::engine::{MeadowEngine, StepShape};
 use crate::error::CoreError;
 use crate::events::{EventQueue, ReadyOrder, StepCache};
 use crate::kv_pages::KvPageAllocator;
@@ -286,42 +292,6 @@ impl fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Which scheduler implementation runs the per-chip serving loop.
-///
-/// Both cores implement the *same* discrete-event semantics — one
-/// scheduler iteration per batch step, with simulated time jumping by the
-/// batch makespan (and to the next arrival when the chip idles) — and
-/// produce bit-identical reports. They differ only in how much work one
-/// iteration costs:
-///
-/// * [`SchedulerCore::Event`] (the default) keeps binary min-heaps for
-///   arrival and SLO-deadline events, an ordered index for the step and
-///   victim order, incremental running sums for the budget accounting,
-///   and a memo of step measurements (pure functions of the step shape),
-///   so an iteration costs `O(batch · log n)` instead of `O(resident
-///   sessions)` — the difference between hours and seconds at 10⁵–10⁶
-///   requests (the `serve_1m` perfbench case).
-/// * [`SchedulerCore::Tick`] is the original scan loop, retained for one
-///   PR as the migration oracle (`tests/event_equivalence.rs` pins the
-///   two bit-exact on randomized traces) and as the baseline `serve_1m`
-///   measures the event core against.
-///
-/// Select a core through
-/// [`ServeSpec::builder().scheduler(..)`](crate::spec::ServeSpec) or
-/// `ClusterConfig::builder().scheduler(..)`; the reports do not record it
-/// (the choice is unobservable in the output by construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum SchedulerCore {
-    /// Event-driven core: heap-ordered events, incremental budget sums,
-    /// memoized step measurements.
-    #[default]
-    Event,
-    /// The retired per-tick scan loop, kept as the migration oracle and
-    /// perf baseline; scheduled for removal once the equivalence suite
-    /// has served its PR.
-    Tick,
-}
 
 /// Eviction policy for the serving KV-cache pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -545,10 +515,10 @@ impl ServeConfig {
     /// Construction-time validation: rejects a zero `max_batch`, a zero
     /// `page_bytes` under [`KvPolicy::PagedLru`], and a non-finite or
     /// negative [`AdmissionPolicy::RejectAfter`] SLO with a typed
-    /// [`ServeError`]. [`serve`] and the cluster builder
-    /// (`ClusterConfigBuilder::build`) both call this, so a bad
-    /// configuration fails loudly at the seam instead of misbehaving
-    /// mid-run.
+    /// [`ServeError`]. The cluster builder (`ClusterConfigBuilder::build`,
+    /// and so [`ServeSpecBuilder::build`](crate::spec::ServeSpecBuilder::build))
+    /// calls this, so a bad configuration fails loudly at the seam instead
+    /// of misbehaving mid-run.
     ///
     /// # Errors
     ///
@@ -592,100 +562,6 @@ impl ServeConfig {
             return Err(ServeError::ZeroWeightBudget);
         }
         Ok(())
-    }
-
-    /// Starts a builder with construction-time validation — the same
-    /// `build()?` discipline as `ClusterConfig::builder()`, so the two
-    /// config idioms agree. Prefer this (or
-    /// [`ServeSpec`](crate::spec::ServeSpec), which embeds it) at new call
-    /// sites over the `with_*` chain, which defers validation to the serve
-    /// entry points.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder::default()
-    }
-}
-
-/// Builder for [`ServeConfig`] whose [`build`](ServeConfigBuilder::build)
-/// runs [`ServeConfig::validate`], rejecting invalid combinations (zero
-/// `max_batch`, zero `page_bytes` under [`KvPolicy::PagedLru`], bad SLOs,
-/// nonsensical speculation) with a typed [`ServeError`] at the seam
-/// instead of mid-run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Sets a finite per-chip KV budget (the default is unbounded).
-    pub fn kv_budget_bytes(mut self, bytes: u64) -> Self {
-        self.config.kv_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Sets the eviction policy.
-    pub fn policy(mut self, policy: KvPolicy) -> Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Sets the continuous-batching batch-size cap.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Sets the admission policy.
-    pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.config.admission = admission;
-        self
-    }
-
-    /// Sets the [`KvPolicy::PagedLru`] page size.
-    pub fn page_bytes(mut self, page_bytes: u64) -> Self {
-        self.config.page_bytes = page_bytes;
-        self
-    }
-
-    /// Enables the speculative-decoding cost model.
-    pub fn speculation(mut self, speculation: SpecDecode) -> Self {
-        self.config.speculation = Some(speculation);
-        self
-    }
-
-    /// Sets the KV-cache layout.
-    pub fn kv_layout(mut self, kv_layout: KvLayout) -> Self {
-        self.config.kv_layout = kv_layout;
-        self
-    }
-
-    /// Sets the token-level KV compression model.
-    pub fn kv_compression(mut self, kv_compression: KvCompression) -> Self {
-        self.config.kv_compression = kv_compression;
-        self
-    }
-
-    /// Sets a finite per-chip model-weight budget (weight-residency
-    /// modeling on).
-    pub fn weight_budget_bytes(mut self, bytes: u64) -> Self {
-        self.config.weight_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Selects streamed (per-layer overlapped) cold weight loads.
-    pub fn weight_streaming(mut self, weight_streaming: bool) -> Self {
-        self.config.weight_streaming = weight_streaming;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ServeError`] the configuration violates (see
-    /// [`ServeConfig::validate`]).
-    pub fn build(self) -> Result<ServeConfig, ServeError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -973,12 +849,6 @@ impl Session {
         }
     }
 
-    /// KV bytes the session holds while resident, as the whole-cache
-    /// policies account them.
-    fn resident_kv(&self, sizer: &KvSizer) -> u64 {
-        self.kv_bytes(sizer)
-    }
-
     /// KV bytes the session will hold after its next step (prefill writes
     /// the whole prompt's keys/values; each decode step appends one token).
     fn next_kv(&self, sizer: &KvSizer) -> u64 {
@@ -1146,9 +1016,7 @@ struct ModelSlot {
 
 /// Per-run weight-residency tracker: the budgeted set of models whose
 /// weights are on chip, with strict-LRU eviction and per-layer load
-/// charging through the chip's DRAM channel. Both scheduler cores drive
-/// the same tracker in step order, so the Event==Tick equivalence holds
-/// structurally.
+/// charging through the chip's DRAM channel, driven in step order.
 struct WeightSet {
     budget_bytes: u64,
     streaming: bool,
@@ -1245,10 +1113,10 @@ impl WeightSet {
 }
 
 /// Run-start validation of the weight-residency configuration against the
-/// engine's model and the trace, shared by both scheduler cores: a budget
-/// must hold at least one model ([`ServeError::WeightBudgetTooSmall`]),
-/// and without a budget every request must target the default resident
-/// model 0 ([`ServeError::UnknownModel`]).
+/// engine's model and the trace: a budget must hold at least one model
+/// ([`ServeError::WeightBudgetTooSmall`]), and without a budget every
+/// request must target the default resident model 0
+/// ([`ServeError::UnknownModel`]).
 fn validate_weights(
     config: &ServeConfig,
     model: &TransformerConfig,
@@ -1270,575 +1138,7 @@ fn validate_weights(
     Ok(())
 }
 
-/// Runs an arrival trace through the engine under a continuous-batching
-/// scheduler, returning the aggregate report. See the module docs for the
-/// scheduling and KV-accounting model.
-///
-/// This is the single-chip special case of the cluster serving API: it
-/// wraps [`Cluster::serve`](crate::cluster::Cluster::serve) around a
-/// one-chip cluster with round-robin placement and no migration, which
-/// reproduces the pre-cluster scheduler bit-exactly (the
-/// `tests/cluster_invariants.rs` contract).
-///
-/// **Migration note:** this free function is now a thin shim kept for
-/// source compatibility. New call sites should go through the unified
-/// front door, [`ServeSpec`](crate::spec::ServeSpec) —
-/// `ServeSpec::builder().config(config).build()?.run(&engine, &trace)` —
-/// which validates at construction and dispatches single-chip, cluster
-/// and disaggregated serving through one surface.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Serve`] when the configuration is invalid
-/// ([`ServeConfig::validate`]) or any request's peak KV cache exceeds the
-/// budget on its own (such a request could never run); propagates
-/// request-validation and measurement errors.
-pub fn serve(
-    engine: &MeadowEngine,
-    trace: &ArrivalTrace,
-    config: &ServeConfig,
-) -> Result<ServeReport, CoreError> {
-    let cluster = Cluster::single_chip(engine.clone(), *config)?;
-    let mut report = cluster.serve(trace)?;
-    Ok(report.per_chip.remove(0).report)
-}
-
-/// The per-chip serving loop shared by [`serve`],
-/// [`Cluster::serve`](crate::cluster::Cluster::serve) and
-/// [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated):
-/// runs `trace` on one engine, optionally parking spilled KV bytes on
-/// remote chips through a cluster [`MigrationCtx`] instead of DRAM.
-///
-/// `phases` (aligned with `trace.requests`; `None` = all
-/// [`SessionPhase::Full`]) lets disaggregated serving run partial legs:
-/// a `PrefillOnly` leg finishes once its prompt KV and first token are
-/// produced, a `DecodeOnly` leg starts already prefilled with its prompt
-/// KV delivered (the caller charges the handoff on the cluster NoC).
-///
-/// `core` selects the scheduler implementation; the two cores are
-/// bit-identical by contract (see [`SchedulerCore`]).
-pub(crate) fn serve_on_chip(
-    engine: &MeadowEngine,
-    trace: &ArrivalTrace,
-    config: &ServeConfig,
-    phases: Option<&[SessionPhase]>,
-    migration: Option<&mut MigrationCtx<'_>>,
-    core: SchedulerCore,
-) -> Result<ServeReport, CoreError> {
-    match core {
-        SchedulerCore::Event => serve_on_chip_event(engine, trace, config, phases, migration),
-        SchedulerCore::Tick => serve_on_chip_tick(engine, trace, config, phases, migration),
-    }
-}
-
-/// The original per-tick scan implementation of [`serve_on_chip`]
-/// ([`SchedulerCore::Tick`]): every scheduler iteration re-scans and
-/// re-sorts the resident sessions and re-measures every step. Retained
-/// verbatim for one PR as the migration oracle the event-driven core is
-/// pinned against (`tests/event_equivalence.rs`) and as the `serve_1m`
-/// perf baseline; do not add features here — new scheduler work goes in
-/// [`serve_on_chip_event`].
-fn serve_on_chip_tick(
-    engine: &MeadowEngine,
-    trace: &ArrivalTrace,
-    config: &ServeConfig,
-    phases: Option<&[SessionPhase]>,
-    mut migration: Option<&mut MigrationCtx<'_>>,
-) -> Result<ServeReport, CoreError> {
-    let model = &engine.config().model;
-    trace.validate(model)?;
-    config.validate()?;
-    let sizer = kv_sizer(model, config)?;
-    let paged = config.policy == KvPolicy::PagedLru;
-    if let Some(budget) = config.kv_budget_bytes {
-        for r in &trace.requests {
-            let peak = sizer.bytes(r.final_context_len());
-            if peak > budget {
-                return Err(ServeError::RequestExceedsBudget {
-                    id: r.id,
-                    peak_bytes: peak,
-                    budget_bytes: budget,
-                }
-                .into());
-            }
-        }
-    }
-    validate_weights(config, model, trace)?;
-    let mut weights = WeightSet::for_run(config, model);
-
-    let clock = engine.config().chip.clock;
-    let exec = engine.config().exec;
-    // Serving-level channel for KV spill/reload migration; per-step
-    // attention traffic is ledgered inside each LatencyReport.
-    let mut kv_dram = engine.fresh_dram()?;
-    let mut ledger = TrafficLedger::new();
-    // The page pool tracks identity and fragmentation; the loop below
-    // enforces the byte budget so all three policies share one accounting
-    // scheme (and `peak_kv_bytes <= budget` holds exactly, not
-    // page-rounded). Sized for every session resident at its peak at once
-    // — per session, because each partially filled tail page burns a frame
-    // — which no reachable allocation exceeds.
-    let mut pages: Option<KvPageAllocator> = if paged {
-        let frames: u64 = trace
-            .requests
-            .iter()
-            .map(|r| sizer.bytes(r.final_context_len()).div_ceil(config.page_bytes))
-            .sum();
-        Some(KvPageAllocator::new(frames.max(1) as usize, config.page_bytes)?)
-    } else {
-        None
-    };
-    let page_bytes = config.page_bytes;
-
-    let n = trace.requests.len();
-    debug_assert!(phases.is_none_or(|p| p.len() == n), "phases must align with the trace");
-    let mut sessions: Vec<Session> = trace
-        .requests
-        .iter()
-        .enumerate()
-        .map(|(idx, &r)| Session::new(r, phases.map_or(SessionPhase::Full, |p| p[idx])))
-        .collect();
-    // Arrival order: by time, ties broken by id for determinism.
-    let mut pending: Vec<usize> = (0..n).collect();
-    pending.sort_by(|&a, &b| {
-        sessions[a]
-            .req
-            .arrival_ms
-            .total_cmp(&sessions[b].req.arrival_ms)
-            .then(sessions[a].req.id.cmp(&sessions[b].req.id))
-    });
-    let mut pending: VecDeque<usize> = pending.into();
-    let mut wait: VecDeque<usize> = VecDeque::new();
-    let mut active: Vec<usize> = Vec::new();
-
-    let mut now = 0.0_f64;
-    let mut tick: u64 = 0;
-    let mut admission_counter: u64 = 0;
-    let mut peak_kv: u64 = 0;
-    let mut frag_peak: u64 = 0;
-    let mut total_evictions: u64 = 0;
-    let mut page_spills: u64 = 0;
-    let mut page_faults: u64 = 0;
-    let mut rejected: u64 = 0;
-    let mut settled = 0usize;
-    // Completion bitset: O(1) membership for the per-tick removal below
-    // (the retain over `active` used to scan the `finished` list per
-    // element, O(active × finished) every tick).
-    let mut done = vec![false; n];
-
-    while settled < n {
-        tick += 1;
-        // Idle chip: jump to the next arrival.
-        if active.is_empty() && wait.is_empty() {
-            if let Some(&next) = pending.front() {
-                now = now.max(sessions[next].req.arrival_ms);
-            }
-        }
-        // Arrivals.
-        while pending.front().is_some_and(|&i| sessions[i].req.arrival_ms <= now) {
-            wait.push_back(pending.pop_front().expect("front checked above"));
-        }
-        // SLO-aware load shedding: requests still waiting for their first
-        // admission past the TTFT SLO are rejected. Evicted (previously
-        // admitted) sessions are never shed — their work is already sunk.
-        if let AdmissionPolicy::RejectAfter { ttft_slo_ms } = config.admission {
-            wait.retain(|&i| {
-                let s = &mut sessions[i];
-                if s.queue_wait_ms.is_none() && now - s.req.arrival_ms > ttft_slo_ms {
-                    s.rejected = true;
-                    s.queue_wait_ms = Some(now - s.req.arrival_ms);
-                    rejected += 1;
-                    settled += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        // Head-of-line admission: the head joins when its next step fits
-        // alongside every resident session's next step (conservative:
-        // assumes all of them grow this tick). Unspilled pages of demoted
-        // sessions deliberately do NOT count against admission: they are
-        // reclaimable on demand (the enforcement loop below peels them
-        // before anything else), and counting them could wedge the
-        // scheduler — a blocked head with no stepping session would never
-        // advance the clock, so the pages would never free.
-        while let Some(&head) = wait.front() {
-            let projected: u64 = active.iter().map(|&i| sessions[i].next_kv(&sizer)).sum::<u64>()
-                + sessions[head].next_kv(&sizer);
-            if config.kv_budget_bytes.is_some_and(|b| projected > b) {
-                break;
-            }
-            wait.pop_front();
-            admission_counter += 1;
-            let s = &mut sessions[head];
-            s.admission_seq = admission_counter;
-            if s.queue_wait_ms.is_none() {
-                s.queue_wait_ms = Some(now - s.req.arrival_ms);
-            }
-            if let Some(pool) = pages.as_mut() {
-                // Re-admission reserves frames for the whole cache up
-                // front (the budget accounted it at admission); the data
-                // itself reloads page-by-page before the next step.
-                let kv = s.kv_bytes(&sizer);
-                s.held_bytes = kv;
-                pool.grow(
-                    s.req.id,
-                    pool.pages_for(kv),
-                    (s.last_step_tick, s.admission_seq, s.req.id),
-                )
-                .expect("pool is sized for the whole trace");
-                if std::mem::take(&mut s.kv_preloaded) {
-                    // A decode-only leg's prompt KV arrived over the NoC
-                    // handoff: its first admission loads without a DRAM
-                    // fault. Later evictions spill and fault normally.
-                    s.loaded_bytes = kv;
-                }
-            } else {
-                // A re-admitted session must reload its spilled cache.
-                s.pending_reload_bytes = s.spilled_kv_bytes;
-                s.spilled_kv_bytes = 0;
-            }
-            active.push(head);
-        }
-        // Step-set selection: least recently stepped first (fair
-        // round-robin under a batch cap), deterministic tiebreaks.
-        let mut order = active.clone();
-        order.sort_by_key(|&i| {
-            (sessions[i].last_step_tick, sessions[i].admission_seq, sessions[i].req.id)
-        });
-        let mut step_set: Vec<usize> = order.iter().copied().take(config.max_batch).collect();
-        let mut idle: Vec<usize> = order.iter().copied().skip(config.max_batch).collect();
-        if step_set.is_empty() {
-            // Only reachable when load shedding emptied the queue with no
-            // resident work; the next tick jumps to the next arrival.
-            continue;
-        }
-        // Budget enforcement: evict until the tick fits. Idle sessions with
-        // resident caches go first (freeing them costs no progress), then
-        // members of the step set.
-        let mut spill_cycles = Cycles::ZERO;
-        if let Some(budget) = config.kv_budget_bytes {
-            loop {
-                // Demand this tick: every stepping session at its grown
-                // size, every idle resident cache, and — in paged mode —
-                // the unspilled pages of demoted (zombie) sessions.
-                let zombie_held: u64 =
-                    if paged { wait.iter().map(|&i| sessions[i].held_bytes).sum() } else { 0 };
-                let needed: u64 =
-                    step_set.iter().map(|&i| sessions[i].next_kv(&sizer)).sum::<u64>()
-                        + idle.iter().map(|&i| sessions[i].resident_kv(&sizer)).sum::<u64>()
-                        + zombie_held;
-                if needed <= budget {
-                    break;
-                }
-                if let Some(pool) = pages.as_mut() {
-                    // Lazy page-granular spill: first peel pages that
-                    // demoted sessions left behind (stalest owner first);
-                    // once none remain, demote the whole-cache victim —
-                    // without spilling anything yet. Demotion is what
-                    // throttles the multiprogramming level (the session
-                    // stops being scheduled, exactly like whole-cache
-                    // eviction, so paging cannot thrash the step set);
-                    // peeling is what bounds the traffic (only the bytes
-                    // the tick actually needs ever move).
-                    let zombie_page =
-                        pool.lru_page(|sid| wait.iter().any(|&i| sessions[i].req.id == sid));
-                    if let Some((_, owner)) = zombie_page {
-                        let victim = *wait
-                            .iter()
-                            .find(|&&i| sessions[i].req.id == owner)
-                            .expect("lru_page owners are demoted sessions");
-                        let s = &mut sessions[victim];
-                        let frames = pool.session_pages(owner) as u64;
-                        let tail_start = (frames - 1) * page_bytes;
-                        // Only the valid, on-chip bytes of the tail page
-                        // move; reserved-but-unloaded frames free silently
-                        // (their data never came back on chip).
-                        let write = s.loaded_bytes.saturating_sub(tail_start);
-                        if write > 0 {
-                            spill_cycles +=
-                                charge_spill(&mut kv_dram, &mut migration, owner, write, None);
-                            page_spills += 1;
-                        }
-                        pool.evict_tail(owner);
-                        s.held_bytes = tail_start;
-                        s.loaded_bytes = s.loaded_bytes.min(tail_start);
-                    } else if let Some(victim) = idle
-                        .iter()
-                        .copied()
-                        .filter(|&i| sessions[i].held_bytes > 0)
-                        .min_by_key(|&i| sessions[i].victim_key(config.policy))
-                    {
-                        // Demote the whole-cache victim — without spilling
-                        // anything yet: its pages stay resident until a
-                        // later iteration (or tick) actually needs the
-                        // frames, and only those peel.
-                        idle.retain(|&i| i != victim);
-                        active.retain(|&i| i != victim);
-                        let s = &mut sessions[victim];
-                        if s.prefilled {
-                            total_evictions += 1;
-                            s.evictions += 1;
-                        }
-                        wait.push_back(victim);
-                    } else {
-                        // No idle cache left: demote a stepping session
-                        // (possible progress loss, same fallback as
-                        // whole-cache mode). This path spills eagerly —
-                        // the victim was about to run, so its whole cache
-                        // must leave at once for the rest of the batch to
-                        // fit, exactly as whole-cache eviction would.
-                        let victim = step_set
-                            .iter()
-                            .copied()
-                            .min_by_key(|&i| sessions[i].victim_key(config.policy))
-                            .expect("an over-budget tick always has a stepping session");
-                        step_set.retain(|&i| i != victim);
-                        active.retain(|&i| i != victim);
-                        let s = &mut sessions[victim];
-                        if s.prefilled {
-                            total_evictions += 1;
-                            s.evictions += 1;
-                        }
-                        if s.loaded_bytes > 0 {
-                            spill_cycles += charge_spill(
-                                &mut kv_dram,
-                                &mut migration,
-                                s.req.id,
-                                s.loaded_bytes,
-                                Some(page_bytes),
-                            );
-                            page_spills += pool.pages_for(s.loaded_bytes) as u64;
-                        }
-                        pool.release(s.req.id);
-                        s.held_bytes = 0;
-                        s.loaded_bytes = 0;
-                        wait.push_back(victim);
-                    }
-                } else {
-                    let victim = idle
-                        .iter()
-                        .copied()
-                        .filter(|&i| sessions[i].resident_kv(&sizer) > 0)
-                        .min_by_key(|&i| sessions[i].victim_key(config.policy))
-                        .or_else(|| {
-                            // Evicting the last stepping session is impossible:
-                            // a single next step always fits (validated above).
-                            step_set
-                                .iter()
-                                .copied()
-                                .min_by_key(|&i| sessions[i].victim_key(config.policy))
-                        })
-                        .expect("an over-budget tick always has an evictable session");
-                    idle.retain(|&i| i != victim);
-                    step_set.retain(|&i| i != victim);
-                    active.retain(|&i| i != victim);
-                    let s = &mut sessions[victim];
-                    if s.prefilled {
-                        // Only a session that actually holds (or owes) a cache
-                        // counts as evicted; bumping a not-yet-prefilled session
-                        // back to the queue is a preemption that spills nothing.
-                        total_evictions += 1;
-                        s.evictions += 1;
-                        if s.pending_reload_bytes > 0 {
-                            // Evicted again before reloading: the cache never
-                            // came back on chip, so nothing is written out.
-                            s.spilled_kv_bytes = s.pending_reload_bytes;
-                            s.pending_reload_bytes = 0;
-                        } else {
-                            let bytes = s.resident_kv(&sizer);
-                            spill_cycles +=
-                                charge_spill(&mut kv_dram, &mut migration, s.req.id, bytes, None);
-                            s.spilled_kv_bytes = bytes;
-                        }
-                    }
-                    wait.push_back(victim);
-                }
-            }
-        }
-        debug_assert!(!step_set.is_empty(), "a tick with work must step a session");
-        // Reload spilled caches for sessions about to step. Paged mode also
-        // reserves the frames the step's KV growth will fill.
-        let mut reload_cycles: Vec<Cycles> = Vec::with_capacity(step_set.len());
-        for &i in &step_set {
-            if let Some(pool) = pages.as_mut() {
-                let s = &mut sessions[i];
-                let existing = s.kv_bytes(&sizer);
-                let next = s.next_kv(&sizer);
-                pool.grow(s.req.id, pool.pages_for(next), (tick, s.admission_seq, s.req.id))
-                    .expect("pool is sized for the whole trace");
-                // Fault the off-chip suffix back in, page by page (the
-                // suffix starts page-aligned: eviction only peels whole
-                // tail pages).
-                let fault = existing - s.loaded_bytes;
-                if fault > 0 {
-                    reload_cycles.push(charge_reload(
-                        &mut kv_dram,
-                        &mut migration,
-                        s.req.id,
-                        fault,
-                        Some(page_bytes),
-                    ));
-                    page_faults += fault.div_ceil(page_bytes);
-                    s.loaded_bytes = existing;
-                } else {
-                    reload_cycles.push(Cycles::ZERO);
-                }
-            } else {
-                let bytes = std::mem::take(&mut sessions[i].pending_reload_bytes);
-                reload_cycles.push(if bytes > 0 {
-                    charge_reload(&mut kv_dram, &mut migration, sessions[i].req.id, bytes, None)
-                } else {
-                    Cycles::ZERO
-                });
-            }
-        }
-        // Measure every step with the exact single-request machinery; the
-        // fan-out is the engine's execution policy and the results are
-        // order-preserving, so the run is bit-identical across thread
-        // counts.
-        let measured: Vec<Result<LatencyReport, CoreError>> = par_map(&step_set, &exec, |&i| {
-            let s = &sessions[i];
-            if s.prefilled {
-                engine.decode_latency(s.req.prompt_tokens, s.generated + 1)
-            } else {
-                engine.prefill_latency(s.req.prompt_tokens)
-            }
-        });
-        let mut matrix: Vec<Vec<Cycles>> = Vec::with_capacity(step_set.len());
-        let mut solo_ms: Vec<f64> = Vec::with_capacity(step_set.len());
-        for ((&i, report), &reload) in step_set.iter().zip(measured).zip(&reload_cycles) {
-            let report = report?;
-            let mut row: Vec<Cycles> = report.layers.iter().map(LayerLatency::makespan).collect();
-            let mut stall = reload;
-            // Weight residency: the stepping session's model must be on
-            // chip. A hit is free; a miss streams every layer through the
-            // DRAM channel (evicting LRU models as needed) and stalls the
-            // step — the full sequential load, or only the pipelined
-            // overhang beyond the compute row when streaming overlap is
-            // on. A load at a session's first prefill step is a cold
-            // start; later re-streams are residency churn.
-            if let Some(ws) = weights.as_mut() {
-                let (wstall, was_cold) =
-                    ws.ensure_resident(&mut kv_dram, sessions[i].req.model(), &row);
-                stall += wstall;
-                if was_cold && !sessions[i].prefilled {
-                    sessions[i].cold_start = true;
-                }
-            }
-            // Speculative decoding: each decode step is one verify round.
-            // Accepted rounds ride in the verify pass's memory-bound shadow
-            // for free; the deterministic miss credit fires a flush every
-            // `1 / (1 - acceptance)` rounds, charging the wasted draft work
-            // up front like a reload. At acceptance 1.0 the credit never
-            // grows and this block is arithmetic-free — the bit-exact
-            // degeneracy contract.
-            if let Some(spec) = config.speculation {
-                let s = &mut sessions[i];
-                if s.prefilled {
-                    s.spec_miss_credit += 1.0 - spec.acceptance;
-                    if s.spec_miss_credit >= 1.0 {
-                        s.spec_miss_credit -= 1.0;
-                        let step: u64 = row.iter().map(|c| c.get()).sum();
-                        let waste =
-                            (step as f64 * spec.draft_len as f64 * spec.draft_cost_ratio).round();
-                        stall += Cycles(waste as u64);
-                    }
-                }
-            }
-            // The reload (and any speculation flush) must land before the
-            // first layer can run.
-            row[0] += stall;
-            solo_ms.push(report.total_ms() + clock.to_ms(stall));
-            ledger.merge(&report.ledger);
-            matrix.push(row);
-        }
-        // Continuous batching: the batch pipelines through the layers like
-        // a flow shop; spills occupy the channel before the batch starts.
-        let finishes = flow_shop_completion_times(&matrix);
-        let tick_cycles = spill_cycles + finishes.last().copied().unwrap_or(Cycles::ZERO);
-        let mut finished: Vec<usize> = Vec::new();
-        for ((&i, &finish), own_ms) in step_set.iter().zip(&finishes).zip(solo_ms) {
-            let s = &mut sessions[i];
-            s.last_step_tick = tick;
-            let done_ms = now + clock.to_ms(spill_cycles + finish);
-            if s.prefilled {
-                s.generated += 1;
-                s.tbt_ms.push(own_ms);
-                if s.generated == s.req.generate_tokens {
-                    s.finish_ms = done_ms;
-                    finished.push(i);
-                    done[i] = true;
-                }
-            } else {
-                s.prefilled = true;
-                s.prefill_ms = own_ms;
-                s.first_token_ms = done_ms;
-                if s.phase == SessionPhase::PrefillOnly {
-                    // The prefill leg's job ends here: its prompt KV and
-                    // first token exist, and the cache leaves over the NoC
-                    // (the disaggregation driver charges the handoff).
-                    s.finish_ms = done_ms;
-                    finished.push(i);
-                    done[i] = true;
-                }
-            }
-            if paged {
-                // The step's own KV writes land on chip as part of the
-                // measured attention traffic; residency grows in place.
-                let kv = s.kv_bytes(&sizer);
-                s.held_bytes = kv;
-                s.loaded_bytes = kv;
-            }
-        }
-        // Residency peaks at tick end, before completed caches are freed.
-        // Paged residency also counts the unspilled pages of demoted
-        // sessions — they hold frames until lazily peeled.
-        let resident: u64 = if paged {
-            active.iter().chain(wait.iter()).map(|&i| sessions[i].held_bytes).sum()
-        } else {
-            active.iter().map(|&i| sessions[i].resident_kv(&sizer)).sum()
-        };
-        peak_kv = peak_kv.max(resident);
-        if let Some(pool) = pages.as_ref() {
-            let frag: u64 = active
-                .iter()
-                .chain(wait.iter())
-                .map(|&i| pool.frag_bytes(sessions[i].req.id, sessions[i].held_bytes))
-                .sum();
-            frag_peak = frag_peak.max(frag);
-            debug_assert!(pool.conserves_pages(), "page tables must conserve the pool");
-        }
-        active.retain(|&i| !done[i]);
-        if let Some(pool) = pages.as_mut() {
-            for &i in &finished {
-                pool.release(sessions[i].req.id);
-                sessions[i].held_bytes = 0;
-                sessions[i].loaded_bytes = 0;
-            }
-        }
-        settled += finished.len();
-        now += clock.to_ms(tick_cycles);
-    }
-
-    ledger.merge(kv_dram.ledger());
-    let totals = SchedTotals {
-        ticks: tick,
-        makespan_ms: now,
-        peak_kv,
-        frag_peak,
-        total_evictions,
-        page_spills,
-        page_faults,
-        rejected,
-        weight_loads: weights.as_ref().map_or(0, |ws| ws.loads),
-        weight_evictions: weights.as_ref().map_or(0, |ws| ws.evictions),
-    };
-    Ok(finalize_report(config, model, &sizer, &sessions, ledger, totals))
-}
-
-/// Aggregate counters a scheduler core hands to [`finalize_report`].
+/// Aggregate counters the serving loop hands to [`finalize_report`].
 struct SchedTotals {
     ticks: u64,
     makespan_ms: f64,
@@ -1852,9 +1152,8 @@ struct SchedTotals {
     weight_evictions: u64,
 }
 
-/// Folds final session state into the [`ServeReport`] — one shared path
-/// for both scheduler cores, so the trace order, the latency sort and the
-/// [`LatencySummary`] percentiles cannot drift between them.
+/// Folds final session state into the [`ServeReport`]: the traces in input
+/// order, the latency sort and the [`LatencySummary`] percentiles.
 fn finalize_report(
     config: &ServeConfig,
     model: &TransformerConfig,
@@ -1969,8 +1268,8 @@ fn weight_summary(
 /// Builds the [`KvSummary`] of a run, or `None` for the dense identity
 /// (whose reports must stay byte-stable with the pre-seam scheduler).
 /// The retained mass is the context-length-weighted mean over completed
-/// sessions — pure arithmetic on final session state, so both scheduler
-/// cores and every `MEADOW_THREADS` setting agree bit-exactly.
+/// sessions — pure arithmetic on final session state, so every
+/// `MEADOW_THREADS` setting agrees bit-exactly.
 fn kv_summary(
     model: &TransformerConfig,
     sizer: &KvSizer,
@@ -2000,20 +1299,30 @@ fn kv_summary(
     })
 }
 
-/// The event-driven implementation of [`serve_on_chip`]
-/// ([`SchedulerCore::Event`], the default).
+/// The per-chip serving loop behind
+/// [`Cluster::serve`](crate::cluster::Cluster::serve) and
+/// [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated),
+/// and so behind every [`ServeSpec`](crate::spec::ServeSpec) run: runs
+/// `trace` on one engine, optionally parking spilled KV bytes on remote
+/// chips through a cluster [`MigrationCtx`] instead of DRAM.
 ///
-/// Semantically identical to [`serve_on_chip_tick`] iteration for
-/// iteration — the equivalence suite pins the two bit-exact — but each
-/// iteration is `O(batch · log n)` instead of `O(resident sessions)`:
+/// `phases` (aligned with `trace.requests`; `None` = all
+/// [`SessionPhase::Full`]) lets disaggregated serving run partial legs:
+/// a `PrefillOnly` leg finishes once its prompt KV and first token are
+/// produced, a `DecodeOnly` leg starts already prefilled with its prompt
+/// KV delivered (the caller charges the handoff on the cluster NoC).
+///
+/// Each scheduler iteration (a tick) steps one batch, and simulated time
+/// jumps by the batch makespan, or to the next arrival when the chip
+/// idles. An iteration costs `O(batch · log n)`, not `O(resident
+/// sessions)`:
 ///
 /// * Arrival and SLO-deadline events live in binary min-heaps
 ///   ([`EventQueue`]); deadline events are keyed by *arrival* time (the
 ///   SLO is one constant per run, so deadline order equals arrival order)
-///   and the shedding test stays the tick core's verbatim
-///   `now - arrival > slo` float expression. Shed requests stay in the
-///   wait deque as tombstones, skipped at the head, instead of an `O(n)`
-///   `retain`.
+///   and a request is shed once `now - arrival > slo`. Shed requests stay
+///   in the wait deque as tombstones, skipped at the head, instead of an
+///   `O(n)` `retain`.
 /// * The step/victim order lives in [`ReadyOrder`] indexes maintained
 ///   incrementally (one in LRU order, one in FIFO order when that policy
 ///   needs it) instead of a per-iteration clone-and-sort.
@@ -2026,16 +1335,17 @@ fn kv_summary(
 ///   is a pure function of it — every call builds a fresh DRAM channel —
 ///   so a cache hit (errors included) is bit-identical to re-measuring,
 ///   and decode steps of different requests at the same context share
-///   one measurement. Misses fan out through the same order-preserving
-///   parallel map as the tick core, preserving `MEADOW_THREADS`
-///   bit-identity.
+///   one measurement. Misses fan out through an order-preserving parallel
+///   map, preserving `MEADOW_THREADS` bit-identity.
 ///
 /// Sessions live in one arena (`Vec<Session>`, indexed by the trace
 /// order) and the per-iteration scratch buffers are reused across
 /// iterations, so steady-state scheduling allocates only when the batch
-/// shape grows.
+/// shape grows. `tests/oracle_digests.rs` pins the reports to a retired
+/// per-tick scan implementation's, case by case, on a fixed corpus that
+/// crosses every feature axis.
 #[allow(clippy::too_many_lines)]
-fn serve_on_chip_event(
+pub(crate) fn serve_on_chip(
     engine: &MeadowEngine,
     trace: &ArrivalTrace,
     config: &ServeConfig,
@@ -2069,7 +1379,12 @@ fn serve_on_chip_event(
     // attention traffic is ledgered inside each LatencyReport.
     let mut kv_dram = engine.fresh_dram()?;
     let mut ledger = TrafficLedger::new();
-    // Sized exactly as in the tick core — see the comment there.
+    // The page pool tracks identity and fragmentation; the loop below
+    // enforces the byte budget so all three policies share one accounting
+    // scheme (and `peak_kv_bytes <= budget` holds exactly, not
+    // page-rounded). Sized for every session resident at its peak at once
+    // — per session, because each partially filled tail page burns a frame
+    // — which no reachable allocation exceeds.
     let mut pages: Option<KvPageAllocator> = if paged {
         let frames: u64 = trace
             .requests
@@ -2096,8 +1411,8 @@ fn serve_on_chip_event(
     let id2idx: HashMap<u32, usize> =
         sessions.iter().enumerate().map(|(i, s)| (s.req.id, i)).collect();
 
-    // Arrival events pop in (arrival_ms, id) order — identical to the
-    // tick core's sorted pending queue.
+    // Arrival events pop in arrival order, ties broken by id for
+    // determinism.
     let mut arrivals = EventQueue::with_capacity(n);
     for (i, s) in sessions.iter().enumerate() {
         arrivals.push(s.req.arrival_ms, s.req.id, i);
@@ -2124,7 +1439,7 @@ fn serve_on_chip_event(
     // Cached per-session KV sizes and the running budget sums. The caches
     // are initialized from the *constructed* sessions: a decode-only leg
     // starts prefilled, with its prompt KV logically present.
-    let mut resident_kv: Vec<u64> = sessions.iter().map(|s| s.resident_kv(&sizer)).collect();
+    let mut resident_kv: Vec<u64> = sessions.iter().map(|s| s.kv_bytes(&sizer)).collect();
     let mut next_kv: Vec<u64> = sessions.iter().map(|s| s.next_kv(&sizer)).collect();
     // Σ next_kv / Σ resident_kv over resident (ready) sessions, including
     // this iteration's finishers until the peak snapshot.
@@ -2202,10 +1517,13 @@ fn serve_on_chip_event(
                 wait_live -= 1;
             }
         }
-        // Head-of-line admission against the running Σ next_kv — the same
-        // conservative projection as the tick core (zombie pages of
-        // demoted sessions deliberately do not count; see the tick core's
-        // comment on why counting them could wedge the scheduler).
+        // Head-of-line admission: the head joins when its next step fits
+        // alongside every resident session's next step (the running
+        // Σ next_kv: conservative, all of them may grow this tick).
+        // Demoted sessions' unspilled pages deliberately do NOT count: the
+        // enforcement loop below reclaims them first, and counting them
+        // could wedge the scheduler — a blocked head with no stepping
+        // session never advances the clock, so the pages never free.
         while let Some(&head) = wait.front() {
             if sessions[head].rejected {
                 // Tombstone left by a deadline event.
@@ -2272,9 +1590,10 @@ fn serve_on_chip_event(
             step_next += next_kv[i];
             step_resident += resident_kv[i];
         }
-        // Budget enforcement: evict until the tick fits, preferring idle
-        // victims (same policy order as the tick core), with the demand
-        // recomputed O(1) from the running sums each round.
+        // Budget enforcement: evict until the tick fits, idle sessions
+        // first (freeing them costs no progress), then the step set. The
+        // demand — stepping sessions grown, idle caches and, in paged mode,
+        // demoted sessions' unspilled pages — comes O(1) from running sums.
         let mut spill_cycles = Cycles::ZERO;
         if let Some(budget) = config.kv_budget_bytes {
             loop {
@@ -2284,14 +1603,24 @@ fn serve_on_chip_event(
                     break;
                 }
                 if let Some(pool) = pages.as_mut() {
-                    // Lazy page-granular spill; see the tick core for the
-                    // demote-then-peel rationale.
+                    // Lazy page-granular spill: first peel pages that
+                    // demoted sessions left behind (stalest owner first);
+                    // once none remain, demote the whole-cache victim —
+                    // without spilling anything yet. Demotion is what
+                    // throttles the multiprogramming level (the session
+                    // stops being scheduled, exactly like whole-cache
+                    // eviction, so paging cannot thrash the step set);
+                    // peeling is what bounds the traffic (only the bytes
+                    // the tick actually needs ever move).
                     let zombie_page = pool.lru_page(|sid| in_wait[id2idx[&sid]]);
                     if let Some((_, owner)) = zombie_page {
                         let victim = id2idx[&owner];
                         let s = &mut sessions[victim];
                         let frames = pool.session_pages(owner) as u64;
                         let tail_start = (frames - 1) * page_bytes;
+                        // Only the valid, on-chip bytes of the tail page
+                        // move; reserved-but-unloaded frames free silently
+                        // (their data never came back on chip).
                         let write = s.loaded_bytes.saturating_sub(tail_start);
                         if write > 0 {
                             spill_cycles +=
@@ -2304,9 +1633,8 @@ fn serve_on_chip_event(
                         s.loaded_bytes = s.loaded_bytes.min(tail_start);
                     } else {
                         // First resident session in LRU order that is not
-                        // stepping and still holds pages — the same victim
-                        // the tick core's filtered min finds, located by
-                        // an ordered walk instead of a full scan.
+                        // stepping and still holds pages, located by an
+                        // ordered walk instead of a full scan.
                         let idle_victim = ready
                             .iter()
                             .map(|&(_, _, id)| id2idx[&id])
@@ -2458,9 +1786,9 @@ fn serve_on_chip_event(
         // Measure each *distinct* step shape once. The engine's latency
         // model is a pure function of (tokens new, context) — every call
         // builds a fresh DRAM channel — so a cached result (errors
-        // included) is bit-identical to re-measuring, and the misses fan
-        // out through the same order-preserving parallel map as the tick
-        // core.
+        // included) is bit-identical to re-measuring. The misses fan out
+        // on the engine's execution policy through an order-preserving
+        // parallel map, so the run is bit-identical across thread counts.
         step_shapes.clear();
         miss_shapes.clear();
         for &i in &step_set {
@@ -2485,16 +1813,18 @@ fn serve_on_chip_event(
                 step_shapes[pos].as_ref().map(|&shape| cache.get(shape).expect("measured above"));
             let report = match measured {
                 Ok(Ok(report)) => report,
-                // First failing step in step order propagates, exactly as
-                // the tick core's in-order `?` over the parallel map.
+                // The first failing step in step order propagates.
                 Ok(Err(e)) | Err(e) => return Err(e.clone()),
             };
             let mut row: Vec<Cycles> = report.layers.iter().map(LayerLatency::makespan).collect();
             let mut stall = reload_cycles[pos];
-            // Weight residency — identical state machine to the tick core
-            // (see the comment there); step order matches, so the LRU
-            // sequence, the eviction choices and the charged cycles agree
-            // bit-exactly.
+            // Weight residency: the stepping session's model must be on
+            // chip. A hit is free; a miss streams every layer through the
+            // DRAM channel (evicting LRU models as needed) and stalls the
+            // step — the full sequential load, or only the pipelined
+            // overhang beyond the compute row when streaming overlap is
+            // on. A load at a session's first prefill step is a cold
+            // start; later re-streams are residency churn.
             if let Some(ws) = weights.as_mut() {
                 let (wstall, was_cold) =
                     ws.ensure_resident(&mut kv_dram, sessions[i].req.model(), &row);
@@ -2503,8 +1833,13 @@ fn serve_on_chip_event(
                     sessions[i].cold_start = true;
                 }
             }
-            // Deterministic speculation credit — identical arithmetic to
-            // the tick core (see the comment there).
+            // Speculative decoding: each decode step is one verify round.
+            // Accepted rounds ride in the verify pass's memory-bound shadow
+            // for free; the deterministic miss credit fires a flush every
+            // `1 / (1 - acceptance)` rounds, charging the wasted draft work
+            // up front like a reload. At acceptance 1.0 the credit never
+            // grows and this block is arithmetic-free — the bit-exact
+            // degeneracy contract.
             if let Some(spec) = config.speculation {
                 let s = &mut sessions[i];
                 if s.prefilled {
@@ -2518,11 +1853,15 @@ fn serve_on_chip_event(
                     }
                 }
             }
+            // The reload (and any speculation flush) must land before the
+            // first layer can run.
             row[0] += stall;
             solo_ms.push(report.total_ms() + clock.to_ms(stall));
             ledger.merge(&report.ledger);
             matrix.push(row);
         }
+        // Continuous batching: the batch pipelines through the layers like
+        // a flow shop; spills occupy the channel before the batch starts.
         let finishes = flow_shop_completion_times(&matrix);
         let tick_cycles = spill_cycles + finishes.last().copied().unwrap_or(Cycles::ZERO);
         finished.clear();
@@ -2553,8 +1892,7 @@ fn serve_on_chip_event(
                 }
             }
             // Refresh the cached sizes and running sums; finishers keep
-            // counting until the peak snapshot below, exactly as the tick
-            // core's end-of-tick scan observes them.
+            // counting until the peak snapshot below.
             let new_resident = s.kv_bytes(&sizer);
             let new_next = s.next_kv(&sizer);
             active_resident_sum = active_resident_sum - resident_kv[i] + new_resident;
@@ -2620,9 +1958,9 @@ fn serve_on_chip_event(
     Ok(finalize_report(config, model, &sizer, &sessions, ledger, totals))
 }
 
-/// Memo key of one session's next step: the shape the tick core's
-/// `decode_latency(prompt, generated + 1)` / `prefill_latency(prompt)` call
-/// measures, validated the same way.
+/// Memo key of one session's next step: the shape
+/// `decode_latency(prompt, generated + 1)` / `prefill_latency(prompt)`
+/// would measure, validated the same way.
 fn step_shape(engine: &MeadowEngine, s: &Session) -> Result<StepShape, CoreError> {
     if s.prefilled {
         engine.decode_shape(s.req.prompt_tokens, s.generated + 1)
@@ -2631,30 +1969,26 @@ fn step_shape(engine: &MeadowEngine, s: &Session) -> Result<StepShape, CoreError
     }
 }
 
-impl MeadowEngine {
-    /// Serves an arrival trace on this engine — see [`serve`].
-    ///
-    /// # Errors
-    ///
-    /// See [`serve`].
-    pub fn serve(
-        &self,
-        trace: &ArrivalTrace,
-        config: &ServeConfig,
-    ) -> Result<ServeReport, CoreError> {
-        serve(self, trace, config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::spec::ServeSpec;
     use meadow_models::presets;
     use meadow_sim::TrafficClass;
 
     fn engine() -> MeadowEngine {
         MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
+    }
+
+    /// Serves `trace` on one chip through the [`ServeSpec`] front door.
+    fn serve(
+        engine: &MeadowEngine,
+        trace: &ArrivalTrace,
+        config: &ServeConfig,
+    ) -> Result<ServeReport, CoreError> {
+        let spec = ServeSpec::builder().config(*config).build()?;
+        Ok(spec.run(engine, trace)?.into_single().expect("one chip, no cluster policies"))
     }
 
     #[test]

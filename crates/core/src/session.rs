@@ -8,12 +8,12 @@
 //! KV-cache growth and the final tokens/second.
 //!
 //! One session is also the *reference semantics* of the multi-session
-//! scheduler: [`serve`](crate::serve::serve) with an unbounded budget
-//! reproduces each request's [`SessionTrace::ttft_ms`] and
-//! [`SessionTrace::tbt_ms`] bit-for-bit (the `tests/serve_invariants.rs`
-//! solo-equivalence contract), so everything the serving layer adds —
-//! queueing, batching, paged eviction — is measurable as a delta against
-//! this walk.
+//! scheduler: single-chip [`ServeSpec`](crate::spec::ServeSpec) serving
+//! with an unbounded budget reproduces each request's
+//! [`SessionTrace::ttft_ms`] and [`SessionTrace::tbt_ms`] bit-for-bit (the
+//! `tests/serve_invariants.rs` solo-equivalence contract), so everything
+//! the serving layer adds — queueing, batching, paged eviction — is
+//! measurable as a delta against this walk.
 //!
 //! # Examples
 //!

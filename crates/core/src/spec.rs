@@ -1,17 +1,12 @@
 //! The unified serving front door: one validated [`ServeSpec`] that
 //! dispatches to single-chip, cluster, or disaggregated serving.
 //!
-//! The serving simulator grew three entry points —
-//! [`serve`](crate::serve::serve) for one chip,
-//! [`Cluster::serve`](crate::cluster::Cluster::serve) for a sharded
-//! cluster, and
-//! [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated)
-//! for prefill/decode phase splitting — each with its own construction
-//! ritual. A [`ServeSpec`] replaces the ritual: one builder collects the
-//! chip count, per-chip [`ServeConfig`], placement/migration/phase
-//! policies, NoC and scheduler core, validates the whole combination at
-//! [`ServeSpecBuilder::build`] (no latent invalid states), and
-//! [`ServeSpec::run`] picks the serving mode from what was configured —
+//! A [`ServeSpec`] is the one way to serve a trace: one builder collects
+//! the chip count (or per-chip engine specs), the per-chip
+//! [`ServeConfig`] — built with its `with_*` chain, the one config path —
+//! the placement/migration/phase policies and the NoC, validates the whole
+//! combination at [`ServeSpecBuilder::build`] (no latent invalid states),
+//! and [`ServeSpec::run`] picks the serving mode from what was configured —
 //! configuring a policy selects the mode that honors it:
 //!
 //! * a phase placement was set → **disaggregated** ([`DisaggReport`]),
@@ -19,8 +14,11 @@
 //!   **cluster** ([`ClusterReport`]),
 //! * otherwise → **single-chip** ([`ServeReport`]).
 //!
-//! The legacy entry points remain as thin shims over the same engine
-//! room, so existing callers and golden artifacts are untouched.
+//! Single-chip serving is a one-chip cluster run, so every mode shares one
+//! per-chip scheduler. [`Cluster::serve`](crate::cluster::Cluster::serve)
+//! and
+//! [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated)
+//! stay public as the mode-specific entry points underneath a spec.
 //!
 //! # Examples
 //!
@@ -51,10 +49,9 @@ use crate::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterReport
 use crate::cluster::{MigrationPolicy, PhasePlacement, PlacementPolicy};
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
-use crate::serve::{SchedulerCore, ServeConfig, ServeError, ServeReport, SpecDecode};
+use crate::serve::{ServeConfig, ServeError, ServeReport};
 use crate::MeadowEngine;
 use meadow_models::workload::ArrivalTrace;
-use meadow_models::{KvCompression, KvLayout};
 use meadow_sim::noc::NocConfig;
 use std::sync::Arc;
 
@@ -85,7 +82,7 @@ pub struct ServeSpec {
 impl ServeSpec {
     /// Starts a builder with the defaults: one chip, the default
     /// [`ServeConfig`], round-robin placement, no migration, colocated
-    /// phases, the ZCU102 NoC, and the event scheduler core.
+    /// phases, and the ZCU102 NoC.
     pub fn builder() -> ServeSpecBuilder {
         ServeSpecBuilder::default()
     }
@@ -185,43 +182,27 @@ impl ServeOutcome {
 }
 
 /// Builder for [`ServeSpec`] — see [`ServeSpec::builder`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeSpecBuilder {
     inner: ClusterConfigBuilder,
-    config: ServeConfig,
-    chips: usize,
-    chips_set: bool,
     has_phases: bool,
     has_cluster_policy: bool,
-}
-
-impl Default for ServeSpecBuilder {
-    fn default() -> Self {
-        Self {
-            inner: ClusterConfigBuilder::default(),
-            config: ServeConfig::default(),
-            chips: 1,
-            chips_set: false,
-            has_phases: false,
-            has_cluster_policy: false,
-        }
-    }
 }
 
 impl ServeSpecBuilder {
     /// Sets the number of chips. More than one selects cluster serving
     /// (unless a phase placement upgrades the run to disaggregated).
     pub fn chips(mut self, chips: usize) -> Self {
-        self.chips = chips;
-        self.chips_set = true;
+        self.inner = self.inner.chips(chips);
         self
     }
 
     /// Builds a heterogeneous cluster with one chip per engine spec
     /// (see [`ClusterConfigBuilder::chip_specs`]); the engine handed to
-    /// [`ServeSpec::run`] then only supplies the thread budget and trace
-    /// validation model. More than one spec selects cluster serving, and
-    /// a disagreeing [`chips`](Self::chips) call is rejected at build.
+    /// [`ServeSpec::run`] then only supplies the thread budget, and traces
+    /// are validated against chip 0's model (every spec shares one model
+    /// architecture). More than one spec selects cluster serving, and a
+    /// disagreeing [`chips`](Self::chips) call is rejected at build.
     pub fn chip_specs(mut self, specs: Vec<EngineConfig>) -> Self {
         self.has_cluster_policy = self.has_cluster_policy || specs.len() > 1;
         self.inner = self.inner.chip_specs(specs);
@@ -237,7 +218,7 @@ impl ServeSpecBuilder {
 
     /// Sets the per-chip serving configuration wholesale.
     pub fn config(mut self, config: ServeConfig) -> Self {
-        self.config = config;
+        self.inner = self.inner.serve(config);
         self
     }
 
@@ -271,55 +252,6 @@ impl ServeSpecBuilder {
         self
     }
 
-    /// Selects the scheduler core ([`SchedulerCore::Event`] by default;
-    /// the cores are bit-identical, so this is a performance knob).
-    pub fn scheduler(mut self, scheduler: SchedulerCore) -> Self {
-        self.inner = self.inner.scheduler(scheduler);
-        self
-    }
-
-    /// Enables the deterministic speculative-decoding model on the
-    /// per-chip serving configuration.
-    pub fn speculation(mut self, speculation: SpecDecode) -> Self {
-        self.config = self.config.with_speculation(speculation);
-        self
-    }
-
-    /// Sets the KV-cache layout on the per-chip serving configuration
-    /// ([`KvLayout::Dense`] by default — bit-identical to pre-layout
-    /// serving).
-    pub fn kv_layout(mut self, kv_layout: KvLayout) -> Self {
-        self.config = self.config.with_kv_layout(kv_layout);
-        self
-    }
-
-    /// Sets the token-level KV compression model on the per-chip serving
-    /// configuration ([`KvCompression::None`] by default).
-    pub fn kv_compression(mut self, kv_compression: KvCompression) -> Self {
-        self.config = self.config.with_kv_compression(kv_compression);
-        self
-    }
-
-    /// Sets the per-chip weight budget in bytes, turning on the
-    /// weight-residency state machine: chips start cold, model weights
-    /// stream in over DRAM before a step may run, and least-recently-used
-    /// models are evicted when a new model's weights need the space.
-    /// Unset (the default), every chip's one model is permanently
-    /// resident for free.
-    pub fn weight_budget(mut self, bytes: u64) -> Self {
-        self.config = self.config.with_weight_budget(bytes);
-        self
-    }
-
-    /// Overlaps each layer's weight load with the previous layer's
-    /// compute on cold starts (EdgeFlow-style pipelining) instead of
-    /// serializing the full load before the step. Only meaningful with a
-    /// weight budget set.
-    pub fn weight_streaming(mut self, streaming: bool) -> Self {
-        self.config = self.config.with_weight_streaming(streaming);
-        self
-    }
-
     /// Validates the whole combination and finishes the spec.
     ///
     /// # Errors
@@ -333,11 +265,7 @@ impl ServeSpecBuilder {
     /// `page_bytes` under `PagedLru`, invalid SLOs or speculation
     /// parameters).
     pub fn build(self) -> Result<ServeSpec, ServeError> {
-        let mut inner = self.inner;
-        if self.chips_set {
-            inner = inner.chips(self.chips);
-        }
-        let config = inner.serve(self.config).build()?;
+        let config = self.inner.build()?;
         let mode = if self.has_phases {
             ServeMode::Disaggregated
         } else if config.chips() > 1 || self.has_cluster_policy {
@@ -354,22 +282,11 @@ mod tests {
     use super::*;
     use crate::cluster::{Colocated, PrefillDecodeSplit, RoundRobin};
     use crate::engine::EngineConfig;
-    use crate::serve::{serve, KvPolicy};
+    use crate::serve::KvPolicy;
     use meadow_models::presets;
 
     fn engine() -> MeadowEngine {
         MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-    }
-
-    #[test]
-    fn single_chip_spec_matches_serve_bit_exactly() {
-        let e = engine();
-        let trace = ArrivalTrace::uniform(5, 1.0, 16, 6);
-        let config = ServeConfig::default().with_max_batch(2);
-        let spec = ServeSpec::builder().config(config).build().unwrap();
-        let via_spec = spec.run(&e, &trace).unwrap().into_single().unwrap();
-        let via_shim = serve(&e, &trace, &config).unwrap();
-        assert_eq!(via_spec, via_shim);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 
 mod common;
 
-use common::requests_from_seed;
+use common::{requests_from_seed, serve};
 use meadow::core::cluster::{
     Cluster, ClusterConfig, ClusterReport, LeastLoadedKv, LeastLoadedWeighted, RoundRobin,
     SessionAffinity, ToLeastLoaded,
 };
-use meadow::core::serve::{serve, KvPolicy, ServeConfig};
+use meadow::core::serve::{KvPolicy, ServeConfig};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::dataflow::ExecutionPlan;
 use meadow::models::presets;

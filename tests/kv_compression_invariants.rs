@@ -10,10 +10,14 @@
 //! destroyed by eviction/reload, and always an exact multiple of the
 //! layout's per-token footprint. The property section pins the
 //! `KvSizer` formulas against brute-force per-token sums and the
-//! retained-attention-mass bound `mass ∈ [keep_ratio·(1-ε), 1]`.
+//! retained-attention-mass bound `mass ∈ [keep_ratio·(1-ε), 1]`. On every
+//! layout/compression point the event-driven scheduler must also reproduce
+//! the report digests the retired per-tick scan core recorded.
 
-use meadow::core::serve::{serve, KvPolicy, SchedulerCore, ServeConfig, ServeReport};
-use meadow::core::spec::ServeSpec;
+mod common;
+
+use common::{fnv1a64, serve};
+use meadow::core::serve::{KvPolicy, ServeConfig, ServeReport};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::workload::{kv_cache_total_bytes, ArrivalTrace, KvSizer, ServeRequest};
@@ -164,32 +168,30 @@ fn spill_and_reload_conserve_compressed_bytes_exactly() {
     }
 }
 
-/// The event-driven core and the per-tick oracle must stay bit-identical
-/// on every new layout/compression point (the `SchedulerCore` contract
-/// does not bend for the seam). Goes through `ServeSpec`, which also
-/// exercises the builder passthroughs.
+/// FNV-1a/64 digests of the serialized reports the retired per-tick scan
+/// core served under `contended_config()` on each of `compressed_points()`,
+/// then each of `degenerate_points()`.
+const COMPRESSED_ORACLE: &str = "\
+    080c99a41ae4e8b7 220e2db058c17baa 6b6a50bc9bb08e21 a3440061a5145928 \
+    ebcb458e2eceeec4 25ed832166ca331e a31d79cfc4dc07ac 598dac2bb5bd95f1";
+
+/// The event-driven core stays bit-identical to the per-tick oracle on
+/// every layout/compression point: it reproduces each recorded report
+/// digest (the scheduler contract does not bend for the seam).
 #[test]
 fn scheduler_cores_agree_on_every_compressed_point() {
     let engine = engine();
     let trace = trace();
-    for (layout, compression) in compressed_points().into_iter().chain(degenerate_points()) {
-        let run_core = |core| {
-            ServeSpec::builder()
-                .config(contended_config())
-                .kv_layout(layout)
-                .kv_compression(compression)
-                .scheduler(core)
-                .build()
-                .unwrap()
-                .run(&engine, &trace)
-                .unwrap()
-                .into_single()
-                .unwrap()
-        };
-        let tick = run_core(SchedulerCore::Tick);
-        let event = run_core(SchedulerCore::Event);
-        assert_eq!(event, tick, "cores diverged on {layout:?}/{compression:?}");
-    }
+    let got: Vec<String> = compressed_points()
+        .into_iter()
+        .chain(degenerate_points())
+        .map(|(layout, compression)| {
+            let config = contended_config().with_kv_layout(layout).with_kv_compression(compression);
+            fnv1a64(&serve(&engine, &trace, &config).unwrap().to_json().unwrap())
+        })
+        .collect();
+    let want: Vec<&str> = COMPRESSED_ORACLE.split_whitespace().collect();
+    assert_eq!(got, want, "the event core left the tick oracle");
 }
 
 /// Brute-force per-token reference for the sliding-window keep rule:

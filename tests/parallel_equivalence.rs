@@ -5,8 +5,8 @@
 
 mod common;
 
-use common::{requests_from_seed, spread_models};
-use meadow::core::serve::{serve, AdmissionPolicy, KvPolicy, ServeConfig};
+use common::{requests_from_seed, serve, spread_models};
+use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::{KvCompression, KvLayout};

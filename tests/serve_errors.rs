@@ -112,8 +112,7 @@ fn structurally_invalid_kv_layouts_are_rejected_at_build() {
 fn model_incompatible_kv_layout_is_rejected_at_run() {
     // tiny_decoder has 4 heads; 3 does not divide it.
     let spec = ServeSpec::builder()
-        .config(ServeConfig::default())
-        .kv_layout(KvLayout::GroupedHeads { kv_heads: 3 })
+        .config(ServeConfig::default().with_kv_layout(KvLayout::GroupedHeads { kv_heads: 3 }))
         .build()
         .expect("the structural checks cannot see the model");
     let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
@@ -156,8 +155,7 @@ fn compression_relaxes_the_admission_precheck() {
         Err(CoreError::Serve(ServeError::RequestExceedsBudget { .. }))
     ));
     let compressed = ServeSpec::builder()
-        .config(config)
-        .kv_compression(KvCompression::VedaVote { keep_ratio: 0.5 })
+        .config(config.with_kv_compression(KvCompression::VedaVote { keep_ratio: 0.5 }))
         .build()
         .unwrap();
     let report = compressed.run(&engine(), &trace).unwrap().into_single().unwrap();
@@ -211,9 +209,11 @@ fn unknown_model_without_a_weight_budget_is_rejected_at_run() {
     );
     // The same trace is servable once a budget turns tenancy on.
     let tenant = ServeSpec::builder()
-        .config(ServeConfig::default())
-        .weight_budget(presets::tiny_decoder().total_weight_bytes())
-        .weight_streaming(true)
+        .config(
+            ServeConfig::default()
+                .with_weight_budget(presets::tiny_decoder().total_weight_bytes())
+                .with_weight_streaming(true),
+        )
         .build()
         .unwrap();
     let report = tenant.run(&engine(), &trace).unwrap().into_single().unwrap();

@@ -12,7 +12,10 @@
 //! MEADOW_UPDATE_GOLDEN=1 cargo test --test serve_golden
 //! ```
 
-use meadow::core::serve::{serve, AdmissionPolicy, KvPolicy, ServeConfig};
+mod common;
+
+use common::serve;
+use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};

@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::requests_from_seed as seeded;
-use meadow::core::serve::{serve, AdmissionPolicy, KvPolicy, ServeConfig};
+use common::{requests_from_seed as seeded, serve};
+use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig};
 use meadow::core::session::InferenceSession;
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;

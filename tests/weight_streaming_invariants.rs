@@ -15,19 +15,20 @@
 //! * **Byte conservation** — every weight byte crossing DRAM is exactly
 //!   one model load (`loads × model_weight_bytes`), through arbitrary
 //!   evict/re-stream churn; eviction itself writes nothing back.
-//! * **Event == Tick** — both scheduler cores agree bit-exactly over the
-//!   whole residency matrix (models × budgets × streaming × KV policies).
+//! * **Event == Tick** — the event core reproduces, byte for byte, the
+//!   report digests the retired per-tick core recorded over the whole
+//!   residency matrix (models × budgets × streaming × KV policies).
+//! * **Cluster aggregation** — a budgeted cluster's aggregate weight
+//!   counters are exactly the sums of its chips'.
 //! * **Overlap formula** — `pipelined_cold_finish` matches a brute-force
 //!   two-resource (load channel + compute pipeline) schedule and sits in
 //!   `[max(Σload, Σcompute), Σload + Σcompute]`.
 
 mod common;
 
-use common::{requests_from_seed, spread_models};
+use common::{fnv1a64, requests_from_seed, serve, spread_models};
 use meadow::core::cluster::RoundRobin;
-use meadow::core::serve::{
-    pipelined_cold_finish, serve, KvPolicy, SchedulerCore, ServeConfig, ServeReport,
-};
+use meadow::core::serve::{pipelined_cold_finish, KvPolicy, ServeConfig, ServeReport};
 use meadow::core::spec::ServeSpec;
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
@@ -73,6 +74,57 @@ fn unset_budget_serializes_the_pre_residency_identity() {
     // And a pre-residency report (no such fields at all) still parses.
     let reparsed: ServeReport = serde_json::from_str(&json).unwrap();
     assert_eq!(reparsed, report);
+}
+
+/// Every point of the residency matrix — models × budgets × streaming ×
+/// KV policies — each serving its own seeded trace of 1–15 requests.
+fn residency_matrix() -> Vec<(ArrivalTrace, ServeConfig)> {
+    let model = presets::tiny_decoder();
+    let mut points = Vec::new();
+    for models in 1..=3u32 {
+        for budget_models in 1..=2u64 {
+            for streaming in [false, true] {
+                for policy in [KvPolicy::Fifo, KvPolicy::Lru, KvPolicy::PagedLru] {
+                    let i = points.len() as u64;
+                    let n = 1 + (i * 7 % 15) as usize;
+                    let trace =
+                        spread_models(requests_from_seed(13 + 97 * i, n, 24, 8, 0.5), models);
+                    let config = ServeConfig::default()
+                        .with_weight_budget(budget_models * model.total_weight_bytes())
+                        .with_weight_streaming(streaming)
+                        .with_policy(policy)
+                        .with_max_batch(4);
+                    points.push((trace, config));
+                }
+            }
+        }
+    }
+    points
+}
+
+/// FNV-1a/64 digests of the serialized reports the retired per-tick scan
+/// core served at each point of [`residency_matrix`], in order.
+const RESIDENCY_ORACLE: &str = "\
+    36cee6a4677acf8e a60a2ae14f700552 dfcbdb6349faa6b3 79ede0a59d66f7d9 f9695712c0d7669d \
+    22bc00dcb8e7e550 364d5efb5c6e0ff8 46fc4025021c3437 5275349f0fbb26ea 795af737f15d7edf \
+    0e0141f9af2adbd3 500d7f2ee51da7c4 c37dcd3980396ca4 440086982ceef428 5ce320ed14aa028f \
+    748bb806ba8d2b57 03e3d6ac310b21e8 fd7f713ad4ab4601 86ce89d1ad6f4f78 e31d92befdf5cc00 \
+    29e8b322a3e4db60 b2df8be8e4baa2ad 7397bb83b456131b 1236e9bb0ac3d3cd 54ff0db1f783cdd0 \
+    59f2d5dbf7685b66 b0ba8c4f26f0b26d e05704d7aed4f513 d87076fce146a214 0acb0ec3e3ea9177 \
+    55f412ea25b2d9d0 9e1235cf4139c92a 25c2756e01192250 1f05e4c75ae0cf35 4da81ff0cf0f5fd1 \
+    36d1977a37e441d1";
+
+/// Event == Tick bit-exactly over the residency matrix: the event core
+/// reproduces every report digest the per-tick oracle recorded.
+#[test]
+fn cores_agree_over_the_residency_matrix() {
+    let engine = engine();
+    let got: Vec<String> = residency_matrix()
+        .iter()
+        .map(|(trace, config)| fnv1a64(&serve(&engine, trace, config).unwrap().to_json().unwrap()))
+        .collect();
+    let want: Vec<&str> = RESIDENCY_ORACLE.split_whitespace().collect();
+    assert_eq!(got, want, "the event core left the tick oracle");
 }
 
 proptest! {
@@ -205,49 +257,8 @@ proptest! {
         prop_assert!(weights.cold_requests <= n as u64);
     }
 
-    /// Event == Tick bit-exactly over the residency matrix: model counts,
-    /// budget pressure, streaming overlap, and KV policies.
-    #[test]
-    fn cores_agree_over_the_residency_matrix(
-        seed in 0u64..1_000,
-        n in 1usize..16,
-        models in 1u32..4,
-        budget_models in 1u64..3,
-        streaming in any::<bool>(),
-        policy_idx in 0u8..3,
-    ) {
-        let model = presets::tiny_decoder();
-        let engine = engine();
-        let trace = spread_models(requests_from_seed(seed, n, 24, 8, 0.5), models);
-        let config = ServeConfig::default()
-            .with_weight_budget(budget_models * model.total_weight_bytes())
-            .with_weight_streaming(streaming)
-            .with_policy(match policy_idx % 3 {
-                0 => KvPolicy::Fifo,
-                1 => KvPolicy::Lru,
-                _ => KvPolicy::PagedLru,
-            })
-            .with_max_batch(4);
-        let run = |core| {
-            ServeSpec::builder()
-                .config(config)
-                .scheduler(core)
-                .build()
-                .unwrap()
-                .run(&engine, &trace)
-                .unwrap()
-                .into_single()
-                .unwrap()
-        };
-        let event = run(SchedulerCore::Event);
-        let tick = run(SchedulerCore::Tick);
-        prop_assert_eq!(&event, &tick);
-        prop_assert_eq!(event.to_json().unwrap(), tick.to_json().unwrap());
-    }
-
-    /// The cluster front door carries the residency matrix too: per-chip
-    /// reports and the aggregated weight summary agree between cores, and
-    /// the aggregate's churn counters are the per-chip sums.
+    /// The cluster front door carries the residency matrix too: the
+    /// aggregate weight summary's churn counters are the per-chip sums.
     #[test]
     fn cluster_cores_agree_with_multi_model_weights(
         seed in 0u64..1_000,
@@ -263,25 +274,19 @@ proptest! {
             .with_weight_budget(model.total_weight_bytes())
             .with_weight_streaming(streaming)
             .with_max_batch(4);
-        let run = |core| {
-            ServeSpec::builder()
-                .chips(chips)
-                .placement(RoundRobin)
-                .config(config)
-                .scheduler(core)
-                .build()
-                .unwrap()
-                .run(&engine, &trace)
-                .unwrap()
-                .into_cluster()
-                .unwrap()
-        };
-        let event = run(SchedulerCore::Event);
-        let tick = run(SchedulerCore::Tick);
-        prop_assert_eq!(&event, &tick);
-        let agg = event.weights.expect("budgeted runs aggregate a weight summary");
+        let report = ServeSpec::builder()
+            .chips(chips)
+            .placement(RoundRobin)
+            .config(config)
+            .build()
+            .unwrap()
+            .run(&engine, &trace)
+            .unwrap()
+            .into_cluster()
+            .unwrap();
+        let agg = report.weights.expect("budgeted runs aggregate a weight summary");
         let per_chip: Vec<_> =
-            event.per_chip.iter().filter_map(|c| c.report.weights).collect();
+            report.per_chip.iter().filter_map(|c| c.report.weights).collect();
         prop_assert_eq!(agg.weight_loads, per_chip.iter().map(|w| w.weight_loads).sum::<u64>());
         prop_assert_eq!(
             agg.weight_evictions,
