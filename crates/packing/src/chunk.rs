@@ -13,6 +13,7 @@ use meadow_tensor::parallel::{par_map_ranges, ExecConfig};
 use meadow_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Chunk-decomposition parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -260,7 +261,7 @@ pub fn decompose_with(
     let chunk_cols = w.cols() / config.chunk_elems;
     // Per worker: local unique table (first-occurrence order) + local IDs.
     let locals = par_map_ranges(w.rows(), exec, |rows| {
-        let mut table: HashMap<&[i8], u32> = HashMap::new();
+        let mut table = ChunkTable::default();
         let mut chunks: Vec<&[i8]> = Vec::new();
         let mut ids = Vec::with_capacity(rows.len() * chunk_cols);
         for r in rows {
@@ -281,7 +282,7 @@ pub fn decompose_with(
         (chunks, ids)
     });
     // Merge in row order: assign global IDs at global first occurrence.
-    let mut table: HashMap<&[i8], u32> = HashMap::new();
+    let mut table = ChunkTable::default();
     let mut chunks: Vec<Vec<i8>> = Vec::new();
     let mut ids = Vec::with_capacity(w.rows() * chunk_cols);
     for (local_chunks, local_ids) in locals {
@@ -303,6 +304,40 @@ pub fn decompose_with(
         UniqueMatrix { chunks, chunk_elems: config.chunk_elems },
         EncodedMatrix { ids, rows: w.rows(), chunk_cols, chunk_elems: config.chunk_elems },
     ))
+}
+
+/// Chunk → ID lookup used while decomposing. IDs come from
+/// first-occurrence order, never from the hasher, so the hasher changes
+/// only speed.
+type ChunkTable<'a> = HashMap<&'a [i8], u32, BuildHasherDefault<ChunkHasher>>;
+
+/// Multiply-rotate hasher for chunk keys (the FxHash step). Chunks are a
+/// few bytes each, where SipHash's set-up dominates a lookup. It gives up
+/// SipHash's resistance to crafted collisions, which would only slow a
+/// decomposition down, never change its result.
+#[derive(Default)]
+struct ChunkHasher(u64);
+
+impl ChunkHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ChunkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Reconstructs the original weight matrix from its decomposition.

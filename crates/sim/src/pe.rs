@@ -17,6 +17,7 @@
 //! correctness tests and latency measurement.
 
 use crate::clock::Cycles;
+use meadow_tensor::gemm::dot_i8;
 use serde::{Deserialize, Serialize};
 
 /// Static description of one PE.
@@ -73,8 +74,7 @@ impl ParallelMacPe {
     /// scheduler, so a mismatch is a scheduling bug).
     pub fn execute_dot(&self, a: &[i8], b: &[i8]) -> (i32, Cycles) {
         assert_eq!(a.len(), b.len(), "parallel PE operand length mismatch");
-        let acc = a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
-        (acc, self.dot_cycles(a.len()))
+        (dot_i8(a, b), self.dot_cycles(a.len()))
     }
 }
 
@@ -164,6 +164,17 @@ mod tests {
         let (acc, cycles) = pe.execute_dot(&a, &b);
         assert_eq!(acc, 5 - 12 - 21 + 32);
         assert_eq!(cycles, Cycles(1));
+        // Lengths below, at and past the 16-lane body of `dot_i8`, with
+        // extreme values so any lost or doubled product shows.
+        for len in [0usize, 1, 15, 16, 17, 33, 64, 129, 773] {
+            let a: Vec<i8> = (0..len).map(|i| (i * 37 % 256) as u8 as i8).collect();
+            let b: Vec<i8> = (0..len).map(|i| if i % 3 == 0 { i8::MIN } else { i8::MAX }).collect();
+            let (acc, cycles) = pe.execute_dot(&a, &b);
+            let exact: i32 = a.iter().zip(&b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
+            assert_eq!(acc, exact, "length {len}");
+            assert_eq!(acc, dot_i8(&a, &b), "length {len}");
+            assert_eq!(cycles, pe.dot_cycles(len));
+        }
     }
 
     #[test]

@@ -1,14 +1,26 @@
 //! INT8×INT8→INT32 matrix multiplication: the arithmetic core of every
 //! GEMM-mode layer in MEADOW.
 //!
-//! Two entry points are provided:
+//! Three entry points are provided:
 //!
-//! * [`matmul_i8`] — the straightforward reference.
+//! * [`matmul_i8`] — the straightforward reference, kept as the oracle the
+//!   faster kernels are tested against.
+//! * [`matmul_i8_bt`] (and [`matmul_i8_bt_with`]) — `a × bTᵀ` with the
+//!   right operand stored transposed, one row per output column. Every
+//!   linear layer of the functional forward runs through it, so it is the
+//!   forward pass's hot path. It widens the activations to `i16` once per
+//!   call and each weight row once per worker, then runs the same
+//!   16-accumulator dot as [`dot_i8`] over `i16` operands, which LLVM
+//!   lowers to `pmaddwd` on baseline x86-64. Widening once is the point:
+//!   sign-extending INT8 operands inside every dot costs more than the
+//!   multiply-adds themselves.
 //! * [`matmul_i8_tiled`] — a blocked version that visits the index space in
-//!   the same tile order the hardware executor does. Because INT32 addition
-//!   over exact INT8 products is associative, the result is bit-identical to
-//!   the reference for every tiling — a property the dataflow crate's
-//!   equivalence tests rely on.
+//!   the same tile order the hardware executor does.
+//!
+//! INT32 addition over exact INT8 products is associative, so every entry
+//! point is bit-identical to the reference for every shape, tiling and
+//! thread count — a property the dataflow crate's equivalence tests rely
+//! on.
 
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -67,9 +79,12 @@ pub fn matmul_i8_bt(a: &Matrix<i8>, b_t: &Matrix<i8>) -> Result<Matrix<i32>, Ten
 /// [`matmul_i8_bt`] with caller-chosen parallelism: output rows are
 /// partitioned across the worker threads of `exec`.
 ///
-/// Each output row is computed by exactly one worker in the same
-/// per-element order as the serial path, so the result is bit-identical to
-/// [`matmul_i8_bt`] for every thread count.
+/// The activations are widened to `i16` once per call. Each worker then
+/// widens every weight row once and dots it against its own output rows,
+/// so weights stream through the cache once per worker rather than once
+/// per output row. Each output element is one exact dot computed by
+/// exactly one worker, so the result is bit-identical to [`matmul_i8`]
+/// for every thread count.
 ///
 /// # Errors
 ///
@@ -86,14 +101,17 @@ pub fn matmul_i8_bt_with(
             op: "matmul_bt",
         });
     }
-    let m = a.rows();
+    let (m, k) = a.shape();
     let n = b_t.rows();
+    let a16: Vec<i16> = a.as_slice().iter().map(|&v| i16::from(v)).collect();
     let blocks = par_map_ranges(m, exec, |rows| {
-        let mut block = Vec::with_capacity(rows.len() * n);
-        for i in rows {
-            let arow = a.row(i);
-            for j in 0..n {
-                block.push(dot_i8(arow, b_t.row(j)));
+        let mut block = vec![0; rows.len() * n];
+        let mut w16 = Vec::with_capacity(k);
+        for j in 0..n {
+            w16.clear();
+            w16.extend(b_t.row(j).iter().map(|&v| i16::from(v)));
+            for (r, i) in rows.clone().enumerate() {
+                block[r * n + j] = dot_lanes(&a16[i * k..(i + 1) * k], &w16);
             }
         }
         block
@@ -123,7 +141,31 @@ fn concat_blocks(mut blocks: Vec<Vec<i32>>, total: usize) -> Vec<i32> {
 /// owns both layouts).
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
     assert_eq!(a.len(), b.len(), "dot product of mismatched lengths");
-    a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum()
+    dot_lanes(a, b)
+}
+
+/// Independent INT32 partial sums in [`dot_lanes`]: enough for LLVM to
+/// keep the body in vector registers.
+const LANES: usize = 16;
+
+/// Exact INT32 dot product over [`LANES`] lane accumulators plus a scalar
+/// tail. Integer addition is associative, so the result equals the
+/// sequential sum bit for bit. The caller checks that the lengths match.
+fn dot_lanes<T: Copy>(a: &[T], b: &[T]) -> i32
+where
+    i32: From<T>,
+{
+    let body = a.len() - a.len() % LANES;
+    let (a_body, a_tail) = a.split_at(body);
+    let (b_body, b_tail) = b.split_at(body);
+    let mut acc = [0i32; LANES];
+    for (x, y) in a_body.chunks_exact(LANES).zip(b_body.chunks_exact(LANES)) {
+        for ((s, &x), &y) in acc.iter_mut().zip(x).zip(y) {
+            *s += i32::from(x) * i32::from(y);
+        }
+    }
+    let tail: i32 = a_tail.iter().zip(b_tail).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
+    acc.iter().sum::<i32>() + tail
 }
 
 /// Blocked GEMM with caller-chosen tile sizes, bit-identical to [`matmul_i8`].

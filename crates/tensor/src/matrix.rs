@@ -118,9 +118,10 @@ impl<T> Matrix<T> {
         }
     }
 
-    /// Iterates over rows as slices.
+    /// Iterates over rows as slices (empty slices for a zero-column
+    /// matrix, one per row).
     pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks(self.cols.max(1))
+        (0..self.rows).map(|r| self.row(r))
     }
 }
 
@@ -307,5 +308,9 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.shape(), (0, 0));
         assert_eq!(m.iter_rows().count(), 0);
+        let no_cols = Matrix::<i8>::zeros(3, 0);
+        assert_eq!(no_cols.iter_rows().count(), 3);
+        assert!(no_cols.iter_rows().all(<[i8]>::is_empty));
+        assert_eq!(no_cols.row(2), &[] as &[i8]);
     }
 }

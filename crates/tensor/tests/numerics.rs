@@ -68,10 +68,23 @@ fn tiled_gemm_is_bit_identical_for_every_tiling() {
 
 #[test]
 fn transposed_gemm_matches_reference() {
-    let a = random_i8_matrix(6, 12, 11);
-    let b = random_i8_matrix(12, 10, 12);
-    let expected = naive_matmul(&a, &b);
-    assert_eq!(matmul_i8_bt(&a, &b.transposed()).unwrap(), expected);
+    // Inner dimensions below, at and past the 16-lane dot body, with and
+    // without a tail, plus the OPT-scale 773.
+    let shapes = [
+        (6, 12, 10, 11u64),
+        (3, 15, 5, 21),
+        (4, 16, 7, 22),
+        (5, 17, 3, 23),
+        (2, 33, 9, 24),
+        (7, 64, 6, 25),
+        (3, 773, 4, 26),
+    ];
+    for (m, k, n, seed) in shapes {
+        let a = random_i8_matrix(m, k, seed);
+        let b = random_i8_matrix(k, n, seed + 100);
+        let expected = naive_matmul(&a, &b);
+        assert_eq!(matmul_i8_bt(&a, &b.transposed()).unwrap(), expected, "{m}x{k}x{n}");
+    }
 }
 
 #[test]
@@ -92,6 +105,9 @@ fn dot_product_handles_extreme_values_exactly() {
     let b = vec![127i8; 256];
     assert_eq!(dot_i8(&a, &b), 256 * -128 * 127);
     assert_eq!(dot_i8(&[], &[]), 0);
+    // 4099 = 256 full 16-lane passes plus a 3-element tail.
+    let long = vec![-128i8; 4099];
+    assert_eq!(dot_i8(&long, &long), 4099 * 128 * 128);
 }
 
 #[test]

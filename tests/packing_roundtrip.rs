@@ -2,6 +2,9 @@
 //! at every optimization level — the reproduction's form of the paper's
 //! "approximation-less" claim (§5).
 
+mod common;
+
+use common::fnv1a64;
 use meadow::packing::{ChunkConfig, PackedWeights, PackingConfig, PackingLevel};
 use meadow::tensor::Matrix;
 use proptest::prelude::*;
@@ -116,5 +119,39 @@ fn empty_and_degenerate_matrices() {
             let packed = PackedWeights::pack(&w, &PackingConfig::default(), level).unwrap();
             assert_eq!(packed.unpack().unwrap(), w);
         }
+    }
+}
+
+/// FNV-1a/64 of the serialized [`PackedWeights`] of [`seeded_redundant`]
+/// at each level of [`PackingLevel::all`], recorded before the chunk
+/// table's hasher was replaced: tables, IDs and packed streams depend only
+/// on first-occurrence order, never on the hasher.
+const FROZEN_PACKED: [&str; 3] = ["040c1233f7f6f3b1", "00e43b92cb8673c7", "63a03c5af05de4a0"];
+
+/// A 64×128 matrix over a skewed six-value palette, drawn from a std-only
+/// xorshift64 stream: many repeated chunks with uneven frequencies.
+fn seeded_redundant() -> Matrix<i8> {
+    const PALETTE: [i8; 6] = [0, 1, -3, 7, 127, -128];
+    const SKEW: [usize; 16] = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5];
+    let mut x = 0x5EED_u64;
+    let data = (0..64 * 128)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            PALETTE[SKEW[(x % 16) as usize]]
+        })
+        .collect();
+    Matrix::from_vec(64, 128, data).unwrap()
+}
+
+#[test]
+fn packed_weights_match_frozen_digests() {
+    let w = seeded_redundant();
+    for (level, want) in PackingLevel::all().into_iter().zip(FROZEN_PACKED) {
+        let packed = PackedWeights::pack(&w, &PackingConfig::default(), level).unwrap();
+        assert_eq!(packed.unpack().unwrap(), w, "level {level:?}");
+        let got = fnv1a64(&serde_json::to_string(&packed).unwrap());
+        assert_eq!(got, want, "level {level:?}");
     }
 }

@@ -13,7 +13,7 @@ use meadow::models::{KvCompression, KvLayout};
 use meadow::packing::chunk::{decompose, decompose_with, ChunkConfig};
 use meadow::packing::stats::{IdHistogram, PrecisionDistribution};
 use meadow::packing::{PackedWeights, PackingConfig, PackingLevel};
-use meadow::tensor::gemm::{matmul_i8, matmul_i8_bt, matmul_i8_bt_with, matmul_i8_tiled_with};
+use meadow::tensor::gemm::{matmul_i8, matmul_i8_bt_with, matmul_i8_tiled_with};
 use meadow::tensor::parallel::{partition, ExecConfig};
 use meadow::tensor::Matrix;
 use proptest::collection::vec;
@@ -60,7 +60,9 @@ proptest! {
 
     #[test]
     fn parallel_bt_gemm_is_bit_identical(
-        (m, k, n, a_data, bt_data) in (1usize..24, 1usize..16, 1usize..24).prop_flat_map(
+        // `k` spans the empty dot, the scalar tail alone, and several
+        // passes of the 16-lane body with every tail length.
+        (m, k, n, a_data, bt_data) in (1usize..24, 0usize..=70, 1usize..24).prop_flat_map(
             |(m, k, n)| (
                 Just(m),
                 Just(k),
@@ -72,7 +74,7 @@ proptest! {
     ) {
         let a = matrix_from(a_data, m, k);
         let b_t = matrix_from(bt_data, n, k);
-        let reference = matmul_i8_bt(&a, &b_t).expect("shapes agree");
+        let reference = matmul_i8(&a, &b_t.transposed()).expect("shapes agree");
         for threads in THREAD_COUNTS {
             let exec = ExecConfig::with_threads(threads);
             let par = matmul_i8_bt_with(&a, &b_t, &exec).expect("shapes agree");

@@ -22,7 +22,8 @@ proptest! {
             .collect();
         let pe = ParallelMacPe::default();
         let (acc, cycles) = pe.execute_dot(&a, &b);
-        prop_assert_eq!(acc, dot_i8(&a, &b));
+        let exact: i32 = a.iter().zip(&b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
+        prop_assert_eq!(acc, exact);
         prop_assert_eq!(cycles, Cycles((a.len() as u64).div_ceil(64)));
     }
 
