@@ -31,7 +31,7 @@ use meadow_dataflow::forward::{batch_model_forward, model_forward, ForwardMode, 
 use meadow_models::presets;
 use meadow_models::weights::ModelWeights;
 use meadow_models::workload::ArrivalTrace;
-use meadow_models::KvCompression;
+use meadow_models::{KvCompression, TransformerConfig};
 use meadow_packing::chunk::{decompose, decompose_with, ChunkConfig};
 use meadow_tensor::fixed::ExpLut;
 use meadow_tensor::gemm::{matmul_i8_tiled, matmul_i8_tiled_with};
@@ -235,230 +235,204 @@ fn forward_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
     named_case(format!("dataflow_batch_forward_{batch}x{tokens}"), serial, parallel)
 }
 
-fn serve_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (4, 6) } else { (8, 12) };
-    let model = presets::tiny_decoder();
-    // Dense arrivals (tick scale) and a squeezed budget exercise the full
-    // scheduler: admission, eviction, reload and the batched measurement
-    // fan-out (the axis the parallel variant accelerates).
-    let trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    let budget = trace.total_peak_kv_bytes(&model) / 2;
-    let config = ServeConfig::default().with_budget(budget);
-    let spec = ServeSpec::builder().config(config).build().expect("valid spec");
-    let serial_engine =
-        MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0)).expect("valid engine");
-    let parallel_engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_continuous_batch_{requests}x{generate}"), serial, parallel)
+/// One serving case of the suite: the tiny decoder at 12 Gbps over a
+/// uniform trace of 16-token prompts arriving 0.01 ms apart (tick scale).
+struct ServeCase {
+    /// Case-name prefix; the chip count (when above one) and the
+    /// `requests x generate` size follow it.
+    name: &'static str,
+    /// Chips the case serves on. Single-chip cases run 4x6 requests
+    /// (quick) or 8x12; multi-chip cases 6x5 or 12x8.
+    chips: usize,
+    /// Finishes the case's trace and builds its spec. A second spec makes
+    /// the case a policy pair: the two specs then both run on the parallel
+    /// engine, instead of one spec on a serial and a parallel engine.
+    build: fn(&mut ArrivalTrace, &TransformerConfig) -> (ServeSpec, Option<ServeSpec>),
 }
 
-fn serve_paged_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (4, 6) } else { (8, 12) };
-    let model = presets::tiny_decoder();
-    // Same squeezed scenario as `serve_continuous_batch`, but evicting at
-    // page granularity: the scheduler additionally walks the page pool
-    // (LRU scan, peel, fault-in), which is the overhead this case guards.
-    let trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    let budget = trace.total_peak_kv_bytes(&model) / 2;
-    let config = ServeConfig::default()
+/// A one-chip spec of `config`.
+fn single_chip(config: ServeConfig) -> (ServeSpec, Option<ServeSpec>) {
+    (ServeSpec::builder().config(config).build().expect("valid spec"), None)
+}
+
+/// Paged eviction, two sessions per batch, under the tight per-chip
+/// budget of the 3-chip cases: two thirds of the mean request's peak KV,
+/// but never below one request's.
+fn cluster_config(trace: &ArrivalTrace, model: &TransformerConfig) -> ServeConfig {
+    let requests = trace.requests.len() as u64;
+    let budget = (2 * trace.total_peak_kv_bytes(model) / (3 * requests))
+        .max(trace.requests[0].peak_kv_bytes(model));
+    ServeConfig::default()
         .with_budget(budget)
         .with_policy(KvPolicy::PagedLru)
         .with_page_bytes(256)
-        .with_max_batch(requests / 2);
-    let spec = ServeSpec::builder().config(config).build().expect("valid spec");
-    let serial_engine =
-        MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0)).expect("valid engine");
-    let parallel_engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_paged_{requests}x{generate}"), serial, parallel)
+        .with_max_batch(2)
 }
 
-fn serve_kvcomp_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (4, 6) } else { (8, 12) };
-    let model = presets::tiny_decoder();
-    // The squeezed `serve_continuous_batch` scenario with VEDA token
-    // eviction on: every per-step KV accounting call routes through the
-    // sizer (vote model, keep-ratio rounding), which is the overhead this
-    // case guards.
-    let trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    let budget = trace.total_peak_kv_bytes(&model) / 2;
-    let config = ServeConfig::default()
-        .with_budget(budget)
-        .with_kv_compression(KvCompression::VedaVote { keep_ratio: 0.5 });
-    let spec = ServeSpec::builder().config(config).build().expect("valid spec");
-    let serial_engine =
-        MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0)).expect("valid engine");
-    let parallel_engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_kvcomp_{requests}x{generate}"), serial, parallel)
-}
-
-fn serve_multimodel_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (4, 6) } else { (8, 12) };
-    let model = presets::tiny_decoder();
+/// The serving cases, in suite order.
+const SERVE_CASES: [ServeCase; 7] = [
+    // Dense arrivals and a squeezed budget exercise the full scheduler:
+    // admission, eviction, reload and the batched measurement fan-out
+    // (the axis the parallel variant accelerates).
+    ServeCase {
+        name: "serve_continuous_batch",
+        chips: 1,
+        build: |trace, model| {
+            single_chip(ServeConfig::default().with_budget(trace.total_peak_kv_bytes(model) / 2))
+        },
+    },
+    // The same squeezed scenario, evicting at page granularity: the
+    // scheduler additionally walks the page pool (LRU scan, peel,
+    // fault-in), which is the overhead this case guards.
+    ServeCase {
+        name: "serve_paged",
+        chips: 1,
+        build: |trace, model| {
+            single_chip(
+                ServeConfig::default()
+                    .with_budget(trace.total_peak_kv_bytes(model) / 2)
+                    .with_policy(KvPolicy::PagedLru)
+                    .with_page_bytes(256)
+                    .with_max_batch(trace.requests.len() / 2),
+            )
+        },
+    },
+    // The squeezed scenario with VEDA token eviction on: every per-step KV
+    // accounting call routes through the sizer (vote model, keep-ratio
+    // rounding), which is the overhead this case guards.
+    ServeCase {
+        name: "serve_kvcomp",
+        chips: 1,
+        build: |trace, model| {
+            single_chip(
+                ServeConfig::default()
+                    .with_budget(trace.total_peak_kv_bytes(model) / 2)
+                    .with_kv_compression(KvCompression::VedaVote { keep_ratio: 0.5 }),
+            )
+        },
+    },
     // Two models alternating request-for-request under a one-model weight
     // budget with streaming on: every scheduler step walks the residency
     // state machine (LRU pick, per-layer stream, overlap fold), which is
     // the overhead this case guards on top of `serve_continuous_batch`.
-    let mut trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    for r in &mut trace.requests {
-        *r = r.with_model(r.id % 2);
-    }
-    let config = ServeConfig::default()
-        .with_weight_budget(model.total_weight_bytes())
-        .with_weight_streaming(true)
-        .with_max_batch(2);
-    let spec = ServeSpec::builder().config(config).build().expect("valid spec");
-    let serial_engine =
-        MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0)).expect("valid engine");
-    let parallel_engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_multimodel_{requests}x{generate}"), serial, parallel)
-}
-
-fn serve_cluster_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (6, 5) } else { (12, 8) };
-    let model = presets::tiny_decoder();
+    ServeCase {
+        name: "serve_multimodel",
+        chips: 1,
+        build: |trace, model| {
+            for r in &mut trace.requests {
+                *r = r.with_model(r.id % 2);
+            }
+            single_chip(
+                ServeConfig::default()
+                    .with_weight_budget(model.total_weight_bytes())
+                    .with_weight_streaming(true)
+                    .with_max_batch(2),
+            )
+        },
+    },
     // A 3-chip cluster with sticky-affinity skew and NoC migration: the
     // per-chip serving loops fan out on the engine's worker pool (the axis
     // the parallel variant accelerates), and the placement/migration
     // machinery itself is the overhead this case guards.
-    let mut trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    for r in &mut trace.requests {
-        *r = r.with_affinity(r.id % 2);
-    }
-    let budget = (2 * trace.total_peak_kv_bytes(&model) / (3 * requests as u64))
-        .max(trace.requests[0].peak_kv_bytes(&model));
-    let serve_config = ServeConfig::default()
-        .with_budget(budget)
-        .with_policy(KvPolicy::PagedLru)
-        .with_page_bytes(256)
-        .with_max_batch(2);
-    let spec = ServeSpec::builder()
-        .chips(3)
-        .config(serve_config)
-        .placement(SessionAffinity)
-        .migration(ToLeastLoaded)
-        .build()
-        .expect("valid spec");
-    let engine_for = |exec: ExecConfig| {
-        MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0).with_exec(exec))
-            .expect("valid engine")
-    };
-    let serial_engine = engine_for(ExecConfig::serial());
-    let parallel_engine = engine_for(*exec);
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_cluster_3x{requests}x{generate}"), serial, parallel)
-}
-
-/// The heterogeneous-cluster case: a mixed big/LITTLE fleet served twice.
-/// Unlike every other case, the two variants are not serial-vs-parallel
-/// threading: `serial` runs speed-oblivious [`LeastLoadedKv`] placement
-/// and `parallel` runs throughput-aware [`LeastLoadedWeighted`] on the
-/// same fleet and engine, so the committed baseline ratio pins the cost
-/// of the weighted scoring (the integer cross-multiply per placement) at
-/// parity — the gate fails if weighting ever makes placement itself a
-/// bottleneck.
-fn serve_hetero_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (6, 5) } else { (12, 8) };
-    let model = presets::tiny_decoder();
-    let trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    let budget = (2 * trace.total_peak_kv_bytes(&model) / (3 * requests as u64))
-        .max(trace.requests[0].peak_kv_bytes(&model));
-    let serve_config = ServeConfig::default()
-        .with_budget(budget)
-        .with_policy(KvPolicy::PagedLru)
-        .with_page_bytes(256)
-        .with_max_batch(2);
-    let specs = vec![
-        EngineConfig::zcu102(model.clone(), 12.0),
-        EngineConfig::zcu102(model.clone(), 12.0),
-        EngineConfig::zcu102_little(model.clone(), 6.0),
-    ];
-    let spec_for = |weighted: bool| {
-        let builder = ServeSpec::builder().chip_specs(specs.clone()).config(serve_config);
-        let builder = if weighted {
-            builder.placement(LeastLoadedWeighted)
-        } else {
-            builder.placement(LeastLoadedKv)
-        };
-        builder.migration(ToLeastLoaded).build().expect("valid spec")
-    };
-    let unweighted = spec_for(false);
-    let weighted = spec_for(true);
-    let engine = MeadowEngine::new(EngineConfig::zcu102(model, 12.0).with_exec(*exec))
-        .expect("valid engine");
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(unweighted.run(&engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(weighted.run(&engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_hetero_3x{requests}x{generate}"), serial, parallel)
-}
-
-fn serve_disagg_case(opts: &PerfOptions, exec: &ExecConfig) -> BenchCase {
-    let (requests, generate) = if opts.quick { (6, 5) } else { (12, 8) };
-    let model = presets::tiny_decoder();
+    ServeCase {
+        name: "serve_cluster",
+        chips: 3,
+        build: |trace, model| {
+            for r in &mut trace.requests {
+                *r = r.with_affinity(r.id % 2);
+            }
+            let spec = ServeSpec::builder()
+                .chips(3)
+                .config(cluster_config(trace, model))
+                .placement(SessionAffinity)
+                .migration(ToLeastLoaded)
+                .build()
+                .expect("valid spec");
+            (spec, None)
+        },
+    },
+    // The heterogeneous-cluster case: a mixed big/LITTLE fleet served
+    // twice. Unlike every other case, the two variants are not
+    // serial-vs-parallel threading: `serial` runs speed-oblivious
+    // `LeastLoadedKv` placement and `parallel` runs throughput-aware
+    // `LeastLoadedWeighted` on the same fleet and engine, so the
+    // committed baseline ratio pins the cost of the weighted scoring (the
+    // integer cross-multiply per placement) at parity — the gate fails if
+    // weighting ever makes placement itself a bottleneck.
+    ServeCase {
+        name: "serve_hetero",
+        chips: 3,
+        build: |trace, model| {
+            let spec = |weighted: bool| {
+                let builder = ServeSpec::builder()
+                    .chip_specs(vec![
+                        EngineConfig::zcu102(model.clone(), 12.0),
+                        EngineConfig::zcu102(model.clone(), 12.0),
+                        EngineConfig::zcu102_little(model.clone(), 6.0),
+                    ])
+                    .config(cluster_config(trace, model));
+                let builder = if weighted {
+                    builder.placement(LeastLoadedWeighted)
+                } else {
+                    builder.placement(LeastLoadedKv)
+                };
+                builder.migration(ToLeastLoaded).build().expect("valid spec")
+            };
+            (spec(false), Some(spec(true)))
+        },
+    },
     // Prefill/decode disaggregation on a 3-chip cluster (1 prefill + 2
     // decode chips) with speculative decoding on: a two-pass simulation
     // with the KV handoff charged on the NoC between the stages. The
     // phase-routing, handoff and draft-flush machinery layered on the
     // per-chip loops is the overhead this case guards.
-    let trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
-    let serve_config = ServeConfig::default().with_max_batch(2).with_speculation(SpecDecode {
-        draft_len: 4,
-        acceptance: 0.7,
-        draft_cost_ratio: 0.5,
-    });
-    let spec = ServeSpec::builder()
-        .chips(3)
-        .config(serve_config)
-        .phases(PrefillDecodeSplit { prefill_chips: 1 })
-        .build()
-        .expect("valid spec");
+    ServeCase {
+        name: "serve_disagg",
+        chips: 3,
+        build: |_, _| {
+            let config = ServeConfig::default().with_max_batch(2).with_speculation(SpecDecode {
+                draft_len: 4,
+                acceptance: 0.7,
+                draft_cost_ratio: 0.5,
+            });
+            let spec = ServeSpec::builder()
+                .chips(3)
+                .config(config)
+                .phases(PrefillDecodeSplit { prefill_chips: 1 })
+                .build()
+                .expect("valid spec");
+            (spec, None)
+        },
+    },
+];
+
+/// Times one serving case: its serial variant, then its parallel one.
+fn serve_case(opts: &PerfOptions, exec: &ExecConfig, case: &ServeCase) -> BenchCase {
+    let (requests, generate) = match (case.chips > 1, opts.quick) {
+        (false, true) => (4, 6),
+        (false, false) => (8, 12),
+        (true, true) => (6, 5),
+        (true, false) => (12, 8),
+    };
+    let model = presets::tiny_decoder();
+    let mut trace = ArrivalTrace::uniform(requests, 0.01, 16, generate);
+    let (spec, pair) = (case.build)(&mut trace, &model);
     let engine_for = |exec: ExecConfig| {
         MeadowEngine::new(EngineConfig::zcu102(model.clone(), 12.0).with_exec(exec))
             .expect("valid engine")
     };
-    let serial_engine = engine_for(ExecConfig::serial());
     let parallel_engine = engine_for(*exec);
-    let serial = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&serial_engine, &trace).expect("serve succeeds"));
-    });
-    let parallel = time_trials(opts.warmup, opts.trials, || {
-        std::hint::black_box(spec.run(&parallel_engine, &trace).expect("serve succeeds"));
-    });
-    named_case(format!("serve_disagg_3x{requests}x{generate}"), serial, parallel)
+    let serial_engine =
+        if pair.is_some() { parallel_engine.clone() } else { engine_for(ExecConfig::serial()) };
+    let time = |spec: &ServeSpec, engine: &MeadowEngine| {
+        time_trials(opts.warmup, opts.trials, || {
+            std::hint::black_box(spec.run(engine, &trace).expect("serve succeeds"));
+        })
+    };
+    let serial = time(&spec, &serial_engine);
+    let parallel = time(pair.as_ref().unwrap_or(&spec), &parallel_engine);
+    let chips = if case.chips > 1 { format!("{}x", case.chips) } else { String::new() };
+    named_case(format!("{}_{chips}{requests}x{generate}", case.name), serial, parallel)
 }
 
 fn named_case(name: String, serial: TimingStats, parallel: TimingStats) -> BenchCase {
@@ -470,18 +444,9 @@ fn named_case(name: String, serial: TimingStats, parallel: TimingStats) -> Bench
 /// Runs the whole suite and assembles the report.
 pub fn run_suite(bench_id: &str, opts: &PerfOptions) -> BenchReport {
     let exec = ExecConfig::with_threads(opts.threads);
-    let cases = vec![
-        gemm_case(opts, &exec),
-        packing_case(opts, &exec),
-        forward_case(opts, &exec),
-        serve_case(opts, &exec),
-        serve_paged_case(opts, &exec),
-        serve_kvcomp_case(opts, &exec),
-        serve_multimodel_case(opts, &exec),
-        serve_cluster_case(opts, &exec),
-        serve_hetero_case(opts, &exec),
-        serve_disagg_case(opts, &exec),
-    ];
+    let mut cases =
+        vec![gemm_case(opts, &exec), packing_case(opts, &exec), forward_case(opts, &exec)];
+    cases.extend(SERVE_CASES.iter().map(|case| serve_case(opts, &exec, case)));
     BenchReport {
         schema_version: SCHEMA_VERSION,
         bench_id: bench_id.to_string(),

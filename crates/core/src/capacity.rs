@@ -5,7 +5,7 @@
 //! this workload?". The planner answers it by binary search over the
 //! fleet size — every probe is one deterministic [`ServeSpec`] run of the
 //! event core on a heterogeneous
-//! [`chip_specs`](crate::cluster::ClusterConfigBuilder::chip_specs)
+//! [`chip_specs`](crate::spec::ServeSpecBuilder::chip_specs)
 //! cluster under [`LeastLoadedWeighted`] placement, so a whole plan costs
 //! `O(log max_chips)` cheap simulations per candidate mix and is
 //! bit-reproducible.
@@ -307,7 +307,7 @@ impl CapacityPlanner {
             .build()?;
         // The first chip's engine, built with the spec, supplies the run's
         // thread budget.
-        let engines = spec.config().chip_engines().expect("a chip_specs spec carries its engines");
+        let engines = spec.chip_engines().expect("a chip_specs spec carries its engines");
         let engine = engines[0].clone().with_exec(self.exec);
         let report =
             spec.run(&engine, trace)?.into_cluster().expect("placement selects cluster mode");

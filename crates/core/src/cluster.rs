@@ -2,51 +2,55 @@
 //!
 //! One edge chip saturates quickly — the ROADMAP's serving north star is a
 //! *cluster* of MEADOW chips behind a single arrival stream. This module
-//! owns that layer:
+//! owns that layer's policy seams and reports; every run enters through
+//! [`ServeSpec`], whose builder validates the chip count, the per-chip
+//! [`ServeConfig`](crate::serve::ServeConfig), the policies and the
+//! interconnect with a typed [`ServeError`] instead of misbehaving mid-run.
 //!
-//! * [`Cluster`] owns N [`ChipNode`]s (each a replica [`MeadowEngine`];
-//!   the per-chip KV page pool and DRAM traffic ledger are materialized
-//!   per run inside the chip's serving loop and land in its
-//!   [`ServeReport`]).
-//! * [`ClusterConfig`] is built through a validated builder
-//!   ([`ClusterConfig::builder`]): zero-chip clusters, zero `max_batch`
-//!   and zero `page_bytes` under `PagedLru` are rejected at construction
-//!   with a typed [`ServeError`] instead of misbehaving mid-run.
 //! * [`PlacementPolicy`] routes each arriving request to a chip —
-//!   [`RoundRobin`], [`LeastLoadedKv`] (fewest assigned peak-KV bytes) and
-//!   [`SessionAffinity`] (sticky routing by the request's
-//!   `affinity` hint) ship in the box, and the trait is the seam for
-//!   custom routers.
+//!   [`RoundRobin`], [`LeastLoadedKv`] (fewest assigned peak-KV bytes),
+//!   [`LeastLoadedWeighted`] (the same, normalized by each chip's
+//!   [`throughput_score_milli`]) and [`SessionAffinity`] (sticky routing
+//!   by the request's `affinity` hint) ship in the box, and the trait is
+//!   the seam for custom routers.
 //! * [`MigrationPolicy`] decides whether an evicted session's KV bytes
 //!   *migrate* to an underloaded chip's spare budget instead of spilling
-//!   to DRAM. Migration is charged per hop on the cluster's
-//!   [`Noc`] model (store-and-forward over a linear
-//!   chip-to-chip interconnect: `|i - j|` hops between chips `i` and `j`),
-//!   and the bytes come back over the same path when the session reloads.
+//!   to DRAM. Migration is charged per hop on the cluster's [`Noc`] model
+//!   (store-and-forward over a linear chip-to-chip interconnect whose
+//!   hop cost between two chips is the sum of the per-link costs between
+//!   them, one hop per link unless
+//!   [`link_hops`](crate::spec::ServeSpecBuilder::link_hops) says
+//!   otherwise), and the bytes come back over the same path when the
+//!   session reloads.
+//! * [`PhasePlacement`] may split a request's prefill and decode across
+//!   chips, handing the prompt KV off over the same NoC ([`DisaggReport`]).
 //!
-//! Each donor chip's headroom (budget minus the peak demand placement
-//! assigned it) is **statically partitioned** among the other chips before
-//! the per-chip loops fan out, so chips simulate independently — in
-//! parallel via [`ExecConfig`] — and
-//! the [`ClusterReport`] stays bit-identical across `MEADOW_THREADS`.
-//! That is an analytical bound in the EdgeProfiler style, not a dynamic
-//! coherence protocol: a donor can never be oversubscribed, at the cost of
-//! some headroom going unused.
+//! Each chip's KV page pool, DRAM traffic ledger and weight-residency
+//! state are materialized per run inside its serving loop and land in its
+//! [`ServeReport`]. Each donor chip's headroom (budget minus the peak
+//! demand placement assigned it) is **statically partitioned** among the
+//! other chips before the per-chip loops fan out, so chips simulate
+//! independently — in parallel via [`ExecConfig`] — and the
+//! [`ClusterReport`] stays bit-identical across `MEADOW_THREADS`. That is
+//! an analytical bound in the EdgeProfiler style, not a dynamic coherence
+//! protocol: a donor can never be oversubscribed, at the cost of some
+//! headroom going unused.
 //!
 //! A one-chip cluster with [`RoundRobin`] placement and [`NoMigration`]
 //! reproduces single-chip serving bit-exactly — a single-chip
-//! [`ServeSpec`](crate::spec::ServeSpec) run is literally that cluster —
-//! so all pre-cluster goldens and invariants carry over unchanged
+//! [`ServeSpec`] run is literally that cluster — so all pre-cluster
+//! goldens and invariants carry over unchanged
 //! (`tests/cluster_invariants.rs`).
 //!
 //! # Examples
 //!
 //! Serve an arrival trace on a 2-chip cluster with least-loaded placement
-//! and NoC-charged migration:
+//! and NoC-charged migration, then on three round-robin chips:
 //!
 //! ```
-//! use meadow_core::cluster::{Cluster, ClusterConfig, LeastLoadedKv, ToLeastLoaded};
+//! use meadow_core::cluster::{LeastLoadedKv, RoundRobin, ToLeastLoaded};
 //! use meadow_core::serve::{KvPolicy, ServeConfig};
+//! use meadow_core::spec::ServeSpec;
 //! use meadow_core::{EngineConfig, MeadowEngine};
 //! use meadow_models::presets;
 //! use meadow_models::workload::ArrivalTrace;
@@ -54,9 +58,9 @@
 //! # fn main() -> Result<(), meadow_core::CoreError> {
 //! let engine = MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0))?;
 //! let trace = ArrivalTrace::uniform(6, 0.0, 16, 8);
-//! let config = ClusterConfig::builder()
+//! let spec = ServeSpec::builder()
 //!     .chips(2)
-//!     .serve(
+//!     .config(
 //!         ServeConfig::default()
 //!             .with_budget(3 * trace.requests[0].peak_kv_bytes(&presets::tiny_decoder()))
 //!             .with_policy(KvPolicy::PagedLru)
@@ -65,12 +69,19 @@
 //!     .placement(LeastLoadedKv)
 //!     .migration(ToLeastLoaded)
 //!     .build()?;
-//! let report = Cluster::new(engine, config).serve(&trace)?;
+//! let report = spec.run(&engine, &trace)?.into_cluster().expect("two chips");
 //! assert_eq!(report.chips, 2);
 //! assert_eq!(report.total_generated_tokens, 6 * 8);
 //! // Every request landed on exactly one chip.
 //! let placed: u64 = report.per_chip.iter().map(|c| c.assigned_requests).sum();
 //! assert_eq!(placed, 6);
+//!
+//! // Round robin deals 5 requests onto 3 chips as 2/2/1.
+//! let spec = ServeSpec::builder().chips(3).placement(RoundRobin).build()?;
+//! let report = spec.run(&engine, &ArrivalTrace::uniform(5, 0.0, 16, 4))?;
+//! let counts: Vec<u64> =
+//!     report.as_cluster().expect("three chips").per_chip.iter().map(|c| c.assigned_requests).collect();
+//! assert_eq!(counts, vec![2, 2, 1]);
 //! # Ok(())
 //! # }
 //! ```
@@ -78,19 +89,19 @@
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::serve::{
-    kv_sizer, serve_on_chip, KvSummary, LatencySummary, ServeConfig, ServeError, ServeReport,
-    ServeTrace, WeightSummary,
+    arrival_order, serve_on_chip, KvSummary, LatencySummary, ServeError, ServeReport, ServeTrace,
+    WeightSummary,
 };
 use crate::session::SessionPhase;
+use crate::spec::ServeSpec;
 use crate::MeadowEngine;
-use meadow_models::workload::{ArrivalTrace, ServeRequest};
+use meadow_models::workload::{ArrivalTrace, KvSizer, ServeRequest};
 use meadow_sim::noc::{Noc, NocConfig};
 use meadow_sim::{Cycles, TrafficClass};
 use meadow_tensor::parallel::{par_map, ExecConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Placement-relevant load snapshot of one chip, updated as requests are
 /// assigned (in arrival order) and handed to
@@ -112,6 +123,14 @@ pub struct ChipLoad {
     /// heterogeneous fleets. Every chip of a homogeneous (replica) cluster
     /// carries the same score.
     pub throughput_score_milli: u64,
+}
+
+impl ChipLoad {
+    /// Routes one more leg of `peak_kv_bytes` peak demand here.
+    fn assign(&mut self, peak_kv_bytes: u64) {
+        self.assigned_requests += 1;
+        self.assigned_peak_kv_bytes += peak_kv_bytes;
+    }
 }
 
 /// Analytical throughput score of one chip spec, in milli-units: the
@@ -285,8 +304,9 @@ pub struct MigrationSnapshot<'a> {
     /// entry is zero; each donor's slack is statically partitioned among
     /// the other chips, so what this snapshot offers can always be taken.
     pub headroom: &'a [u64],
-    /// NoC hops from the source to each chip (`|i - j|` on the linear
-    /// chip interconnect).
+    /// NoC hops from the source to each chip: the sum of the per-link
+    /// costs between them on the linear chip interconnect (zero only for
+    /// the source itself).
     pub hops: &'a [u32],
 }
 
@@ -378,15 +398,17 @@ impl PhaseAssignment {
 
 /// Routes each request's *phases* to chips, on top of the base
 /// [`PlacementPolicy`]: MEADOW's compute-bound prefill and memory-bound
-/// decode need not share a chip
-/// ([`Cluster::serve_disaggregated`](Cluster::serve_disaggregated)).
+/// decode need not share a chip. Setting one on a
+/// [`ServeSpec`](crate::spec::ServeSpecBuilder::phases) makes its runs disaggregated
+/// ([`DisaggReport`]).
 ///
 /// Called once per request in arrival order (ties by id) with the running
 /// [`ChipLoad`]s and the chip the cluster's base placement policy would
 /// have routed the whole request to. Implementations must be deterministic
 /// and must return chip indices below `loads.len()`. A split assignment's
 /// prefill leg runs in the prefill stage, its prompt KV hands off over the
-/// cluster NoC ([`Noc::transfer_hops`], `|prefill - decode|` hops), and
+/// cluster NoC ([`Noc::transfer_hops`], charged the summed link costs
+/// between the two chips), and
 /// its decode leg runs in the decode stage — so the two stage pools must
 /// stay disjoint ([`ServeError::PhaseOverlap`]).
 pub trait PhasePlacement: fmt::Debug + Send + Sync {
@@ -405,10 +427,9 @@ pub trait PhasePlacement: fmt::Debug + Send + Sync {
 }
 
 /// Both phases on the base placement's chip — the degenerate phase
-/// placement under which
-/// [`Cluster::serve_disaggregated`](Cluster::serve_disaggregated)
-/// reproduces [`Cluster::serve`] bit-exactly (the
-/// `tests/disagg_invariants.rs` contract).
+/// placement under which a disaggregated run's prefill stage reproduces
+/// the same spec's cluster run without phases bit-exactly (the
+/// `tests/disagg_invariants.rs` contract). Cluster runs route with it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Colocated;
 
@@ -582,306 +603,6 @@ impl<'a> MigrationCtx<'a> {
     }
 }
 
-/// Validated configuration of a [`Cluster`]: chip count, the per-chip
-/// [`ServeConfig`], the placement and migration policy seams, and the
-/// chip-to-chip NoC. Only constructible through
-/// [`ClusterConfig::builder`], which rejects invalid combinations with a
-/// typed [`ServeError`].
-#[derive(Debug)]
-pub struct ClusterConfig {
-    chips: usize,
-    serve: ServeConfig,
-    placement: Box<dyn PlacementPolicy>,
-    migration: Box<dyn MigrationPolicy>,
-    phase_placement: Box<dyn PhasePlacement>,
-    noc: NocConfig,
-    /// Per-chip engines of a heterogeneous cluster, built once from the
-    /// [`chip_specs`](ClusterConfigBuilder::chip_specs) at build (`None` =
-    /// replica cluster of whatever engine the run is given); each chip's
-    /// spec is its engine's `config()`. Validated at build: non-empty,
-    /// every spec constructs a valid engine, and all specs share one model
-    /// architecture.
-    chip_engines: Option<Vec<MeadowEngine>>,
-    /// Per-link hop costs of the linear chip interconnect (`link_hops[i]`
-    /// = cost of the link between chips `i` and `i + 1`; `None` = every
-    /// link costs one hop, the historical `|i - j|` distance).
-    link_hops: Option<Vec<u32>>,
-}
-
-impl ClusterConfig {
-    /// Starts a builder with the defaults: one chip, the default
-    /// [`ServeConfig`], [`RoundRobin`] placement, [`NoMigration`], and the
-    /// ZCU102 NoC.
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder::default()
-    }
-
-    /// Number of chips.
-    pub fn chips(&self) -> usize {
-        self.chips
-    }
-
-    /// The per-chip serving configuration.
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.serve
-    }
-
-    /// The placement policy's identifier.
-    pub fn placement_name(&self) -> &'static str {
-        self.placement.name()
-    }
-
-    /// The migration policy's identifier.
-    pub fn migration_name(&self) -> &'static str {
-        self.migration.name()
-    }
-
-    /// The phase placement's identifier ([`Colocated`] unless overridden).
-    pub fn phase_placement_name(&self) -> &'static str {
-        self.phase_placement.name()
-    }
-
-    /// The chip-to-chip NoC configuration.
-    pub fn noc(&self) -> NocConfig {
-        self.noc
-    }
-
-    /// Per-chip engines of a heterogeneous cluster (each chip's spec is its
-    /// engine's [`config`](MeadowEngine::config)), or `None` for a replica
-    /// cluster of the engine handed to [`Cluster::new`].
-    pub fn chip_engines(&self) -> Option<&[MeadowEngine]> {
-        self.chip_engines.as_deref()
-    }
-
-    /// Per-link hop costs of the linear interconnect, or `None` when
-    /// every link costs one hop.
-    pub fn link_hops(&self) -> Option<&[u32]> {
-        self.link_hops.as_deref()
-    }
-
-    /// Hop cost between two chips on the linear interconnect: the sum of
-    /// the per-link costs between them, or plain `|a - b|` when no
-    /// per-link costs are configured (the historical uniform distance).
-    pub fn hops_between(&self, a: usize, b: usize) -> u32 {
-        match &self.link_hops {
-            Some(costs) => {
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                costs[lo..hi].iter().sum()
-            }
-            None => a.abs_diff(b) as u32,
-        }
-    }
-}
-
-/// Builder for [`ClusterConfig`] — see [`ClusterConfig::builder`].
-#[derive(Debug)]
-pub struct ClusterConfigBuilder {
-    chips: usize,
-    chips_set: bool,
-    serve: ServeConfig,
-    placement: Box<dyn PlacementPolicy>,
-    migration: Box<dyn MigrationPolicy>,
-    phase_placement: Box<dyn PhasePlacement>,
-    noc: NocConfig,
-    chip_specs: Option<Vec<EngineConfig>>,
-    link_hops: Option<Vec<u32>>,
-}
-
-impl Default for ClusterConfigBuilder {
-    fn default() -> Self {
-        Self {
-            chips: 1,
-            chips_set: false,
-            serve: ServeConfig::default(),
-            placement: Box::new(RoundRobin),
-            migration: Box::new(NoMigration),
-            phase_placement: Box::new(Colocated),
-            noc: NocConfig::default(),
-            chip_specs: None,
-            link_hops: None,
-        }
-    }
-}
-
-impl ClusterConfigBuilder {
-    /// Sets the number of chips (a replica cluster of one engine).
-    /// Mutually exclusive with [`chip_specs`](Self::chip_specs) unless the
-    /// counts agree.
-    pub fn chips(mut self, chips: usize) -> Self {
-        self.chips = chips;
-        self.chips_set = true;
-        self
-    }
-
-    /// Builds a heterogeneous cluster with one chip per engine spec. The
-    /// cluster's size becomes `specs.len()`; combining this with a
-    /// disagreeing [`chips`](Self::chips) call is rejected at
-    /// [`build`](Self::build). [`build`](Self::build) constructs each
-    /// chip's engine once, and every run reuses it; packing statistics are
-    /// computed once per distinct model, packing configuration and packing
-    /// level.
-    pub fn chip_specs(mut self, specs: Vec<EngineConfig>) -> Self {
-        self.chip_specs = Some(specs);
-        self
-    }
-
-    /// Sets per-link hop costs on the linear interconnect: `hops[i]` is
-    /// the cost of the link between chips `i` and `i + 1`. The vector
-    /// must cover exactly `chips - 1` links.
-    pub fn link_hops(mut self, hops: Vec<u32>) -> Self {
-        self.link_hops = Some(hops);
-        self
-    }
-
-    /// Sets the per-chip serving configuration.
-    pub fn serve(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
-        self
-    }
-
-    /// Sets the placement policy.
-    pub fn placement(mut self, placement: impl PlacementPolicy + 'static) -> Self {
-        self.placement = Box::new(placement);
-        self
-    }
-
-    /// Sets the migration policy.
-    pub fn migration(mut self, migration: impl MigrationPolicy + 'static) -> Self {
-        self.migration = Box::new(migration);
-        self
-    }
-
-    /// Sets the phase placement used by
-    /// [`Cluster::serve_disaggregated`] (defaults to [`Colocated`];
-    /// [`Cluster::serve`] ignores it).
-    pub fn phase_placement(mut self, phase_placement: impl PhasePlacement + 'static) -> Self {
-        self.phase_placement = Box::new(phase_placement);
-        self
-    }
-
-    /// Sets the chip-to-chip NoC configuration.
-    pub fn noc(mut self, noc: NocConfig) -> Self {
-        self.noc = noc;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ZeroChips`] for an empty cluster,
-    /// [`ServeError::EmptyChipSpecs`] /
-    /// [`ServeError::ChipSpecCountMismatch`] /
-    /// [`ServeError::InvalidChipSpec`] for a malformed heterogeneous
-    /// spec list, [`ServeError::InvalidLinkHops`] when per-link hop
-    /// costs don't cover the interconnect, and propagates
-    /// [`ServeConfig::validate`] rejections (zero `max_batch`, zero
-    /// `page_bytes` under `PagedLru`, invalid SLOs).
-    pub fn build(self) -> Result<ClusterConfig, ServeError> {
-        let chip_engines = match self.chip_specs {
-            Some(specs) => {
-                if specs.is_empty() {
-                    return Err(ServeError::EmptyChipSpecs);
-                }
-                if self.chips_set && self.chips != specs.len() {
-                    return Err(ServeError::ChipSpecCountMismatch {
-                        specs: specs.len(),
-                        chips: self.chips,
-                    });
-                }
-                let mut engines: Vec<MeadowEngine> = Vec::with_capacity(specs.len());
-                for (chip, spec) in specs.into_iter().enumerate() {
-                    let engine = chip_engine(spec, &engines)
-                        .map_err(|e| ServeError::InvalidChipSpec { chip, reason: e.to_string() })?;
-                    if engines.first().is_some_and(|e| e.config().model != engine.config().model) {
-                        return Err(ServeError::InvalidChipSpec {
-                            chip,
-                            reason: "all chips of a cluster must serve the same model \
-                                     architecture"
-                                .to_string(),
-                        });
-                    }
-                    engines.push(engine);
-                }
-                Some(engines)
-            }
-            None => None,
-        };
-        let chips = chip_engines.as_ref().map_or(self.chips, Vec::len);
-        if chips == 0 {
-            return Err(ServeError::ZeroChips);
-        }
-        if let Some(hops) = &self.link_hops {
-            if hops.len() != chips - 1 {
-                return Err(ServeError::InvalidLinkHops { got: hops.len(), expected: chips - 1 });
-            }
-        }
-        self.serve.validate()?;
-        Ok(ClusterConfig {
-            chips,
-            serve: self.serve,
-            placement: self.placement,
-            migration: self.migration,
-            phase_placement: self.phase_placement,
-            noc: self.noc,
-            chip_engines,
-            link_hops: self.link_hops,
-        })
-    }
-}
-
-/// Builds one chip's engine, reusing the packing statistics of an earlier
-/// chip with the same model, packing configuration and packing level —
-/// the statistics are a pure function of those three, so the engine equals
-/// a fresh [`MeadowEngine::new`] of `spec`.
-fn chip_engine(spec: EngineConfig, built: &[MeadowEngine]) -> Result<MeadowEngine, CoreError> {
-    let same_stats = built.iter().find(|e| {
-        let c = e.config();
-        c.model == spec.model
-            && c.packing_config == spec.packing_config
-            && c.plan.packing == spec.plan.packing
-    });
-    match same_stats {
-        Some(e) => MeadowEngine::with_packing_stats(spec, e.packing_stats().cloned()),
-        None => MeadowEngine::new(spec),
-    }
-}
-
-/// Request indices in arrival order, ties broken by id: the order
-/// placement routes requests in.
-fn arrival_order(trace: &ArrivalTrace) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..trace.requests.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (&trace.requests[a], &trace.requests[b]);
-        a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id))
-    });
-    order
-}
-
-/// One simulated chip of the cluster: a replica engine. The chip's KV page
-/// pool, DRAM ledger and weight-residency state machine
-/// ([`WeightResidency`](crate::serve::WeightResidency): every served
-/// model's weights walk `Evicted → Streaming → Resident` under the chip's
-/// weight budget) are materialized per serving run (the simulator is
-/// stateless between runs) and reported in its [`ServeReport`].
-#[derive(Debug, Clone)]
-pub struct ChipNode {
-    chip: usize,
-    engine: MeadowEngine,
-}
-
-impl ChipNode {
-    /// Chip index within the cluster.
-    pub fn chip(&self) -> usize {
-        self.chip
-    }
-
-    /// The chip's engine.
-    pub fn engine(&self) -> &MeadowEngine {
-        &self.engine
-    }
-}
-
 /// Serving-side record of one chip's run within a [`ClusterReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChipReport {
@@ -896,7 +617,7 @@ pub struct ChipReport {
     /// Busy fraction of the cluster's makespan this chip spent serving —
     /// its own makespan over the slowest chip's, so the cluster's
     /// straggler reads 1.0 and idle chips read toward 0.0. `Some` only on
-    /// heterogeneous ([`ClusterConfigBuilder::chip_specs`]) runs and
+    /// heterogeneous ([`chip_specs`](crate::spec::ServeSpecBuilder::chip_specs)) runs and
     /// omitted from the serialized JSON otherwise, so pre-existing
     /// replica-cluster goldens stay byte-stable.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -1043,7 +764,19 @@ pub struct RequestSummary {
     pub generated_tokens: u64,
 }
 
-/// Aggregate result of one [`Cluster::serve_disaggregated`] run.
+/// Aggregate result of one disaggregated [`ServeSpec`] run.
+///
+/// The run is two deterministic stages on one absolute clock. The
+/// *prefill stage* serves every request's first leg: colocated requests
+/// run whole ([`SessionPhase::Full`]) and split requests run
+/// [`SessionPhase::PrefillOnly`] on their prefill chip, finishing once the
+/// prompt KV (and first token) exist. Each surviving split request's
+/// decode leg then arrives on its decode chip at `prefill finish +
+/// handoff latency` and the *decode stage* serves those legs
+/// ([`SessionPhase::DecodeOnly`]). The two stages' chip pools must be
+/// disjoint — a chip hosting prefill-stage legs cannot also host
+/// decode-stage legs, because the stages would overlap in time on that
+/// chip ([`ServeError::PhaseOverlap`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DisaggReport {
     /// Phase-placement identifier.
@@ -1075,8 +808,8 @@ pub struct DisaggReport {
     pub handoff: HandoffStats,
     /// The prefill stage: every request's first leg (whole requests when
     /// colocated, prefill-only legs when split). Under the [`Colocated`]
-    /// phase placement this is bit-identical to [`Cluster::serve`]'s
-    /// report.
+    /// phase placement this is bit-identical to the report of the same
+    /// spec run without phases.
     pub prefill_stage: ClusterReport,
     /// The decode stage serving the split requests' decode legs; `None`
     /// when nothing was split (or every split prefill was shed).
@@ -1101,628 +834,511 @@ impl DisaggReport {
     }
 }
 
-/// A cluster of simulated chips serving one arrival stream — see the
-/// [module docs](self).
-#[derive(Debug)]
-pub struct Cluster {
-    nodes: Vec<ChipNode>,
-    config: Arc<ClusterConfig>,
-    /// The engine's original execution policy: drives the per-chip
-    /// fan-out, while each node's engine gets an even share of its thread
-    /// budget (see [`Cluster::new`]).
-    exec: ExecConfig,
+/// One stage's per-chip work: the shards (each keeps the order its legs
+/// were routed in), the phase of every leg, and the load picture the
+/// donor-headroom partition and per-chip report rows are built from.
+pub(crate) struct Stage {
+    shards: Vec<ArrivalTrace>,
+    phases: Vec<Vec<SessionPhase>>,
+    loads: Vec<ChipLoad>,
+    /// Legs the stage's report accounts as its requests.
+    legs: usize,
 }
 
-impl Cluster {
-    /// Builds a cluster of `config.chips()` replicas of `engine` — or,
-    /// when the configuration carries
-    /// [`chip_specs`](ClusterConfigBuilder::chip_specs), one
-    /// [`ChipNode`] per spec (heterogeneous fleet), cloned from the engine
-    /// the configuration built for it; `engine` then only supplies the
-    /// thread budget below.
-    ///
-    /// The engine's thread budget is split between the two nested
-    /// fan-outs: the chip fan-out keeps the full [`ExecConfig`] (it is
-    /// clamped to the chip count), and each replica engine's internal
-    /// per-tick fan-out gets `threads / min(threads, chips)` workers — so
-    /// total concurrency stays at the configured thread count instead of
-    /// multiplying to `chips × threads`. A one-chip cluster leaves the
-    /// engine untouched.
-    pub fn new(engine: MeadowEngine, config: ClusterConfig) -> Self {
-        Self::from_shared(engine, Arc::new(config))
-    }
-
-    /// Shared-config constructor behind [`ServeSpec`](crate::spec::ServeSpec):
-    /// a spec can be run many times (the perf bench repeats trials) without
-    /// rebuilding the boxed policy objects or the per-chip engines each
-    /// run.
-    pub(crate) fn from_shared(engine: MeadowEngine, config: Arc<ClusterConfig>) -> Self {
-        let exec = engine.config().exec;
-        let threads = exec.threads().max(1);
-        let concurrent_chips = config.chips.clamp(1, threads);
-        let inner = ExecConfig::with_threads((threads / concurrent_chips).max(1));
-        let nodes = match config.chip_engines() {
-            Some(engines) => engines
-                .iter()
-                .enumerate()
-                .map(|(chip, e)| ChipNode { chip, engine: e.clone().with_exec(inner) })
-                .collect(),
-            None => (0..config.chips)
-                .map(|chip| ChipNode { chip, engine: engine.clone().with_exec(inner) })
-                .collect(),
-        };
-        Self { nodes, config, exec }
-    }
-
-    /// Number of chips.
-    pub fn chips(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The cluster's chips.
-    pub fn nodes(&self) -> &[ChipNode] {
-        &self.nodes
-    }
-
-    /// The cluster's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Serves one arrival stream across the cluster: placement routes each
-    /// request to a chip (in arrival order), every chip runs the
-    /// continuous-batching scheduler on its shard — fanned out on the
-    /// engine's [`ExecConfig`] worker
-    /// pool — and eviction may migrate KV bytes to underloaded chips over
-    /// the cluster NoC instead of spilling to DRAM. Deterministic:
-    /// bit-identical across `MEADOW_THREADS`.
-    ///
-    /// ```
-    /// use meadow_core::cluster::{Cluster, ClusterConfig, RoundRobin};
-    /// use meadow_core::{EngineConfig, MeadowEngine};
-    /// use meadow_models::presets;
-    /// use meadow_models::workload::ArrivalTrace;
-    ///
-    /// # fn main() -> Result<(), meadow_core::CoreError> {
-    /// let engine = MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0))?;
-    /// let config = ClusterConfig::builder().chips(3).placement(RoundRobin).build()?;
-    /// let report = Cluster::new(engine, config).serve(&ArrivalTrace::uniform(5, 0.0, 16, 4))?;
-    /// assert_eq!(report.requests, 5);
-    /// assert_eq!(report.total_generated_tokens, 20);
-    /// // Round robin deals 5 requests onto 3 chips as 2/2/1.
-    /// let counts: Vec<u64> = report.per_chip.iter().map(|c| c.assigned_requests).collect();
-    /// assert_eq!(counts, vec![2, 2, 1]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// Most callers go through [`ServeSpec`](crate::spec::ServeSpec),
-    /// which validates once and dispatches here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Serve`] for out-of-range placements or a
-    /// request no chip's budget can hold; propagates trace-validation and
-    /// measurement errors.
-    pub fn serve(&self, trace: &ArrivalTrace) -> Result<ClusterReport, CoreError> {
-        let chips = self.nodes.len();
-        let model = &self.nodes[0].engine.config().model;
-        trace.validate(model)?;
-        let sizer = kv_sizer(model, &self.config.serve)?;
-
-        // Placement: route requests in arrival order, keeping a running
-        // load picture for load-aware policies.
-        let mut loads = self.empty_loads();
-        let mut assignment = vec![0usize; trace.requests.len()];
-        for (seq, &idx) in arrival_order(trace).iter().enumerate() {
-            let request = &trace.requests[idx];
-            let chip = self.config.placement.place(seq, request, &loads);
-            if chip >= chips {
-                return Err(ServeError::PlacementOutOfRange { chip, chips }.into());
-            }
-            loads[chip].assigned_requests += 1;
-            loads[chip].assigned_peak_kv_bytes += sizer.bytes(request.final_context_len());
-            assignment[idx] = chip;
+impl Stage {
+    fn empty(loads: Vec<ChipLoad>) -> Self {
+        let chips = loads.len();
+        Self {
+            shards: vec![ArrivalTrace::default(); chips],
+            phases: vec![Vec::new(); chips],
+            loads,
+            legs: 0,
         }
-        // Per-chip shards keep the input trace's request order, so a
-        // one-chip cluster hands the original trace through unchanged.
-        let mut shards: Vec<ArrivalTrace> = vec![ArrivalTrace::default(); chips];
-        for (idx, request) in trace.requests.iter().enumerate() {
-            shards[assignment[idx]].requests.push(*request);
-        }
-        self.run_shards(&shards, &loads, None, trace.requests.len())
     }
 
-    /// A fresh load picture of every chip, before placement.
-    fn empty_loads(&self) -> Vec<ChipLoad> {
-        (0..self.nodes.len())
-            .map(|chip| ChipLoad {
-                chip,
-                assigned_requests: 0,
-                assigned_peak_kv_bytes: 0,
-                kv_budget_bytes: self.config.serve.kv_budget_bytes,
-                throughput_score_milli: throughput_score_milli(self.nodes[chip].engine.config()),
-            })
-            .collect()
+    /// Appends a leg to `chip`'s shard, returning its position there —
+    /// which is also its position among that chip's report traces.
+    fn push(&mut self, chip: usize, leg: ServeRequest, phase: SessionPhase) -> usize {
+        let shard = &mut self.shards[chip].requests;
+        shard.push(leg);
+        self.phases[chip].push(phase);
+        self.legs += 1;
+        shard.len() - 1
     }
+}
 
-    /// Runs per-chip shards through the serving loop: the shared backend
-    /// of [`Cluster::serve`] and both stages of
-    /// [`Cluster::serve_disaggregated`]. `loads` is the placement picture
-    /// the donor-headroom partition and per-chip report rows are built
-    /// from, `phases` (per chip, aligned with its shard's requests; `None`
-    /// = all [`SessionPhase::Full`]) marks partial legs, and `requests` is
-    /// the number of legs the report accounts.
-    fn run_shards(
-        &self,
-        shards: &[ArrivalTrace],
-        loads: &[ChipLoad],
-        phases: Option<&[Vec<SessionPhase>]>,
-        requests: usize,
-    ) -> Result<ClusterReport, CoreError> {
-        let chips = self.nodes.len();
-        // Donor headroom: each chip's budget slack after placement,
-        // statically split among the other chips so the parallel per-chip
-        // loops can never oversubscribe a donor.
-        let donor_headroom: Vec<u64> = loads
-            .iter()
-            .map(|l| l.kv_budget_bytes.map_or(0, |b| b.saturating_sub(l.assigned_peak_kv_bytes)))
-            .collect();
+/// How one run routed its trace: the arrival order, every request's
+/// phase assignment (by trace index), the prefill stage and the decode
+/// stage's load picture.
+pub(crate) struct Routing {
+    order: Vec<usize>,
+    assignment: Vec<PhaseAssignment>,
+    /// The first (or only) stage: whole requests and prefill-only legs,
+    /// each chip's shard in input-trace order, so a one-chip run hands the
+    /// original trace through unchanged.
+    pub(crate) prefill: Stage,
+    decode_loads: Vec<ChipLoad>,
+}
 
-        let exec = self.exec;
-        let chip_ids: Vec<usize> = (0..chips).collect();
-        let results: Vec<Result<(ServeReport, MigrationStats), CoreError>> =
-            par_map(&chip_ids, &exec, |&chip| {
-                let share: Vec<u64> = (0..chips)
-                    .map(|donor| {
-                        if donor == chip || chips < 2 {
-                            0
-                        } else {
-                            donor_headroom[donor] / (chips as u64 - 1)
-                        }
-                    })
-                    .collect();
-                let hops: Vec<u32> =
-                    (0..chips).map(|j| self.config.hops_between(chip, j)).collect();
-                let mut ctx = MigrationCtx::new(
-                    self.config.migration.as_ref(),
-                    chip,
-                    share,
-                    hops,
-                    self.config.noc,
-                )?;
-                let report = serve_on_chip(
-                    &self.nodes[chip].engine,
-                    &shards[chip],
-                    &self.config.serve,
-                    phases.map(|p| p[chip].as_slice()),
-                    Some(&mut ctx),
-                )?;
-                Ok((report, ctx.into_stats()))
-            });
-
-        // Aggregate.
-        let mut per_chip = Vec::with_capacity(chips);
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut rejected = 0u64;
-        let mut total_tokens = 0u64;
-        let mut makespan = 0.0f64;
-        let mut peak_kv = 0u64;
-        let mut max_chip_peak = 0u64;
-        let mut spilled = 0u64;
-        let mut stats_total = MigrationStats::default();
-        // Non-dense runs: accumulate the per-chip KV summaries, with the
-        // retained mass weighted by dense final bytes (proportional to
-        // final context tokens, so the cluster mean matches what one chip
-        // serving the whole trace would report).
-        let mut kv_acc: Option<KvSummary> = None;
-        // Weight-residency runs: sum the additive churn counters and
-        // regather the cold/warm TTFT samples from the per-chip traces so
-        // the cluster percentiles are over the union of sessions, not a
-        // mean of per-chip percentiles.
-        let mut weights_acc: Option<WeightSummary> = None;
-        let mut cold_ttft: Vec<f64> = Vec::new();
-        let mut warm_ttft: Vec<f64> = Vec::new();
-        for (chip, result) in results.into_iter().enumerate() {
-            let (report, migration) = result?;
-            if let Some(chip_kv) = report.kv {
-                let acc = kv_acc.get_or_insert(KvSummary {
-                    retained_attention_mass: 0.0,
-                    dense_final_kv_bytes: 0,
-                    final_kv_bytes: 0,
-                    ..chip_kv
-                });
-                acc.retained_attention_mass +=
-                    chip_kv.retained_attention_mass * chip_kv.dense_final_kv_bytes as f64;
-                acc.dense_final_kv_bytes += chip_kv.dense_final_kv_bytes;
-                acc.final_kv_bytes += chip_kv.final_kv_bytes;
-            }
-            if let Some(chip_weights) = report.weights {
-                let acc = weights_acc.get_or_insert(WeightSummary {
-                    models: 0,
-                    weight_bytes: 0,
-                    weight_loads: 0,
-                    weight_evictions: 0,
-                    cold_requests: 0,
-                    ..chip_weights
-                });
-                acc.weight_bytes += chip_weights.weight_bytes;
-                acc.weight_loads += chip_weights.weight_loads;
-                acc.weight_evictions += chip_weights.weight_evictions;
-                acc.cold_requests += chip_weights.cold_requests;
-                for t in report.traces.iter().filter(|t| !t.rejected) {
-                    if t.cold_start == Some(true) {
-                        cold_ttft.push(t.ttft_ms());
-                    } else {
-                        warm_ttft.push(t.ttft_ms());
-                    }
-                }
-            }
-            latencies.extend(
-                report.traces.iter().filter(|t| !t.rejected).map(ServeTrace::total_latency_ms),
-            );
-            rejected += report.rejected_requests;
-            total_tokens += report.total_generated_tokens;
-            makespan = makespan.max(report.makespan_ms);
-            peak_kv += report.peak_kv_bytes;
-            max_chip_peak = max_chip_peak.max(report.peak_kv_bytes);
-            spilled += report.ledger.bytes(TrafficClass::KvCache);
-            stats_total.migrated_out_bytes += migration.migrated_out_bytes;
-            stats_total.migration_events += migration.migration_events;
-            stats_total.reloaded_remote_bytes += migration.reloaded_remote_bytes;
-            stats_total.noc_link_bytes += migration.noc_link_bytes;
-            stats_total.noc_link_cycles += migration.noc_link_cycles;
-            per_chip.push(ChipReport {
-                chip,
-                assigned_requests: loads[chip].assigned_requests,
-                assigned_peak_kv_bytes: loads[chip].assigned_peak_kv_bytes,
-                migration,
-                utilization: None,
-                report,
-            });
-        }
-        // Per-chip utilization only materializes on heterogeneous runs —
-        // replica-cluster reports (and their goldens) stay byte-stable.
-        if self.config.chip_engines().is_some() && makespan > 0.0 {
-            for chip_report in &mut per_chip {
-                chip_report.utilization = Some(chip_report.report.makespan_ms / makespan);
-            }
-        }
-        let kv = kv_acc.map(|mut acc| {
-            acc.retained_attention_mass = if acc.dense_final_kv_bytes == 0 {
-                1.0
-            } else {
-                acc.retained_attention_mass / acc.dense_final_kv_bytes as f64
-            };
-            acc
-        });
-        let weights = weights_acc.map(|mut acc| {
-            let mut models: Vec<u32> =
-                shards.iter().flat_map(|s| s.requests.iter().map(ServeRequest::model)).collect();
-            models.sort_unstable();
-            models.dedup();
-            acc.models = models.len();
-            acc.cold_ttft = LatencySummary::from_samples(cold_ttft);
-            acc.warm_ttft = LatencySummary::from_samples(warm_ttft);
-            acc
-        });
-        let latency = LatencySummary::from_samples(latencies);
-        let max_demand = loads.iter().map(|l| l.assigned_peak_kv_bytes).max().unwrap_or(0) as f64;
-        let mean_demand =
-            loads.iter().map(|l| l.assigned_peak_kv_bytes).sum::<u64>() as f64 / chips as f64;
-        Ok(ClusterReport {
-            chips,
-            placement: self.config.placement.name().to_string(),
-            migration: self.config.migration.name().to_string(),
-            requests,
-            rejected_requests: rejected,
-            total_generated_tokens: total_tokens,
-            makespan_ms: makespan,
-            tokens_per_sec: if makespan > 0.0 {
-                total_tokens as f64 / (makespan / 1e3)
-            } else {
-                0.0
-            },
-            p50_latency_ms: latency.p50_ms,
-            p95_latency_ms: latency.p95_ms,
-            peak_kv_bytes: peak_kv,
-            max_chip_peak_kv_bytes: max_chip_peak,
-            kv_imbalance: if mean_demand > 0.0 { max_demand / mean_demand } else { 1.0 },
-            migrated_out_bytes: stats_total.migrated_out_bytes,
-            migration_events: stats_total.migration_events,
-            reloaded_remote_bytes: stats_total.reloaded_remote_bytes,
-            noc_link_bytes: stats_total.noc_link_bytes,
-            noc_link_cycles: stats_total.noc_link_cycles,
-            dram_kv_bytes: spilled,
-            kv,
-            weights,
-            per_chip,
+/// Routes every request of `trace` in arrival order (ties by id), the one
+/// placement loop of every serving mode: the spec's [`PlacementPolicy`]
+/// picks a base chip and its [`PhasePlacement`] may split the request
+/// across a prefill and a decode chip, both reading the running load
+/// picture of every leg routed so far. A cluster run routes with
+/// [`Colocated`] phases, so a disaggregated run under `Colocated`
+/// reproduces it exactly.
+///
+/// # Errors
+///
+/// Returns [`ServeError::PlacementOutOfRange`] for a base or phase chip
+/// the fleet does not have, and [`ServeError::PhaseOverlap`] when a chip
+/// would host legs of both stages.
+pub(crate) fn route(
+    spec: &ServeSpec,
+    engines: &[MeadowEngine],
+    trace: &ArrivalTrace,
+    sizer: &KvSizer,
+) -> Result<Routing, ServeError> {
+    let chips = engines.len();
+    let fresh: Vec<ChipLoad> = engines
+        .iter()
+        .enumerate()
+        .map(|(chip, engine)| ChipLoad {
+            chip,
+            assigned_requests: 0,
+            assigned_peak_kv_bytes: 0,
+            kv_budget_bytes: spec.serve.kv_budget_bytes,
+            throughput_score_milli: throughput_score_milli(engine.config()),
         })
-    }
-
-    /// Serves one arrival stream with prefill/decode disaggregation: the
-    /// base [`PlacementPolicy`] routes each request as usual, then the
-    /// configured [`PhasePlacement`] may split it — prefill on one chip,
-    /// decode on another — with the prompt's KV cache handed off over the
-    /// cluster NoC ([`Noc::transfer_hops`], store-and-forward, charged per
-    /// hop).
-    ///
-    /// The run is two deterministic stages on one absolute clock. The
-    /// *prefill stage* serves every request's first leg: colocated
-    /// requests run whole ([`SessionPhase::Full`]) and split requests run
-    /// [`SessionPhase::PrefillOnly`] on their prefill chip, finishing once
-    /// the prompt KV (and first token) exist. Each surviving split
-    /// request's decode leg then arrives on its decode chip at `prefill
-    /// finish + handoff latency` and the *decode stage* serves those legs
-    /// ([`SessionPhase::DecodeOnly`], starting pre-filled, no DRAM fault
-    /// on first admission). The two stages' chip pools must be disjoint —
-    /// a chip hosting prefill-stage legs cannot also host decode-stage
-    /// legs, because the stages would overlap in time on that chip
-    /// ([`ServeError::PhaseOverlap`]).
-    ///
-    /// Under the default [`Colocated`] phase placement every request runs
-    /// whole, the decode stage is empty, and
-    /// [`DisaggReport::prefill_stage`] reproduces [`Cluster::serve`]'s
-    /// report bit-exactly (the `tests/disagg_invariants.rs` contract).
-    /// Deterministic: bit-identical across `MEADOW_THREADS`.
-    ///
-    /// Most callers go through [`ServeSpec`](crate::spec::ServeSpec),
-    /// which dispatches here whenever a phase placement is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Serve`] for out-of-range base or phase
-    /// placements and for overlapping stage pools; propagates
-    /// trace-validation and measurement errors.
-    pub fn serve_disaggregated(&self, trace: &ArrivalTrace) -> Result<DisaggReport, CoreError> {
-        let chips = self.nodes.len();
-        let model = &self.nodes[0].engine.config().model;
-        trace.validate(model)?;
-        let sizer = kv_sizer(model, &self.config.serve)?;
-
-        // Placement: identical arrival ordering and load bookkeeping to
-        // `serve`, so `Colocated` degenerates to it exactly. The combined
-        // `loads` picture (both legs of every request) feeds the policies;
-        // each stage's run sees only its own legs.
-        let order = arrival_order(trace);
-        let mut loads = self.empty_loads();
-        let mut pass_a_loads = self.empty_loads();
-        let mut pass_b_loads = self.empty_loads();
-        let mut assignment = vec![PhaseAssignment::colocated(0); trace.requests.len()];
-        for (seq, &idx) in order.iter().enumerate() {
-            let request = &trace.requests[idx];
-            let base = self.config.placement.place(seq, request, &loads);
-            if base >= chips {
-                return Err(ServeError::PlacementOutOfRange { chip: base, chips }.into());
-            }
-            let pa = self.config.phase_placement.place_phases(seq, request, &loads, base);
-            for chip in [pa.prefill_chip, pa.decode_chip] {
-                if chip >= chips {
-                    return Err(ServeError::PlacementOutOfRange { chip, chips }.into());
-                }
-            }
-            let peak = sizer.bytes(request.final_context_len());
-            if pa.is_split() {
-                // The prefill chip only ever holds the prompt KV (it
-                // leaves at the phase boundary); the decode chip holds the
-                // request's full peak.
-                let prompt_kv = sizer.bytes(request.prompt_tokens);
-                loads[pa.prefill_chip].assigned_requests += 1;
-                loads[pa.prefill_chip].assigned_peak_kv_bytes += prompt_kv;
-                loads[pa.decode_chip].assigned_requests += 1;
-                loads[pa.decode_chip].assigned_peak_kv_bytes += peak;
-                pass_a_loads[pa.prefill_chip].assigned_requests += 1;
-                pass_a_loads[pa.prefill_chip].assigned_peak_kv_bytes += prompt_kv;
-                pass_b_loads[pa.decode_chip].assigned_requests += 1;
-                pass_b_loads[pa.decode_chip].assigned_peak_kv_bytes += peak;
-            } else {
-                loads[pa.decode_chip].assigned_requests += 1;
-                loads[pa.decode_chip].assigned_peak_kv_bytes += peak;
-                pass_a_loads[pa.decode_chip].assigned_requests += 1;
-                pass_a_loads[pa.decode_chip].assigned_peak_kv_bytes += peak;
-            }
-            assignment[idx] = pa;
-        }
-
-        // Prefill-stage shards (input order, like `serve`), plus the
-        // disjointness check between the stage pools.
-        let mut hosts_prefill = vec![false; chips];
-        let mut hosts_decode = vec![false; chips];
-        let mut shards_a: Vec<ArrivalTrace> = vec![ArrivalTrace::default(); chips];
-        let mut phases_a: Vec<Vec<SessionPhase>> = vec![Vec::new(); chips];
-        for (idx, request) in trace.requests.iter().enumerate() {
-            let pa = assignment[idx];
-            let phase = if pa.is_split() { SessionPhase::PrefillOnly } else { SessionPhase::Full };
-            shards_a[pa.prefill_chip].requests.push(*request);
-            phases_a[pa.prefill_chip].push(phase);
-            hosts_prefill[pa.prefill_chip] = true;
-            if pa.is_split() {
-                hosts_decode[pa.decode_chip] = true;
-            }
-        }
-        if let Some(chip) = (0..chips).find(|&c| hosts_prefill[c] && hosts_decode[c]) {
-            return Err(ServeError::PhaseOverlap { chip }.into());
-        }
-        let prefill_stage =
-            self.run_shards(&shards_a, &pass_a_loads, Some(&phases_a), trace.requests.len())?;
-
-        // KV handoffs: one shared accounting NoC, charged in arrival order
-        // (the cost model is contention-free, so ordering only needs to be
-        // deterministic). A shed prefill leg hands nothing off.
-        let clock = self.nodes[0].engine.config().chip.clock;
-        let mut noc = Noc::new(self.config.noc)?;
-        let mut handoffs = 0u64;
-        let mut handoff_bytes = 0u64;
-        let mut handoff_ms: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut shards_b: Vec<ArrivalTrace> = vec![ArrivalTrace::default(); chips];
-        let mut phases_b: Vec<Vec<SessionPhase>> = vec![Vec::new(); chips];
-        let mut decode_legs = 0usize;
-        for &idx in &order {
-            let pa = assignment[idx];
-            if !pa.is_split() {
-                continue;
-            }
-            let request = trace.requests[idx];
-            let pre =
-                prefill_stage.trace(request.id).expect("every request has a prefill-stage leg");
-            if pre.rejected {
-                continue;
-            }
-            let bytes = sizer.bytes(request.prompt_tokens);
-            let hops = self.config.hops_between(pa.prefill_chip, pa.decode_chip);
-            let ms = clock.to_ms(noc.transfer_hops(bytes, hops));
-            handoffs += 1;
-            handoff_bytes += bytes;
-            handoff_ms.insert(request.id, ms);
-            let mut leg = request;
-            leg.arrival_ms = pre.finish_ms + ms;
-            shards_b[pa.decode_chip].requests.push(leg);
-            phases_b[pa.decode_chip].push(SessionPhase::DecodeOnly);
-            decode_legs += 1;
-        }
-        let decode_stage = if decode_legs > 0 {
-            Some(self.run_shards(&shards_b, &pass_b_loads, Some(&phases_b), decode_legs)?)
+        .collect();
+    let (mut loads, mut prefill_loads, mut decode_loads) = (fresh.clone(), fresh.clone(), fresh);
+    let order = arrival_order(trace);
+    let phases = spec.phase_placement();
+    let in_range = |chip: usize| {
+        if chip < chips {
+            Ok(chip)
         } else {
-            None
-        };
+            Err(ServeError::PlacementOutOfRange { chip, chips })
+        }
+    };
+    let mut assignment = vec![PhaseAssignment::colocated(0); trace.requests.len()];
+    for (seq, &idx) in order.iter().enumerate() {
+        let request = &trace.requests[idx];
+        let base = in_range(spec.placement.place(seq, request, &loads))?;
+        let pa = phases.place_phases(seq, request, &loads, base);
+        in_range(pa.prefill_chip)?;
+        in_range(pa.decode_chip)?;
+        let peak = sizer.bytes(request.final_context_len());
+        if pa.is_split() {
+            // The prefill chip only ever holds the prompt KV (it leaves
+            // at the phase boundary); the decode chip holds the request's
+            // full peak.
+            let prompt_kv = sizer.bytes(request.prompt_tokens);
+            loads[pa.prefill_chip].assign(prompt_kv);
+            prefill_loads[pa.prefill_chip].assign(prompt_kv);
+            loads[pa.decode_chip].assign(peak);
+            decode_loads[pa.decode_chip].assign(peak);
+        } else {
+            loads[pa.prefill_chip].assign(peak);
+            prefill_loads[pa.prefill_chip].assign(peak);
+        }
+        assignment[idx] = pa;
+    }
 
-        // Per-request summaries stitch the legs back together, in input
-        // order. The wall-clock decode pace spans first token → last token
-        // (handoff and decode-side queueing included).
-        let pace = |first_token_ms: f64, finish_ms: f64, generated: usize| -> f64 {
-            if generated == 0 {
-                0.0
-            } else {
-                (finish_ms - first_token_ms) / generated as f64
+    let mut prefill = Stage::empty(prefill_loads);
+    let mut hosts_decode = vec![false; chips];
+    for (request, pa) in trace.requests.iter().zip(&assignment) {
+        let phase = if pa.is_split() { SessionPhase::PrefillOnly } else { SessionPhase::Full };
+        prefill.push(pa.prefill_chip, *request, phase);
+        hosts_decode[pa.decode_chip] |= pa.is_split();
+    }
+    if let Some(chip) =
+        (0..chips).find(|&c| hosts_decode[c] && !prefill.shards[c].requests.is_empty())
+    {
+        return Err(ServeError::PhaseOverlap { chip });
+    }
+    Ok(Routing { order, assignment, prefill, decode_loads })
+}
+
+/// Runs one stage's per-chip shards through the serving loop — fanned
+/// out on `exec`, the engine's original execution policy, while each of
+/// `engines` carries its share of the thread budget — and aggregates the
+/// [`ClusterReport`]. Eviction may migrate KV bytes to underloaded chips
+/// over the cluster NoC instead of spilling to DRAM. Deterministic:
+/// bit-identical across `MEADOW_THREADS`.
+pub(crate) fn run_shards(
+    spec: &ServeSpec,
+    engines: &[MeadowEngine],
+    exec: ExecConfig,
+    stage: &Stage,
+) -> Result<ClusterReport, CoreError> {
+    let chips = engines.len();
+    let loads = &stage.loads;
+    // Donor headroom: each chip's budget slack after placement,
+    // statically split among the other chips so the parallel per-chip
+    // loops can never oversubscribe a donor.
+    let donor_headroom: Vec<u64> = loads
+        .iter()
+        .map(|l| l.kv_budget_bytes.map_or(0, |b| b.saturating_sub(l.assigned_peak_kv_bytes)))
+        .collect();
+
+    let chip_ids: Vec<usize> = (0..chips).collect();
+    let results: Vec<Result<(ServeReport, MigrationStats), CoreError>> =
+        par_map(&chip_ids, &exec, |&chip| {
+            let share: Vec<u64> = (0..chips)
+                .map(|donor| {
+                    if donor == chip || chips < 2 {
+                        0
+                    } else {
+                        donor_headroom[donor] / (chips as u64 - 1)
+                    }
+                })
+                .collect();
+            let hops: Vec<u32> = (0..chips).map(|j| spec.hops_between(chip, j)).collect();
+            let mut ctx = MigrationCtx::new(spec.migration.as_ref(), chip, share, hops, spec.noc)?;
+            let report = serve_on_chip(
+                &engines[chip],
+                &stage.shards[chip],
+                &spec.serve,
+                Some(&stage.phases[chip]),
+                Some(&mut ctx),
+            )?;
+            Ok((report, ctx.into_stats()))
+        });
+
+    // Aggregate.
+    let mut per_chip = Vec::with_capacity(chips);
+    let mut latencies: Vec<f64> = Vec::new();
+    let mut rejected = 0u64;
+    let mut total_tokens = 0u64;
+    let mut makespan = 0.0f64;
+    let mut peak_kv = 0u64;
+    let mut max_chip_peak = 0u64;
+    let mut spilled = 0u64;
+    let mut stats_total = MigrationStats::default();
+    // Non-dense runs: accumulate the per-chip KV summaries, with the
+    // retained mass weighted by dense final bytes (proportional to
+    // final context tokens, so the cluster mean matches what one chip
+    // serving the whole trace would report).
+    let mut kv_acc: Option<KvSummary> = None;
+    // Weight-residency runs: sum the additive churn counters and
+    // regather the cold/warm TTFT samples from the per-chip traces so
+    // the cluster percentiles are over the union of sessions, not a
+    // mean of per-chip percentiles.
+    let mut weights_acc: Option<WeightSummary> = None;
+    let mut cold_ttft: Vec<f64> = Vec::new();
+    let mut warm_ttft: Vec<f64> = Vec::new();
+    for (chip, result) in results.into_iter().enumerate() {
+        let (report, migration) = result?;
+        if let Some(chip_kv) = report.kv {
+            let acc = kv_acc.get_or_insert(KvSummary {
+                retained_attention_mass: 0.0,
+                dense_final_kv_bytes: 0,
+                final_kv_bytes: 0,
+                ..chip_kv
+            });
+            acc.retained_attention_mass +=
+                chip_kv.retained_attention_mass * chip_kv.dense_final_kv_bytes as f64;
+            acc.dense_final_kv_bytes += chip_kv.dense_final_kv_bytes;
+            acc.final_kv_bytes += chip_kv.final_kv_bytes;
+        }
+        if let Some(chip_weights) = report.weights {
+            let acc = weights_acc.get_or_insert(WeightSummary {
+                models: 0,
+                weight_bytes: 0,
+                weight_loads: 0,
+                weight_evictions: 0,
+                cold_requests: 0,
+                ..chip_weights
+            });
+            acc.weight_bytes += chip_weights.weight_bytes;
+            acc.weight_loads += chip_weights.weight_loads;
+            acc.weight_evictions += chip_weights.weight_evictions;
+            acc.cold_requests += chip_weights.cold_requests;
+            for t in report.traces.iter().filter(|t| !t.rejected) {
+                if t.cold_start == Some(true) {
+                    cold_ttft.push(t.ttft_ms());
+                } else {
+                    warm_ttft.push(t.ttft_ms());
+                }
+            }
+        }
+        latencies
+            .extend(report.traces.iter().filter(|t| !t.rejected).map(ServeTrace::total_latency_ms));
+        rejected += report.rejected_requests;
+        total_tokens += report.total_generated_tokens;
+        makespan = makespan.max(report.makespan_ms);
+        peak_kv += report.peak_kv_bytes;
+        max_chip_peak = max_chip_peak.max(report.peak_kv_bytes);
+        spilled += report.ledger.bytes(TrafficClass::KvCache);
+        stats_total.migrated_out_bytes += migration.migrated_out_bytes;
+        stats_total.migration_events += migration.migration_events;
+        stats_total.reloaded_remote_bytes += migration.reloaded_remote_bytes;
+        stats_total.noc_link_bytes += migration.noc_link_bytes;
+        stats_total.noc_link_cycles += migration.noc_link_cycles;
+        per_chip.push(ChipReport {
+            chip,
+            assigned_requests: loads[chip].assigned_requests,
+            assigned_peak_kv_bytes: loads[chip].assigned_peak_kv_bytes,
+            migration,
+            utilization: None,
+            report,
+        });
+    }
+    // Per-chip utilization only materializes on heterogeneous runs —
+    // replica-cluster reports (and their goldens) stay byte-stable.
+    if spec.chip_engines().is_some() && makespan > 0.0 {
+        for chip_report in &mut per_chip {
+            chip_report.utilization = Some(chip_report.report.makespan_ms / makespan);
+        }
+    }
+    let kv = kv_acc.map(|mut acc| {
+        acc.retained_attention_mass = if acc.dense_final_kv_bytes == 0 {
+            1.0
+        } else {
+            acc.retained_attention_mass / acc.dense_final_kv_bytes as f64
+        };
+        acc
+    });
+    let weights = weights_acc.map(|mut acc| {
+        let mut models: Vec<u32> =
+            stage.shards.iter().flat_map(|s| s.requests.iter().map(ServeRequest::model)).collect();
+        models.sort_unstable();
+        models.dedup();
+        acc.models = models.len();
+        acc.cold_ttft = LatencySummary::from_samples(cold_ttft);
+        acc.warm_ttft = LatencySummary::from_samples(warm_ttft);
+        acc
+    });
+    let latency = LatencySummary::from_samples(latencies);
+    let max_demand = loads.iter().map(|l| l.assigned_peak_kv_bytes).max().unwrap_or(0) as f64;
+    let mean_demand =
+        loads.iter().map(|l| l.assigned_peak_kv_bytes).sum::<u64>() as f64 / chips as f64;
+    Ok(ClusterReport {
+        chips,
+        placement: spec.placement.name().to_string(),
+        migration: spec.migration.name().to_string(),
+        requests: stage.legs,
+        rejected_requests: rejected,
+        total_generated_tokens: total_tokens,
+        makespan_ms: makespan,
+        tokens_per_sec: if makespan > 0.0 { total_tokens as f64 / (makespan / 1e3) } else { 0.0 },
+        p50_latency_ms: latency.p50_ms,
+        p95_latency_ms: latency.p95_ms,
+        peak_kv_bytes: peak_kv,
+        max_chip_peak_kv_bytes: max_chip_peak,
+        kv_imbalance: if mean_demand > 0.0 { max_demand / mean_demand } else { 1.0 },
+        migrated_out_bytes: stats_total.migrated_out_bytes,
+        migration_events: stats_total.migration_events,
+        reloaded_remote_bytes: stats_total.reloaded_remote_bytes,
+        noc_link_bytes: stats_total.noc_link_bytes,
+        noc_link_cycles: stats_total.noc_link_cycles,
+        dram_kv_bytes: spilled,
+        kv,
+        weights,
+        per_chip,
+    })
+}
+
+/// Finishes a disaggregated run from its routing and its prefill stage:
+/// each surviving split request's decode leg arrives on its decode chip
+/// at `prefill finish + handoff latency` — the prompt KV handed off over
+/// the cluster NoC ([`Noc::transfer_hops`], store-and-forward, charged per
+/// hop) — and the *decode stage* serves those legs
+/// ([`SessionPhase::DecodeOnly`], starting pre-filled, no DRAM fault on
+/// first admission). Both stages run on one absolute clock; the per-request
+/// summaries stitch the legs back together.
+///
+/// Each leg is found at the position its stage's shard gave it (a chip's
+/// traces keep its shard's order), so stitching costs one index per leg,
+/// not a search over every chip's traces.
+pub(crate) fn disaggregate(
+    spec: &ServeSpec,
+    engines: &[MeadowEngine],
+    exec: ExecConfig,
+    trace: &ArrivalTrace,
+    sizer: &KvSizer,
+    routing: Routing,
+    prefill_stage: ClusterReport,
+) -> Result<DisaggReport, CoreError> {
+    let Routing { order, assignment, decode_loads, .. } = routing;
+    // Prefill-stage shards keep input order, so counting each chip's legs
+    // in input order recovers every request's position on its chip.
+    let mut next = vec![0usize; engines.len()];
+    let prefill_legs: Vec<&ServeTrace> = assignment
+        .iter()
+        .map(|pa| {
+            let pos = next[pa.prefill_chip];
+            next[pa.prefill_chip] += 1;
+            &prefill_stage.per_chip[pa.prefill_chip].report.traces[pos]
+        })
+        .collect();
+
+    // KV handoffs: one shared accounting NoC, charged in arrival order
+    // (the cost model is contention-free, so ordering only needs to be
+    // deterministic). A shed prefill leg hands nothing off.
+    let clock = engines[0].config().chip.clock;
+    let mut noc = Noc::new(spec.noc)?;
+    let mut handoff_bytes = 0u64;
+    // Per request: the decode leg's position on its chip, and its handoff.
+    let mut decode_legs: Vec<Option<(usize, f64)>> = vec![None; trace.requests.len()];
+    let mut decode = Stage::empty(decode_loads);
+    for &idx in &order {
+        let pa = assignment[idx];
+        let pre = prefill_legs[idx];
+        if !pa.is_split() || pre.rejected {
+            continue;
+        }
+        let request = trace.requests[idx];
+        let bytes = sizer.bytes(request.prompt_tokens);
+        let hops = spec.hops_between(pa.prefill_chip, pa.decode_chip);
+        let ms = clock.to_ms(noc.transfer_hops(bytes, hops));
+        handoff_bytes += bytes;
+        let mut leg = request;
+        leg.arrival_ms = pre.finish_ms + ms;
+        decode_legs[idx] = Some((decode.push(pa.decode_chip, leg, SessionPhase::DecodeOnly), ms));
+    }
+    let decode_stage =
+        if decode.legs > 0 { Some(run_shards(spec, engines, exec, &decode)?) } else { None };
+
+    // Per-request summaries stitch the legs back together, in input
+    // order. The wall-clock decode pace spans first token → last token
+    // (handoff and decode-side queueing included).
+    let pace = |first_token_ms: f64, finish_ms: f64, generated: usize| -> f64 {
+        if generated == 0 {
+            0.0
+        } else {
+            (finish_ms - first_token_ms) / generated as f64
+        }
+    };
+    let mut summaries = Vec::with_capacity(trace.requests.len());
+    for (idx, request) in trace.requests.iter().enumerate() {
+        let pa = assignment[idx];
+        let pre = prefill_legs[idx];
+        debug_assert_eq!(pre.id, request.id, "prefill legs keep their shard positions");
+        let summary = if !pa.is_split() {
+            RequestSummary {
+                id: request.id,
+                prefill_chip: pa.prefill_chip,
+                decode_chip: pa.decode_chip,
+                rejected: pre.rejected,
+                ttft_ms: if pre.rejected { 0.0 } else { pre.ttft_ms() },
+                handoff_ms: 0.0,
+                finish_ms: pre.finish_ms,
+                mean_tbt_ms: pace(pre.first_token_ms, pre.finish_ms, pre.generated_tokens),
+                generated_tokens: pre.generated_tokens as u64,
+            }
+        } else if pre.rejected {
+            RequestSummary {
+                id: request.id,
+                prefill_chip: pa.prefill_chip,
+                decode_chip: pa.decode_chip,
+                rejected: true,
+                ttft_ms: 0.0,
+                handoff_ms: 0.0,
+                finish_ms: 0.0,
+                mean_tbt_ms: 0.0,
+                generated_tokens: 0,
+            }
+        } else {
+            let (pos, handoff_ms) =
+                decode_legs[idx].expect("surviving split request has a decode-stage leg");
+            let stage = decode_stage.as_ref().expect("a decode leg implies a decode stage");
+            let dec = &stage.per_chip[pa.decode_chip].report.traces[pos];
+            debug_assert_eq!(dec.id, request.id, "decode legs keep their shard positions");
+            RequestSummary {
+                id: request.id,
+                prefill_chip: pa.prefill_chip,
+                decode_chip: pa.decode_chip,
+                rejected: dec.rejected,
+                ttft_ms: pre.ttft_ms(),
+                handoff_ms,
+                finish_ms: dec.finish_ms,
+                mean_tbt_ms: pace(pre.first_token_ms, dec.finish_ms, dec.generated_tokens),
+                generated_tokens: dec.generated_tokens as u64,
             }
         };
-        let mut summaries = Vec::with_capacity(trace.requests.len());
-        for (idx, request) in trace.requests.iter().enumerate() {
-            let pa = assignment[idx];
-            let pre =
-                prefill_stage.trace(request.id).expect("every request has a prefill-stage leg");
-            let summary = if !pa.is_split() {
-                RequestSummary {
-                    id: request.id,
-                    prefill_chip: pa.prefill_chip,
-                    decode_chip: pa.decode_chip,
-                    rejected: pre.rejected,
-                    ttft_ms: if pre.rejected { 0.0 } else { pre.ttft_ms() },
-                    handoff_ms: 0.0,
-                    finish_ms: pre.finish_ms,
-                    mean_tbt_ms: pace(pre.first_token_ms, pre.finish_ms, pre.generated_tokens),
-                    generated_tokens: pre.generated_tokens as u64,
-                }
-            } else if pre.rejected {
-                RequestSummary {
-                    id: request.id,
-                    prefill_chip: pa.prefill_chip,
-                    decode_chip: pa.decode_chip,
-                    rejected: true,
-                    ttft_ms: 0.0,
-                    handoff_ms: 0.0,
-                    finish_ms: 0.0,
-                    mean_tbt_ms: 0.0,
-                    generated_tokens: 0,
-                }
-            } else {
-                let dec = decode_stage
-                    .as_ref()
-                    .and_then(|s| s.trace(request.id))
-                    .expect("surviving split request has a decode-stage leg");
-                RequestSummary {
-                    id: request.id,
-                    prefill_chip: pa.prefill_chip,
-                    decode_chip: pa.decode_chip,
-                    rejected: dec.rejected,
-                    ttft_ms: pre.ttft_ms(),
-                    handoff_ms: handoff_ms.get(&request.id).copied().unwrap_or(0.0),
-                    finish_ms: dec.finish_ms,
-                    mean_tbt_ms: pace(pre.first_token_ms, dec.finish_ms, dec.generated_tokens),
-                    generated_tokens: dec.generated_tokens as u64,
-                }
-            };
-            summaries.push(summary);
-        }
-
-        let ttfts: Vec<f64> = summaries.iter().filter(|s| !s.rejected).map(|s| s.ttft_ms).collect();
-        let ttft = LatencySummary::from_samples(ttfts);
-        let paces: Vec<f64> = summaries
-            .iter()
-            .filter(|s| !s.rejected && s.generated_tokens > 0)
-            .map(|s| s.mean_tbt_ms)
-            .collect();
-        let tbt = LatencySummary::from_samples(paces);
-        let total_tokens = prefill_stage.total_generated_tokens
-            + decode_stage.as_ref().map_or(0, |s| s.total_generated_tokens);
-        let makespan =
-            prefill_stage.makespan_ms.max(decode_stage.as_ref().map_or(0.0, |s| s.makespan_ms));
-        Ok(DisaggReport {
-            phase_placement: self.config.phase_placement.name().to_string(),
-            requests: trace.requests.len(),
-            split_requests: assignment.iter().filter(|pa| pa.is_split()).count() as u64,
-            rejected_requests: summaries.iter().filter(|s| s.rejected).count() as u64,
-            total_generated_tokens: total_tokens,
-            makespan_ms: makespan,
-            tokens_per_sec: if makespan > 0.0 {
-                total_tokens as f64 / (makespan / 1e3)
-            } else {
-                0.0
-            },
-            p50_ttft_ms: ttft.p50_ms,
-            p95_ttft_ms: ttft.p95_ms,
-            p50_tbt_ms: tbt.p50_ms,
-            p95_tbt_ms: tbt.p95_ms,
-            handoff: HandoffStats {
-                split_requests: handoffs,
-                handoff_bytes,
-                noc_link_bytes: noc.total_bytes(),
-                noc_link_cycles: noc.total_link_cycles(),
-            },
-            prefill_stage,
-            decode_stage,
-            summaries,
-        })
+        summaries.push(summary);
     }
+
+    let ttfts: Vec<f64> = summaries.iter().filter(|s| !s.rejected).map(|s| s.ttft_ms).collect();
+    let ttft = LatencySummary::from_samples(ttfts);
+    let paces: Vec<f64> = summaries
+        .iter()
+        .filter(|s| !s.rejected && s.generated_tokens > 0)
+        .map(|s| s.mean_tbt_ms)
+        .collect();
+    let tbt = LatencySummary::from_samples(paces);
+    let total_tokens = prefill_stage.total_generated_tokens
+        + decode_stage.as_ref().map_or(0, |s| s.total_generated_tokens);
+    let makespan =
+        prefill_stage.makespan_ms.max(decode_stage.as_ref().map_or(0.0, |s| s.makespan_ms));
+    Ok(DisaggReport {
+        phase_placement: spec.phase_placement().name().to_string(),
+        requests: trace.requests.len(),
+        split_requests: assignment.iter().filter(|pa| pa.is_split()).count() as u64,
+        rejected_requests: summaries.iter().filter(|s| s.rejected).count() as u64,
+        total_generated_tokens: total_tokens,
+        makespan_ms: makespan,
+        tokens_per_sec: if makespan > 0.0 { total_tokens as f64 / (makespan / 1e3) } else { 0.0 },
+        p50_ttft_ms: ttft.p50_ms,
+        p95_ttft_ms: ttft.p95_ms,
+        p50_tbt_ms: tbt.p50_ms,
+        p95_tbt_ms: tbt.p95_ms,
+        handoff: HandoffStats {
+            split_requests: decode.legs as u64,
+            handoff_bytes,
+            noc_link_bytes: noc.total_bytes(),
+            noc_link_cycles: noc.total_link_cycles(),
+        },
+        prefill_stage,
+        decode_stage,
+        summaries,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::serve::KvPolicy;
+    use crate::serve::{KvPolicy, ServeConfig};
     use meadow_models::presets;
 
     fn engine() -> MeadowEngine {
         MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
     }
 
+    /// Runs a cluster-mode spec over `trace`.
+    fn serve(spec: &ServeSpec, trace: &ArrivalTrace) -> ClusterReport {
+        spec.run(&engine(), trace).unwrap().into_cluster().expect("a cluster-mode spec")
+    }
+
     #[test]
     fn builder_validates_at_construction() {
-        assert_eq!(ClusterConfig::builder().chips(0).build().unwrap_err(), ServeError::ZeroChips);
+        assert_eq!(ServeSpec::builder().chips(0).build().unwrap_err(), ServeError::ZeroChips);
         assert_eq!(
-            ClusterConfig::builder()
-                .serve(ServeConfig::default().with_max_batch(0))
+            ServeSpec::builder()
+                .config(ServeConfig::default().with_max_batch(0))
                 .build()
                 .unwrap_err(),
             ServeError::ZeroMaxBatch
         );
         assert_eq!(
-            ClusterConfig::builder()
-                .serve(ServeConfig::default().with_policy(KvPolicy::PagedLru).with_page_bytes(0))
+            ServeSpec::builder()
+                .config(ServeConfig::default().with_policy(KvPolicy::PagedLru).with_page_bytes(0))
                 .build()
                 .unwrap_err(),
             ServeError::ZeroPageBytes
         );
-        let ok = ClusterConfig::builder()
+        let ok = ServeSpec::builder()
             .chips(4)
             .placement(LeastLoadedKv)
             .migration(ToLeastLoaded)
             .build()
             .unwrap();
-        assert_eq!(ok.chips(), 4);
-        assert_eq!(ok.placement_name(), "least-loaded-kv");
-        assert_eq!(ok.migration_name(), "to-least-loaded");
+        assert_eq!(ok.chips, 4);
+        assert_eq!(ok.placement.name(), "least-loaded-kv");
+        assert_eq!(ok.migration.name(), "to-least-loaded");
     }
 
     #[test]
@@ -1800,17 +1416,15 @@ mod tests {
                 loads.len()
             }
         }
-        let config = ClusterConfig::builder().chips(2).placement(Wild).build().unwrap();
-        let err = Cluster::new(engine(), config)
-            .serve(&ArrivalTrace::uniform(2, 0.0, 16, 4))
-            .unwrap_err();
+        let spec = ServeSpec::builder().chips(2).placement(Wild).build().unwrap();
+        let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
         assert_eq!(err, CoreError::Serve(ServeError::PlacementOutOfRange { chip: 2, chips: 2 }));
     }
 
     #[test]
     fn empty_trace_yields_empty_cluster_report() {
-        let config = ClusterConfig::builder().chips(3).build().unwrap();
-        let report = Cluster::new(engine(), config).serve(&ArrivalTrace::default()).unwrap();
+        let spec = ServeSpec::builder().chips(3).build().unwrap();
+        let report = serve(&spec, &ArrivalTrace::default());
         assert_eq!(report.requests, 0);
         assert_eq!(report.total_generated_tokens, 0);
         assert_eq!(report.makespan_ms, 0.0);
@@ -1840,10 +1454,10 @@ mod tests {
             .with_max_batch(1);
         let run = |migrate: bool| {
             let builder =
-                ClusterConfig::builder().chips(2).serve(serve_config).placement(SessionAffinity);
-            let config =
+                ServeSpec::builder().chips(2).config(serve_config).placement(SessionAffinity);
+            let spec =
                 if migrate { builder.migration(ToLeastLoaded) } else { builder }.build().unwrap();
-            Cluster::new(engine(), config).serve(&trace).unwrap()
+            serve(&spec, &trace)
         };
         let without = run(false);
         let with = run(true);
@@ -1861,14 +1475,13 @@ mod tests {
 
     #[test]
     fn cluster_report_round_trips_through_json() {
-        let config = ClusterConfig::builder()
+        let spec = ServeSpec::builder()
             .chips(2)
             .placement(LeastLoadedKv)
             .migration(ToLeastLoaded)
             .build()
             .unwrap();
-        let report =
-            Cluster::new(engine(), config).serve(&ArrivalTrace::uniform(3, 0.5, 8, 2)).unwrap();
+        let report = serve(&spec, &ArrivalTrace::uniform(3, 0.5, 8, 2));
         let json = report.to_json().unwrap();
         let parsed: ClusterReport = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, report);
@@ -1907,14 +1520,18 @@ mod tests {
             .with_policy(KvPolicy::PagedLru)
             .with_page_bytes(256)
             .with_max_batch(1);
-        let run = |migration: Box<dyn MigrationPolicy>| {
-            let mut builder =
-                ClusterConfig::builder().chips(2).serve(serve_config).placement(SessionAffinity);
-            builder.migration = migration;
-            Cluster::new(engine(), builder.build().unwrap()).serve(&trace).unwrap()
+        let run = |selfish: bool| {
+            let builder =
+                ServeSpec::builder().chips(2).config(serve_config).placement(SessionAffinity);
+            let builder = if selfish {
+                builder.migration(ParkOnSelf)
+            } else {
+                builder.migration(NoMigration)
+            };
+            serve(&builder.build().unwrap(), &trace)
         };
-        let honest = run(Box::new(NoMigration));
-        let selfish = run(Box::new(ParkOnSelf));
+        let honest = run(false);
+        let selfish = run(true);
         assert!(honest.dram_kv_bytes > 0, "the workload must spill");
         // The self-target never migrates: no parked bytes, no NoC traffic,
         // and exactly the DRAM spill the no-migration run pays.
@@ -1985,10 +1602,8 @@ mod tests {
                 }
             }
         }
-        let config = ClusterConfig::builder().chips(2).phase_placement(Tangled).build().unwrap();
-        let err = Cluster::new(engine(), config)
-            .serve_disaggregated(&ArrivalTrace::uniform(4, 0.0, 8, 2))
-            .unwrap_err();
+        let spec = ServeSpec::builder().chips(2).phases(Tangled).build().unwrap();
+        let err = spec.run(&engine(), &ArrivalTrace::uniform(4, 0.0, 8, 2)).unwrap_err();
         assert_eq!(err, CoreError::Serve(ServeError::PhaseOverlap { chip: 1 }));
     }
 
@@ -2010,10 +1625,8 @@ mod tests {
                 PhaseAssignment { prefill_chip: 0, decode_chip: loads.len() }
             }
         }
-        let config = ClusterConfig::builder().chips(2).phase_placement(WildPhases).build().unwrap();
-        let err = Cluster::new(engine(), config)
-            .serve_disaggregated(&ArrivalTrace::uniform(2, 0.0, 8, 2))
-            .unwrap_err();
+        let spec = ServeSpec::builder().chips(2).phases(WildPhases).build().unwrap();
+        let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 8, 2)).unwrap_err();
         assert_eq!(err, CoreError::Serve(ServeError::PlacementOutOfRange { chip: 2, chips: 2 }));
     }
 
@@ -2021,12 +1634,12 @@ mod tests {
     fn disaggregated_split_hands_off_and_decodes_remotely() {
         let model = presets::tiny_decoder();
         let trace = ArrivalTrace::uniform(4, 0.01, 16, 8);
-        let config = ClusterConfig::builder()
+        let spec = ServeSpec::builder()
             .chips(2)
-            .phase_placement(PrefillDecodeSplit { prefill_chips: 1 })
+            .phases(PrefillDecodeSplit { prefill_chips: 1 })
             .build()
             .unwrap();
-        let report = Cluster::new(engine(), config).serve_disaggregated(&trace).unwrap();
+        let report = spec.run(&engine(), &trace).unwrap().into_disaggregated().unwrap();
         assert_eq!(report.phase_placement, "prefill-decode-split");
         assert_eq!(report.requests, 4);
         assert_eq!(report.split_requests, 4);

@@ -29,9 +29,8 @@
 //! the source of truth for page identity, occupancy and fragmentation. Its
 //! conservation invariant — every page is either free or in exactly one
 //! page table — is property-tested in `tests/kv_paging.rs`. Under the
-//! cluster API ([`crate::cluster`]) every
-//! [`ChipNode`](crate::cluster::ChipNode) materializes its own pool per
-//! serving run, and evicted pages may migrate to a remote chip's pool
+//! cluster API ([`crate::cluster`]) every chip materializes its own pool
+//! per serving run, and evicted pages may migrate to a remote chip's pool
 //! over the NoC instead of spilling to DRAM.
 //!
 //! # Examples

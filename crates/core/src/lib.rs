@@ -16,12 +16,15 @@
 //!   budget with FIFO/LRU whole-cache eviction or paged (vLLM-style)
 //!   eviction, SLO-aware admission, and a deterministic
 //!   speculative-decoding model ([`SpecDecode`]).
-//! * [`cluster`] — the cluster serving API: shard the session pool across
-//!   N simulated chips behind one arrival stream, with pluggable
-//!   [`PlacementPolicy`] routing, per-chip page pools,
+//! * [`spec`] — [`ServeSpec`], the one serving front door: a validated
+//!   builder for single-chip, cluster and disaggregated runs.
+//! * [`cluster`] — the cluster serving layer underneath it: shard the
+//!   session pool across N simulated chips behind one arrival stream, with
+//!   pluggable [`PlacementPolicy`] routing, per-chip page pools,
 //!   [`MigrationPolicy`]-driven cross-chip KV migration charged on the
-//!   NoC model, and [`PhasePlacement`]-driven prefill/decode
-//!   disaggregation with the prompt-KV handoff charged per hop.
+//!   NoC model, [`PhasePlacement`]-driven prefill/decode disaggregation
+//!   with the prompt-KV handoff charged per hop, and the
+//!   [`ClusterReport`]/[`DisaggReport`] those runs return.
 //! * [`capacity`] — the capacity planner: binary-search the minimal chip
 //!   fleet (per candidate palette mix) that meets a p95-TTFT/rejection
 //!   SLO for a workload, each probe a deterministic [`ServeSpec`] run.
@@ -43,7 +46,6 @@ pub mod capacity;
 pub mod cluster;
 pub mod engine;
 pub mod error;
-pub(crate) mod events;
 pub mod kv_pages;
 pub mod planner;
 pub mod report;
@@ -55,10 +57,10 @@ pub mod vit;
 
 pub use capacity::{CapacityPlan, CapacityPlanner, MixPlan, PaletteMix, ProbePoint, SloTarget};
 pub use cluster::{
-    throughput_score_milli, Cluster, ClusterConfig, ClusterReport, Colocated, DisaggReport,
-    HandoffStats, LeastLoadedKv, LeastLoadedWeighted, MigrationPolicy, NoMigration,
-    PhaseAssignment, PhasePlacement, PlacementPolicy, PrefillDecodeSplit, RequestSummary,
-    RoundRobin, SessionAffinity, ToLeastLoaded,
+    throughput_score_milli, ClusterReport, Colocated, DisaggReport, HandoffStats, LeastLoadedKv,
+    LeastLoadedWeighted, MigrationPolicy, NoMigration, PhaseAssignment, PhasePlacement,
+    PlacementPolicy, PrefillDecodeSplit, RequestSummary, RoundRobin, SessionAffinity,
+    ToLeastLoaded,
 };
 pub use engine::{EngineConfig, LatencyReport, MeadowEngine};
 pub use error::CoreError;

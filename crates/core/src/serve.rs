@@ -77,9 +77,8 @@
 //! ```
 
 use crate::cluster::MigrationCtx;
-use crate::engine::{MeadowEngine, StepShape};
+use crate::engine::{LatencyReport, MeadowEngine, StepShape};
 use crate::error::CoreError;
-use crate::events::{EventQueue, ReadyOrder, StepCache};
 use crate::kv_pages::KvPageAllocator;
 use crate::session::SessionPhase;
 use meadow_dataflow::pipeline::flow_shop_completion_times;
@@ -89,15 +88,15 @@ use meadow_models::{KvCompression, KvLayout, TransformerConfig};
 use meadow_sim::{Cycles, DramModel, TrafficClass, TrafficLedger};
 use meadow_tensor::parallel::par_map;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Typed rejection of an invalid serving or cluster configuration.
 ///
-/// Construction-time validation (`ServeConfig::validate`,
-/// `ClusterConfigBuilder::build`) and the serve entry points return these
-/// instead of silently misbehaving, wrapped as
-/// [`CoreError::Serve`].
+/// Construction-time validation ([`ServeConfig::validate`] and
+/// [`ServeSpecBuilder::build`](crate::spec::ServeSpecBuilder::build)) and
+/// [`ServeSpec::run`](crate::spec::ServeSpec::run) return these instead of
+/// silently misbehaving, wrapped as [`CoreError::Serve`] at run time.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServeError {
@@ -208,6 +207,14 @@ pub enum ServeError {
         /// Number of links the cluster has.
         expected: usize,
     },
+    /// An interconnect that cannot charge a transfer honestly: a link
+    /// costing zero hops (transfers between distinct chips would be free),
+    /// per-link costs whose sum overflows a `u32` hop count, or a NoC with
+    /// no links or no link bandwidth (every run would fail building it).
+    InvalidInterconnect {
+        /// Why the interconnect was rejected.
+        reason: String,
+    },
     /// The capacity planner exhausted its chip budget without meeting the
     /// SLO: even the largest allowed fleet missed the p95 TTFT target (or
     /// the rejection-rate cap).
@@ -282,6 +289,9 @@ impl fmt::Display for ServeError {
                 "link hop costs cover {got} links but the cluster's linear interconnect has \
                  {expected}"
             ),
+            ServeError::InvalidInterconnect { reason } => {
+                write!(f, "invalid interconnect: {reason}")
+            }
             ServeError::InfeasibleSlo { p95_ttft_ms, max_chips, best_p95_ms } => write!(
                 f,
                 "no fleet of up to {max_chips} chips meets p95 TTFT <= {p95_ttft_ms} ms; best \
@@ -515,8 +525,8 @@ impl ServeConfig {
     /// Construction-time validation: rejects a zero `max_batch`, a zero
     /// `page_bytes` under [`KvPolicy::PagedLru`], and a non-finite or
     /// negative [`AdmissionPolicy::RejectAfter`] SLO with a typed
-    /// [`ServeError`]. The cluster builder (`ClusterConfigBuilder::build`,
-    /// and so [`ServeSpecBuilder::build`](crate::spec::ServeSpecBuilder::build))
+    /// [`ServeError`].
+    /// [`ServeSpecBuilder::build`](crate::spec::ServeSpecBuilder::build)
     /// calls this, so a bad configuration fails loudly at the seam instead
     /// of misbehaving mid-run.
     ///
@@ -946,7 +956,7 @@ fn charge_reload(
     cycles
 }
 
-/// Residency state of one model's weights on a chip (`ChipNode`'s weight
+/// Residency state of one model's weights on a chip (each chip's weight
 /// state machine, materialized per run by the serving loop exactly like
 /// the per-run KV state):
 ///
@@ -1299,12 +1309,59 @@ fn kv_summary(
     })
 }
 
-/// The per-chip serving loop behind
-/// [`Cluster::serve`](crate::cluster::Cluster::serve) and
-/// [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated),
-/// and so behind every [`ServeSpec`](crate::spec::ServeSpec) run: runs
-/// `trace` on one engine, optionally parking spilled KV bytes on remote
-/// chips through a cluster [`MigrationCtx`] instead of DRAM.
+/// Request indices in arrival order, ties broken by id: the order
+/// placement routes requests in and the order a chip's arrivals enter its
+/// wait queue.
+pub(crate) fn arrival_order(trace: &ArrivalTrace) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..trace.requests.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&trace.requests[a], &trace.requests[b]);
+        a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id))
+    });
+    order
+}
+
+/// Scheduling key of one resident session: `(last step tick, admission
+/// sequence, request id)` — the step-set order and the LRU victim order.
+type ReadyKey = (u64, u64, u32);
+
+/// Ordered index over resident sessions. One instance keyed by the ready
+/// key serves step selection (a prefix walk) and LRU victims (an in-order
+/// scan that skips the step set); a second instance keyed by `(admission
+/// sequence, last step tick, id)` serves FIFO victims. No per-tick
+/// clone-and-sort.
+#[derive(Debug, Default)]
+struct ReadyOrder {
+    set: BTreeSet<ReadyKey>,
+}
+
+impl ReadyOrder {
+    fn insert(&mut self, key: ReadyKey) {
+        let fresh = self.set.insert(key);
+        debug_assert!(fresh, "ready keys embed the unique request id");
+    }
+
+    fn remove(&mut self, key: &ReadyKey) {
+        let existed = self.set.remove(key);
+        debug_assert!(existed, "removed sessions must be resident");
+    }
+
+    fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// Sessions in key order (ascending — least recently stepped first
+    /// under the ready key).
+    fn iter(&self) -> impl Iterator<Item = &ReadyKey> {
+        self.set.iter()
+    }
+}
+
+/// The per-chip serving loop behind every
+/// [`ServeSpec`](crate::spec::ServeSpec) run, single-chip, cluster or
+/// disaggregated: runs `trace` on one engine, optionally parking spilled
+/// KV bytes on remote chips through a cluster [`MigrationCtx`] instead of
+/// DRAM.
 ///
 /// `phases` (aligned with `trace.requests`; `None` = all
 /// [`SessionPhase::Full`]) lets disaggregated serving run partial legs:
@@ -1317,12 +1374,14 @@ fn kv_summary(
 /// idles. An iteration costs `O(batch · log n)`, not `O(resident
 /// sessions)`:
 ///
-/// * Arrival and SLO-deadline events live in binary min-heaps
-///   ([`EventQueue`]); deadline events are keyed by *arrival* time (the
-///   SLO is one constant per run, so deadline order equals arrival order)
-///   and a request is shed once `now - arrival > slo`. Shed requests stay
-///   in the wait deque as tombstones, skipped at the head, instead of an
-///   `O(n)` `retain`.
+/// * Every arrival is known when the run starts, so arrivals enter the
+///   wait queue through a cursor over [`arrival_order`]. The TTFT SLO is
+///   one constant per run and requests enter in arrival order, so their
+///   deadlines fall due in that same order: a FIFO queue holds them, and a
+///   request is shed once `now - arrival > slo` (evaluated against the
+///   original arrival time, never a differently rounded `arrival + slo`).
+///   Shed requests stay in the wait deque as tombstones, skipped at the
+///   head, instead of an `O(n)` `retain`.
 /// * The step/victim order lives in [`ReadyOrder`] indexes maintained
 ///   incrementally (one in LRU order, one in FIFO order when that policy
 ///   needs it) instead of a per-iteration clone-and-sort.
@@ -1331,12 +1390,22 @@ fn kv_summary(
 ///   unsigned sums are order-independent — with per-session sizes cached
 ///   and refreshed at each state change.
 /// * Step measurements are memoized by the measured step shape
-///   `(tokens_new, context)` ([`StepCache`]): the engine's latency model
-///   is a pure function of it — every call builds a fresh DRAM channel —
-///   so a cache hit (errors included) is bit-identical to re-measuring,
-///   and decode steps of different requests at the same context share
-///   one measurement. Misses fan out through an order-preserving parallel
-///   map, preserving `MEADOW_THREADS` bit-identity.
+///   `(tokens_new, context)`: `(p, p)` for a `p`-token prefill and
+///   `(1, p + i - 1)` for the `i`-th decode step. The engine's latency
+///   model is a pure function of it — every call builds a fresh DRAM
+///   channel — so a cache hit (errors included) is bit-identical to
+///   re-measuring, and decode steps of different requests at the same
+///   context share one measurement. Misses fan out through an
+///   order-preserving parallel map, preserving `MEADOW_THREADS`
+///   bit-identity.
+///
+/// Step completion is the one event that is not known in advance: the
+/// batch's flow-shop makespan decides the next time the scheduler wakes.
+/// Eviction spills, KV reloads and speculative-decoding flushes complete
+/// *within* the step that needs them (the cost model charges them as
+/// stalls ahead of the first layer), and a disaggregated handoff is an
+/// ordinary arrival of the decode stage at `prefill finish + handoff
+/// latency`.
 ///
 /// Sessions live in one arena (`Vec<Session>`, indexed by the trace
 /// order) and the per-iteration scratch buffers are reused across
@@ -1411,17 +1480,15 @@ pub(crate) fn serve_on_chip(
     let id2idx: HashMap<u32, usize> =
         sessions.iter().enumerate().map(|(i, s)| (s.req.id, i)).collect();
 
-    // Arrival events pop in arrival order, ties broken by id for
-    // determinism.
-    let mut arrivals = EventQueue::with_capacity(n);
-    for (i, s) in sessions.iter().enumerate() {
-        arrivals.push(s.req.arrival_ms, s.req.id, i);
-    }
+    // Arrivals enter in arrival order, ties broken by id for determinism.
+    let arrivals = arrival_order(trace);
+    let mut next_arrival = 0usize;
     let slo = match config.admission {
         AdmissionPolicy::RejectAfter { ttft_slo_ms } => Some(ttft_slo_ms),
         AdmissionPolicy::Queue => None,
     };
-    let mut deadlines = EventQueue::with_capacity(if slo.is_some() { n } else { 0 });
+    // Waiting requests in deadline order, which is arrival order.
+    let mut deadlines: VecDeque<usize> = VecDeque::new();
 
     // Wait queue with tombstones: shed requests stay in the deque and are
     // skipped at the head; `wait_live` counts the live ones and `in_wait`
@@ -1454,7 +1521,14 @@ pub(crate) fn serve_on_chip(
     // so victim scans skip it without an auxiliary set.
     let mut step_epoch = vec![0u64; n];
 
-    let mut cache = StepCache::new();
+    // Step measurements by step shape. The key deliberately omits the
+    // chip: the memo lives and dies inside this call, so it is private to
+    // one chip's engine. That scoping is load-bearing for heterogeneous
+    // fleets — the same shape measures differently on a big chip than on
+    // a LITTLE one, so a memo shared across chips would silently serve one
+    // chip's latencies to another. Never hoist this memo above the
+    // per-chip serving loop.
+    let mut cache: HashMap<StepShape, Result<LatencyReport, CoreError>> = HashMap::new();
 
     let mut now = 0.0_f64;
     let mut tick: u64 = 0;
@@ -1478,36 +1552,39 @@ pub(crate) fn serve_on_chip(
 
     while settled < n {
         tick += 1;
-        // Idle chip: jump straight to the next arrival event.
+        // Idle chip: jump straight to the next arrival.
         if ready.is_empty() && wait_live == 0 {
-            if let Some(next_ms) = arrivals.peek_time() {
-                now = now.max(next_ms);
+            if let Some(&i) = arrivals.get(next_arrival) {
+                now = now.max(sessions[i].req.arrival_ms);
             }
         }
-        // Arrival events at or before `now` enter the wait queue.
-        while arrivals.peek_time().is_some_and(|t| t <= now) {
-            let (_, i) = arrivals.pop().expect("peeked above");
+        // Arrivals at or before `now` enter the wait queue.
+        while let Some(&i) = arrivals.get(next_arrival) {
+            if sessions[i].req.arrival_ms > now {
+                break;
+            }
+            next_arrival += 1;
             wait.push_back(i);
             in_wait[i] = true;
             wait_live += 1;
             if slo.is_some() {
-                deadlines.push(sessions[i].req.arrival_ms, sessions[i].req.id, i);
+                deadlines.push_back(i);
             }
         }
-        // Deadline events: shed every request whose TTFT SLO lapsed
-        // before first admission. Admitted sessions drop their stale
-        // deadline silently — their work is already sunk, never shed.
+        // Deadlines: shed every request whose TTFT SLO lapsed before
+        // first admission. Admitted sessions drop their stale deadline
+        // silently — their work is already sunk, never shed.
         if let Some(ttft_slo_ms) = slo {
-            while let Some((arrival_ms, i)) = deadlines.peek() {
+            while let Some(&i) = deadlines.front() {
                 if sessions[i].queue_wait_ms.is_some() {
-                    deadlines.pop();
+                    deadlines.pop_front();
                     continue;
                 }
-                if now - arrival_ms <= ttft_slo_ms {
+                if now - sessions[i].req.arrival_ms <= ttft_slo_ms {
                     // Earliest deadline not lapsed: none after it has.
                     break;
                 }
-                deadlines.pop();
+                deadlines.pop_front();
                 let s = &mut sessions[i];
                 s.rejected = true;
                 s.queue_wait_ms = Some(now - s.req.arrival_ms);
@@ -1526,7 +1603,7 @@ pub(crate) fn serve_on_chip(
         // session never advances the clock, so the pages never free.
         while let Some(&head) = wait.front() {
             if sessions[head].rejected {
-                // Tombstone left by a deadline event.
+                // Tombstone left by a lapsed deadline.
                 wait.pop_front();
                 continue;
             }
@@ -1794,7 +1871,7 @@ pub(crate) fn serve_on_chip(
         for &i in &step_set {
             let shape = step_shape(engine, &sessions[i]);
             if let Ok(shape) = shape {
-                if !cache.contains(shape) && !miss_shapes.contains(&shape) {
+                if !cache.contains_key(&shape) && !miss_shapes.contains(&shape) {
                     miss_shapes.push(shape);
                 }
             }
@@ -1810,7 +1887,7 @@ pub(crate) fn serve_on_chip(
         solo_ms.clear();
         for (pos, &i) in step_set.iter().enumerate() {
             let measured =
-                step_shapes[pos].as_ref().map(|&shape| cache.get(shape).expect("measured above"));
+                step_shapes[pos].as_ref().map(|shape| cache.get(shape).expect("measured above"));
             let report = match measured {
                 Ok(Ok(report)) => report,
                 // The first failing step in step order propagates.
@@ -2159,6 +2236,19 @@ mod tests {
             ServeRequest::new(7, 0.0, 8, 2),
         ]);
         assert!(serve(&e, &dup, &ServeConfig::default()).is_err());
+    }
+
+    #[test]
+    fn ready_order_walks_step_order() {
+        let mut r = ReadyOrder::default();
+        r.insert((3, 1, 10));
+        r.insert((1, 2, 11));
+        r.insert((1, 1, 12));
+        let ids: Vec<u32> = r.iter().map(|&(_, _, id)| id).collect();
+        // Sorted by (last_step_tick, admission_seq, id).
+        assert_eq!(ids, vec![12, 11, 10]);
+        r.remove(&(1, 2, 11));
+        assert!(!r.is_empty());
     }
 
     #[test]

@@ -41,9 +41,10 @@ use serde::{Deserialize, Serialize};
 /// Which part of a session's lifetime one serving leg covers.
 ///
 /// A session's reference walk is prefill once, then decode token by token
-/// (see [`InferenceSession`]). Disaggregated serving
-/// ([`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated))
-/// may split that walk across chips: the prefill leg runs on one chip, the
+/// (see [`InferenceSession`]). Disaggregated serving (a
+/// [`ServeSpec`](crate::spec::ServeSpec) with
+/// [`phases`](crate::spec::ServeSpecBuilder::phases) set) may split that
+/// walk across chips: the prefill leg runs on one chip, the
 /// KV cache hands off over the NoC, and the decode leg resumes on another.
 /// `Full` is the colocated default — both phases on one chip — and is what
 /// every pre-disaggregation serving path uses.

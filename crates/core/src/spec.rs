@@ -14,11 +14,9 @@
 //!   **cluster** ([`ClusterReport`]),
 //! * otherwise → **single-chip** ([`ServeReport`]).
 //!
-//! Single-chip serving is a one-chip cluster run, so every mode shares one
-//! per-chip scheduler. [`Cluster::serve`](crate::cluster::Cluster::serve)
-//! and
-//! [`Cluster::serve_disaggregated`](crate::cluster::Cluster::serve_disaggregated)
-//! stay public as the mode-specific entry points underneath a spec.
+//! Every mode shares one routing step and one per-chip scheduler: a
+//! single-chip run is a one-chip cluster run, and a cluster run is a
+//! disaggregated run whose phases are [`Colocated`].
 //!
 //! # Examples
 //!
@@ -45,15 +43,15 @@
 //! # }
 //! ```
 
-use crate::cluster::{Cluster, ClusterConfig, ClusterConfigBuilder, ClusterReport, DisaggReport};
-use crate::cluster::{MigrationPolicy, PhasePlacement, PlacementPolicy};
+use crate::cluster::{self, ClusterReport, Colocated, DisaggReport};
+use crate::cluster::{MigrationPolicy, NoMigration, PhasePlacement, PlacementPolicy, RoundRobin};
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
-use crate::serve::{ServeConfig, ServeError, ServeReport};
+use crate::serve::{kv_sizer, ServeConfig, ServeError, ServeReport};
 use crate::MeadowEngine;
 use meadow_models::workload::ArrivalTrace;
-use meadow_sim::noc::NocConfig;
-use std::sync::Arc;
+use meadow_sim::noc::{Noc, NocConfig};
+use meadow_tensor::parallel::ExecConfig;
 
 /// Which serving mode a [`ServeSpec`] resolved to at build time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,16 +64,29 @@ enum ServeMode {
 /// A validated serving specification — see the [module docs](self).
 ///
 /// Built once via [`ServeSpec::builder`], a spec is reusable: every
-/// [`ServeSpec::run`] lays out the chips of a [`Cluster`] over the shared
-/// configuration (the simulator is stateless between runs), so repeated
-/// trials of the same spec are bit-identical. No run builds an engine: a
-/// replica cluster clones the engine handed to `run`, and a
-/// [`chip_specs`](ServeSpecBuilder::chip_specs) fleet clones the engines
-/// [`build`](ServeSpecBuilder::build) constructed once, so a run computes
-/// no packing statistics.
+/// [`ServeSpec::run`] lays out its chips afresh (the simulator is
+/// stateless between runs), so repeated trials of the same spec are
+/// bit-identical. No run builds an engine: a replica cluster clones the
+/// engine handed to `run`, and a [`chip_specs`](ServeSpecBuilder::chip_specs)
+/// fleet clones the engines [`build`](ServeSpecBuilder::build) constructed
+/// once, so a run computes no packing statistics.
 #[derive(Debug)]
 pub struct ServeSpec {
-    config: Arc<ClusterConfig>,
+    pub(crate) chips: usize,
+    pub(crate) serve: ServeConfig,
+    pub(crate) placement: Box<dyn PlacementPolicy>,
+    pub(crate) migration: Box<dyn MigrationPolicy>,
+    /// `Some` only when [`phases`](ServeSpecBuilder::phases) was set.
+    phases: Option<Box<dyn PhasePlacement>>,
+    pub(crate) noc: NocConfig,
+    /// Per-chip engines of a heterogeneous fleet, built once from the
+    /// [`chip_specs`](ServeSpecBuilder::chip_specs) at build (`None` =
+    /// replica cluster of whatever engine the run is given).
+    chip_engines: Option<Vec<MeadowEngine>>,
+    /// Per-link hop costs of the linear chip interconnect (`link_hops[i]`
+    /// = cost of the link between chips `i` and `i + 1`; `None` = every
+    /// link costs one hop).
+    link_hops: Option<Vec<u32>>,
     mode: ServeMode,
 }
 
@@ -87,34 +98,76 @@ impl ServeSpec {
         ServeSpecBuilder::default()
     }
 
-    /// The validated cluster configuration underneath this spec.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
+    /// Per-chip engines of a heterogeneous fleet, as
+    /// [`build`](ServeSpecBuilder::build) constructed them from the
+    /// [`chip_specs`](ServeSpecBuilder::chip_specs) (each chip's spec is
+    /// its engine's [`config`](MeadowEngine::config)), or `None` for a
+    /// replica cluster of the engine handed to [`run`](Self::run).
+    pub fn chip_engines(&self) -> Option<&[MeadowEngine]> {
+        self.chip_engines.as_deref()
+    }
+
+    /// The phase placement a run routes with: [`Colocated`] unless
+    /// [`phases`](ServeSpecBuilder::phases) set one.
+    pub(crate) fn phase_placement(&self) -> &dyn PhasePlacement {
+        self.phases.as_deref().unwrap_or(&Colocated)
+    }
+
+    /// Hop cost between two chips on the linear interconnect: the sum of
+    /// the per-link costs between them, or `|a - b|` when no per-link
+    /// costs are configured. [`build`](ServeSpecBuilder::build) bounds the
+    /// total, so the sum never overflows.
+    pub(crate) fn hops_between(&self, a: usize, b: usize) -> u32 {
+        let (lo, hi) = (a.min(b), a.max(b));
+        match &self.link_hops {
+            Some(costs) => costs[lo..hi].iter().sum(),
+            None => (hi - lo) as u32,
+        }
     }
 
     /// Runs the spec's serving mode on `engine` over `trace`.
     ///
+    /// The engine's thread budget is split between the two nested
+    /// fan-outs: the chip fan-out keeps the engine's [`ExecConfig`] (it is
+    /// clamped to the chip count), and each chip's engine gets
+    /// `threads / min(threads, chips)` workers for its own measurements —
+    /// so total concurrency stays at the configured thread count instead
+    /// of multiplying to `chips × threads`. On a
+    /// [`chip_specs`](ServeSpecBuilder::chip_specs) fleet, `engine` only
+    /// supplies that thread budget.
+    ///
     /// # Errors
     ///
-    /// Propagates trace-validation, placement and measurement errors from
-    /// the dispatched mode ([`CoreError::Serve`] and below); the
+    /// Returns [`CoreError::Serve`] for out-of-range placements,
+    /// overlapping phase pools or a request no chip's budget can hold;
+    /// propagates trace-validation and measurement errors. The
     /// configuration itself was already validated at build time.
     pub fn run(
         &self,
         engine: &MeadowEngine,
         trace: &ArrivalTrace,
     ) -> Result<ServeOutcome, CoreError> {
-        let cluster = Cluster::from_shared(engine.clone(), Arc::clone(&self.config));
-        match self.mode {
-            ServeMode::Single => {
-                let mut report = cluster.serve(trace)?;
-                Ok(ServeOutcome::Single(report.per_chip.remove(0).report))
-            }
-            ServeMode::Cluster => Ok(ServeOutcome::Cluster(cluster.serve(trace)?)),
-            ServeMode::Disaggregated => {
-                Ok(ServeOutcome::Disaggregated(Box::new(cluster.serve_disaggregated(trace)?)))
-            }
-        }
+        let exec = engine.config().exec;
+        let threads = exec.threads().max(1);
+        let inner = ExecConfig::with_threads((threads / self.chips.clamp(1, threads)).max(1));
+        let engines: Vec<MeadowEngine> = match &self.chip_engines {
+            Some(built) => built.iter().map(|e| e.clone().with_exec(inner)).collect(),
+            None => vec![engine.clone().with_exec(inner); self.chips],
+        };
+        // Traces validate against chip 0's model: every chip shares one
+        // model architecture.
+        let model = &engines[0].config().model;
+        trace.validate(model)?;
+        let sizer = kv_sizer(model, &self.serve)?;
+        let routing = cluster::route(self, &engines, trace, &sizer)?;
+        let mut first = cluster::run_shards(self, &engines, exec, &routing.prefill)?;
+        Ok(match self.mode {
+            ServeMode::Single => ServeOutcome::Single(first.per_chip.remove(0).report),
+            ServeMode::Cluster => ServeOutcome::Cluster(first),
+            ServeMode::Disaggregated => ServeOutcome::Disaggregated(Box::new(
+                cluster::disaggregate(self, &engines, exec, trace, &sizer, routing, first)?,
+            )),
+        })
     }
 }
 
@@ -182,50 +235,78 @@ impl ServeOutcome {
 }
 
 /// Builder for [`ServeSpec`] — see [`ServeSpec::builder`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServeSpecBuilder {
-    inner: ClusterConfigBuilder,
-    has_phases: bool,
+    chips: Option<usize>,
+    chip_specs: Option<Vec<EngineConfig>>,
+    link_hops: Option<Vec<u32>>,
+    serve: ServeConfig,
+    placement: Box<dyn PlacementPolicy>,
+    migration: Box<dyn MigrationPolicy>,
+    phases: Option<Box<dyn PhasePlacement>>,
+    noc: NocConfig,
     has_cluster_policy: bool,
 }
 
+impl Default for ServeSpecBuilder {
+    fn default() -> Self {
+        Self {
+            chips: None,
+            chip_specs: None,
+            link_hops: None,
+            serve: ServeConfig::default(),
+            placement: Box::new(RoundRobin),
+            migration: Box::new(NoMigration),
+            phases: None,
+            noc: NocConfig::default(),
+            has_cluster_policy: false,
+        }
+    }
+}
+
 impl ServeSpecBuilder {
-    /// Sets the number of chips. More than one selects cluster serving
-    /// (unless a phase placement upgrades the run to disaggregated).
+    /// Sets the number of chips (a replica cluster of the engine handed to
+    /// [`ServeSpec::run`]). More than one selects cluster serving (unless
+    /// a phase placement upgrades the run to disaggregated).
     pub fn chips(mut self, chips: usize) -> Self {
-        self.inner = self.inner.chips(chips);
+        self.chips = Some(chips);
         self
     }
 
-    /// Builds a heterogeneous cluster with one chip per engine spec
-    /// (see [`ClusterConfigBuilder::chip_specs`]); the engine handed to
-    /// [`ServeSpec::run`] then only supplies the thread budget, and traces
-    /// are validated against chip 0's model (every spec shares one model
-    /// architecture). More than one spec selects cluster serving, and a
-    /// disagreeing [`chips`](Self::chips) call is rejected at build.
+    /// Builds a heterogeneous cluster with one chip per engine spec; the
+    /// engine handed to [`ServeSpec::run`] then only supplies the thread
+    /// budget, and traces are validated against chip 0's model (every
+    /// spec shares one model architecture). The cluster's size becomes
+    /// `specs.len()`, so more than one spec selects cluster serving, and a
+    /// disagreeing [`chips`](Self::chips) call is rejected at
+    /// [`build`](Self::build). [`build`](Self::build) constructs each
+    /// chip's engine once, and every run reuses it; packing statistics are
+    /// computed once per distinct model, packing configuration and packing
+    /// level.
     pub fn chip_specs(mut self, specs: Vec<EngineConfig>) -> Self {
-        self.has_cluster_policy = self.has_cluster_policy || specs.len() > 1;
-        self.inner = self.inner.chip_specs(specs);
+        self.chip_specs = Some(specs);
         self
     }
 
-    /// Sets per-link hop costs on the cluster's linear interconnect (see
-    /// [`ClusterConfigBuilder::link_hops`]).
+    /// Sets per-link hop costs on the cluster's linear interconnect:
+    /// `hops[i]` is the cost of the link between chips `i` and `i + 1`.
+    /// The vector must cover exactly `chips - 1` links, and every link
+    /// must cost at least one hop.
     pub fn link_hops(mut self, hops: Vec<u32>) -> Self {
-        self.inner = self.inner.link_hops(hops);
+        self.link_hops = Some(hops);
         self
     }
 
     /// Sets the per-chip serving configuration wholesale.
     pub fn config(mut self, config: ServeConfig) -> Self {
-        self.inner = self.inner.serve(config);
+        self.serve = config;
         self
     }
 
     /// Sets the request-to-chip placement policy. Setting one selects
     /// cluster serving ([`ClusterReport`]) even on one chip.
     pub fn placement(mut self, placement: impl PlacementPolicy + 'static) -> Self {
-        self.inner = self.inner.placement(placement);
+        self.placement = Box::new(placement);
         self.has_cluster_policy = true;
         self
     }
@@ -233,7 +314,7 @@ impl ServeSpecBuilder {
     /// Sets the KV migration policy. Setting one selects cluster serving
     /// ([`ClusterReport`]) even on one chip.
     pub fn migration(mut self, migration: impl MigrationPolicy + 'static) -> Self {
-        self.inner = self.inner.migration(migration);
+        self.migration = Box::new(migration);
         self.has_cluster_policy = true;
         self
     }
@@ -241,14 +322,13 @@ impl ServeSpecBuilder {
     /// Sets the prefill/decode phase placement. Setting one selects
     /// disaggregated serving ([`DisaggReport`]).
     pub fn phases(mut self, phases: impl PhasePlacement + 'static) -> Self {
-        self.inner = self.inner.phase_placement(phases);
-        self.has_phases = true;
+        self.phases = Some(Box::new(phases));
         self
     }
 
     /// Sets the chip-to-chip NoC configuration.
     pub fn noc(mut self, noc: NocConfig) -> Self {
-        self.inner = self.inner.noc(noc);
+        self.noc = noc;
         self
     }
 
@@ -259,21 +339,102 @@ impl ServeSpecBuilder {
     /// Returns [`ServeError::ZeroChips`] for an empty cluster,
     /// [`ServeError::EmptyChipSpecs`] /
     /// [`ServeError::ChipSpecCountMismatch`] /
-    /// [`ServeError::InvalidChipSpec`] / [`ServeError::InvalidLinkHops`]
-    /// for malformed heterogeneous configurations, and propagates
+    /// [`ServeError::InvalidChipSpec`] for a malformed heterogeneous
+    /// spec list, [`ServeError::InvalidLinkHops`] when per-link hop costs
+    /// don't cover the interconnect, [`ServeError::InvalidInterconnect`]
+    /// for a zero-cost link, link costs that overflow a hop count, or a
+    /// NoC with no links or no link bandwidth, and propagates
     /// [`ServeConfig::validate`] rejections (zero `max_batch`, zero
     /// `page_bytes` under `PagedLru`, invalid SLOs or speculation
     /// parameters).
     pub fn build(self) -> Result<ServeSpec, ServeError> {
-        let config = self.inner.build()?;
-        let mode = if self.has_phases {
+        let chip_engines =
+            self.chip_specs.map(|specs| fleet_engines(specs, self.chips)).transpose()?;
+        let chips = chip_engines.as_ref().map_or(self.chips.unwrap_or(1), Vec::len);
+        if chips == 0 {
+            return Err(ServeError::ZeroChips);
+        }
+        if let Some(hops) = &self.link_hops {
+            if hops.len() != chips - 1 {
+                return Err(ServeError::InvalidLinkHops { got: hops.len(), expected: chips - 1 });
+            }
+            if let Some(link) = hops.iter().position(|&h| h == 0) {
+                return Err(ServeError::InvalidInterconnect {
+                    reason: format!("link {link} costs zero hops, which makes transfers free"),
+                });
+            }
+            if hops.iter().try_fold(0u32, |sum, &h| sum.checked_add(h)).is_none() {
+                return Err(ServeError::InvalidInterconnect {
+                    reason: "link hop costs sum past u32::MAX".to_string(),
+                });
+            }
+        }
+        Noc::new(self.noc)
+            .map_err(|e| ServeError::InvalidInterconnect { reason: e.to_string() })?;
+        self.serve.validate()?;
+        let mode = if self.phases.is_some() {
             ServeMode::Disaggregated
-        } else if config.chips() > 1 || self.has_cluster_policy {
+        } else if chips > 1 || self.has_cluster_policy {
             ServeMode::Cluster
         } else {
             ServeMode::Single
         };
-        Ok(ServeSpec { config: Arc::new(config), mode })
+        Ok(ServeSpec {
+            chips,
+            serve: self.serve,
+            placement: self.placement,
+            migration: self.migration,
+            phases: self.phases,
+            noc: self.noc,
+            chip_engines,
+            link_hops: self.link_hops,
+            mode,
+        })
+    }
+}
+
+/// Builds one engine per chip spec: rejects an empty list, a disagreeing
+/// explicit chip count, a spec the engine constructor rejects, and mixed
+/// model architectures.
+fn fleet_engines(
+    specs: Vec<EngineConfig>,
+    chips: Option<usize>,
+) -> Result<Vec<MeadowEngine>, ServeError> {
+    if specs.is_empty() {
+        return Err(ServeError::EmptyChipSpecs);
+    }
+    if let Some(chips) = chips.filter(|&c| c != specs.len()) {
+        return Err(ServeError::ChipSpecCountMismatch { specs: specs.len(), chips });
+    }
+    let mut engines: Vec<MeadowEngine> = Vec::with_capacity(specs.len());
+    for (chip, spec) in specs.into_iter().enumerate() {
+        let engine = chip_engine(spec, &engines)
+            .map_err(|e| ServeError::InvalidChipSpec { chip, reason: e.to_string() })?;
+        if engines.first().is_some_and(|e| e.config().model != engine.config().model) {
+            return Err(ServeError::InvalidChipSpec {
+                chip,
+                reason: "all chips of a cluster must serve the same model architecture".to_string(),
+            });
+        }
+        engines.push(engine);
+    }
+    Ok(engines)
+}
+
+/// Builds one chip's engine, reusing the packing statistics of an earlier
+/// chip with the same model, packing configuration and packing level —
+/// the statistics are a pure function of those three, so the engine equals
+/// a fresh [`MeadowEngine::new`] of `spec`.
+fn chip_engine(spec: EngineConfig, built: &[MeadowEngine]) -> Result<MeadowEngine, CoreError> {
+    let same_stats = built.iter().find(|e| {
+        let c = e.config();
+        c.model == spec.model
+            && c.packing_config == spec.packing_config
+            && c.plan.packing == spec.plan.packing
+    });
+    match same_stats {
+        Some(e) => MeadowEngine::with_packing_stats(spec, e.packing_stats().cloned()),
+        None => MeadowEngine::new(spec),
     }
 }
 

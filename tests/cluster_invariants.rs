@@ -8,10 +8,10 @@ mod common;
 
 use common::{requests_from_seed, serve};
 use meadow::core::cluster::{
-    Cluster, ClusterConfig, ClusterReport, LeastLoadedKv, LeastLoadedWeighted, RoundRobin,
-    SessionAffinity, ToLeastLoaded,
+    ClusterReport, LeastLoadedKv, LeastLoadedWeighted, RoundRobin, SessionAffinity, ToLeastLoaded,
 };
 use meadow::core::serve::{KvPolicy, ServeConfig};
+use meadow::core::spec::{ServeSpec, ServeSpecBuilder};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::dataflow::ExecutionPlan;
 use meadow::models::presets;
@@ -38,15 +38,22 @@ fn contended_budget(trace: &ArrivalTrace) -> u64 {
     single_max + (trace.total_peak_kv_bytes(&model) - single_max) / 4
 }
 
-fn placement_config(idx: u8, chips: usize, serve: ServeConfig) -> ClusterConfig {
-    let builder = ClusterConfig::builder().chips(chips).serve(serve);
+/// Runs a cluster-mode spec on `engine` over `trace`.
+fn serve_cluster(engine: &MeadowEngine, spec: &ServeSpec, trace: &ArrivalTrace) -> ClusterReport {
+    spec.run(engine, trace).unwrap().into_cluster().expect("a cluster-mode spec")
+}
+
+/// Sets the `idx`-th of the three replica placement policies.
+fn with_placement(builder: ServeSpecBuilder, idx: u8) -> ServeSpecBuilder {
     match idx % 3 {
         0 => builder.placement(RoundRobin),
         1 => builder.placement(LeastLoadedKv),
         _ => builder.placement(SessionAffinity),
     }
-    .build()
-    .unwrap()
+}
+
+fn placement_config(idx: u8, chips: usize, serve: ServeConfig) -> ServeSpec {
+    with_placement(ServeSpec::builder().chips(chips).config(serve), idx).build().unwrap()
 }
 
 proptest! {
@@ -70,9 +77,9 @@ proptest! {
         }
         let e = engine();
         let single = serve(&e, &trace, &config).unwrap();
-        let cluster_config =
-            ClusterConfig::builder().chips(1).serve(config).placement(RoundRobin).build().unwrap();
-        let report = Cluster::new(e, cluster_config).serve(&trace).unwrap();
+        let spec =
+            ServeSpec::builder().chips(1).config(config).placement(RoundRobin).build().unwrap();
+        let report = serve_cluster(&e, &spec, &trace);
         prop_assert_eq!(report.chips, 1);
         prop_assert_eq!(report.migrated_out_bytes, 0);
         prop_assert_eq!(&report.per_chip[0].report, &single);
@@ -94,8 +101,8 @@ proptest! {
     ) {
         let trace = staggered_trace(seed, n);
         let serve_config = ServeConfig::default().with_budget(contended_budget(&trace));
-        let config = placement_config(placement_idx, chips, serve_config);
-        let report = Cluster::new(engine(), config).serve(&trace).unwrap();
+        let spec = placement_config(placement_idx, chips, serve_config);
+        let report = serve_cluster(&engine(), &spec, &trace);
         prop_assert_eq!(report.chips, chips);
         prop_assert_eq!(report.requests, n);
         let placed: u64 = report.per_chip.iter().map(|c| c.assigned_requests).sum();
@@ -139,16 +146,12 @@ proptest! {
             .with_budget(budget)
             .with_policy(KvPolicy::PagedLru)
             .with_page_bytes(128);
-        let builder = ClusterConfig::builder().chips(chips).serve(serve_config);
-        let builder = match placement_idx % 3 {
-            0 => builder.placement(RoundRobin),
-            1 => builder.placement(LeastLoadedKv),
-            _ => builder.placement(SessionAffinity),
-        };
-        let config = if migrate { builder.migration(ToLeastLoaded) } else { builder }
+        let builder =
+            with_placement(ServeSpec::builder().chips(chips).config(serve_config), placement_idx);
+        let spec = if migrate { builder.migration(ToLeastLoaded) } else { builder }
             .build()
             .unwrap();
-        let report = Cluster::new(engine(), config).serve(&trace).unwrap();
+        let report = serve_cluster(&engine(), &spec, &trace);
         for chip in &report.per_chip {
             prop_assert!(
                 chip.report.peak_kv_bytes <= budget,
@@ -180,10 +183,10 @@ proptest! {
             .with_max_batch(1);
         let run = |migrate: bool| {
             let builder =
-                ClusterConfig::builder().chips(chips).serve(serve_config).placement(LeastLoadedKv);
-            let config =
+                ServeSpec::builder().chips(chips).config(serve_config).placement(LeastLoadedKv);
+            let spec =
                 if migrate { builder.migration(ToLeastLoaded) } else { builder }.build().unwrap();
-            Cluster::new(engine(), config).serve(&trace).unwrap()
+            serve_cluster(&engine(), &spec, &trace)
         };
         let without = run(false);
         let with = run(true);
@@ -219,23 +222,21 @@ proptest! {
             .with_budget(contended_budget(&trace))
             .with_policy(KvPolicy::PagedLru)
             .with_page_bytes(256);
-        let build = |threads: usize| {
+        let builder =
+            ServeSpec::builder().chips(chips).config(serve_config).placement(SessionAffinity);
+        let spec =
+            if migrate { builder.migration(ToLeastLoaded) } else { builder }.build().unwrap();
+        let run = |threads: usize| {
             let e = MeadowEngine::new(
                 EngineConfig::zcu102(presets::tiny_decoder(), 12.0)
                     .with_exec(ExecConfig::with_threads(threads)),
             )
             .unwrap();
-            let builder = ClusterConfig::builder()
-                .chips(chips)
-                .serve(serve_config)
-                .placement(SessionAffinity);
-            let config =
-                if migrate { builder.migration(ToLeastLoaded) } else { builder }.build().unwrap();
-            Cluster::new(e, config)
+            serve_cluster(&e, &spec, &trace)
         };
-        let reference = build(1).serve(&trace).unwrap();
+        let reference = run(1);
         for threads in [2usize, 4, 8] {
-            let report = build(threads).serve(&trace).unwrap();
+            let report = run(threads);
             prop_assert_eq!(&report, &reference, "threads {}", threads);
             prop_assert_eq!(
                 report.to_json().unwrap(),
@@ -260,22 +261,16 @@ proptest! {
         let serve_config = ServeConfig::default().with_budget(contended_budget(&trace));
         let spec = EngineConfig::zcu102(presets::tiny_decoder(), 12.0);
         let build = |hetero: bool| {
-            let builder = ClusterConfig::builder().serve(serve_config);
+            let builder = ServeSpec::builder().config(serve_config);
             let builder = if hetero {
                 builder.chip_specs(vec![spec.clone(); chips])
             } else {
                 builder.chips(chips)
             };
-            match placement_idx % 3 {
-                0 => builder.placement(RoundRobin),
-                1 => builder.placement(LeastLoadedKv),
-                _ => builder.placement(SessionAffinity),
-            }
-            .build()
-            .unwrap()
+            with_placement(builder, placement_idx).build().unwrap()
         };
-        let replica = Cluster::new(engine(), build(false)).serve(&trace).unwrap();
-        let mut hetero = Cluster::new(engine(), build(true)).serve(&trace).unwrap();
+        let replica = serve_cluster(&engine(), &build(false), &trace);
+        let mut hetero = serve_cluster(&engine(), &build(true), &trace);
         // The spec path additionally reports per-chip utilization; strip
         // it to compare the shared accounting bit-exactly.
         for chip in &hetero.per_chip {
@@ -301,15 +296,15 @@ proptest! {
         let trace = staggered_trace(seed, n);
         let serve_config = ServeConfig::default().with_budget(contended_budget(&trace));
         let run = |weighted: bool| {
-            let builder = ClusterConfig::builder().chips(chips).serve(serve_config);
-            let config = if weighted {
+            let builder = ServeSpec::builder().chips(chips).config(serve_config);
+            let spec = if weighted {
                 builder.placement(LeastLoadedWeighted)
             } else {
                 builder.placement(LeastLoadedKv)
             }
             .build()
             .unwrap();
-            Cluster::new(engine(), config).serve(&trace).unwrap()
+            serve_cluster(&engine(), &spec, &trace)
         };
         let mut weighted = run(true);
         let kv = run(false);
@@ -348,14 +343,14 @@ fn golden_cluster_report() -> ClusterReport {
         .with_policy(KvPolicy::PagedLru)
         .with_page_bytes(256)
         .with_max_batch(2);
-    let config = ClusterConfig::builder()
+    let spec = ServeSpec::builder()
         .chips(2)
-        .serve(serve_config)
+        .config(serve_config)
         .placement(SessionAffinity)
         .migration(ToLeastLoaded)
         .build()
         .unwrap();
-    let report = Cluster::new(engine(), config).serve(&trace).unwrap();
+    let report = serve_cluster(&engine(), &spec, &trace);
     assert!(report.migration_events > 0, "the golden scenario must exercise migration");
     assert!(report.dram_kv_bytes > 0, "the golden scenario must still spill");
     report
@@ -381,8 +376,8 @@ fn cluster_report_is_byte_stable() {
 
 /// Engine sharing: `build` constructs each chip's engine once and reuses
 /// packing statistics between chips with the same model, packing
-/// configuration and packing level. Every node must still equal a fresh
-/// engine of its own spec — apart from the thread budget the cluster
+/// configuration and packing level. Every chip's engine must still equal a
+/// fresh engine of its own spec — apart from the thread budget a run
 /// assigns — so the sharing key never hands one plan's statistics to
 /// another.
 #[test]
@@ -401,15 +396,14 @@ fn chip_engines_equal_fresh_engines_of_their_specs() {
         naive,
         EngineConfig::zcu102(model, 12.0),
     ];
-    let config = ClusterConfig::builder().chip_specs(specs.clone()).build().unwrap();
-    let cluster = Cluster::new(engine(), config);
-    assert_eq!(cluster.chips(), specs.len());
-    for (node, spec) in cluster.nodes().iter().zip(specs) {
+    let fleet = ServeSpec::builder().chip_specs(specs.clone()).build().unwrap();
+    let engines = fleet.chip_engines().expect("a chip_specs spec carries its engines");
+    assert_eq!(engines.len(), specs.len());
+    for (chip, (got, spec)) in engines.iter().zip(specs).enumerate() {
         let fresh = MeadowEngine::new(spec).unwrap();
-        let got = node.engine();
         let exec = fresh.config().exec;
-        assert_eq!(got.config().clone().with_exec(exec), *fresh.config(), "chip {}", node.chip());
-        assert_eq!(got.packing_stats(), fresh.packing_stats(), "chip {}", node.chip());
+        assert_eq!(got.config().clone().with_exec(exec), *fresh.config(), "chip {chip}");
+        assert_eq!(got.packing_stats(), fresh.packing_stats(), "chip {chip}");
     }
 }
 
@@ -441,18 +435,18 @@ fn golden_hetero_report() -> ClusterReport {
         .with_page_bytes(256)
         .with_max_batch(2);
     let model = presets::tiny_decoder();
-    let config = ClusterConfig::builder()
+    let spec = ServeSpec::builder()
         .chip_specs(vec![
             EngineConfig::zcu102(model.clone(), 12.0),
             EngineConfig::zcu102(model.clone(), 12.0),
             EngineConfig::zcu102_little(model, 6.0),
         ])
-        .serve(serve_config)
+        .config(serve_config)
         .placement(LeastLoadedWeighted)
         .migration(ToLeastLoaded)
         .build()
         .unwrap();
-    let report = Cluster::new(engine(), config).serve(&trace).unwrap();
+    let report = serve_cluster(&engine(), &spec, &trace);
     assert_eq!(report.chips, 3);
     assert_eq!(report.placement, "least-loaded-weighted");
     assert!(report.migration_events > 0, "the hetero golden must exercise migration");

@@ -1,6 +1,7 @@
 //! Property suite for prefill/decode disaggregation and speculative
 //! decoding: the `Colocated` degeneracy (a disaggregated run under the
-//! default phase placement reproduces `Cluster::serve` bit-exactly),
+//! default phase placement reproduces the same spec's cluster run without
+//! phases bit-exactly),
 //! token-for-token service equality of split vs colocated serving,
 //! acceptance-1.0 speculation bit-identity, exact KV-handoff byte
 //! conservation, and `MEADOW_THREADS` bit-identity of the `DisaggReport`.
@@ -9,10 +10,11 @@ mod common;
 
 use common::requests_from_seed;
 use meadow::core::cluster::{
-    Cluster, ClusterConfig, Colocated, LeastLoadedKv, PrefillDecodeSplit, RoundRobin,
+    ClusterReport, Colocated, DisaggReport, LeastLoadedKv, PrefillDecodeSplit, RoundRobin,
     SessionAffinity,
 };
 use meadow::core::serve::{KvPolicy, ServeConfig, SpecDecode};
+use meadow::core::spec::{ServeSpec, ServeSpecBuilder};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::workload::ArrivalTrace;
@@ -36,14 +38,24 @@ fn contended_budget(trace: &ArrivalTrace) -> u64 {
     single_max + (trace.total_peak_kv_bytes(&model) - single_max) / 4
 }
 
+/// Runs a cluster-mode spec over `trace`.
+fn serve_cluster(builder: ServeSpecBuilder, trace: &ArrivalTrace) -> ClusterReport {
+    builder.build().unwrap().run(&engine(), trace).unwrap().into_cluster().expect("cluster mode")
+}
+
+/// Runs a disaggregated spec on `engine` over `trace`.
+fn serve_disagg(engine: &MeadowEngine, spec: &ServeSpec, trace: &ArrivalTrace) -> DisaggReport {
+    spec.run(engine, trace).unwrap().into_disaggregated().expect("phases are set")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Acceptance criterion: under the default `Colocated` phase
-    /// placement, `serve_disaggregated` degenerates to `Cluster::serve`
-    /// bit-exactly — the prefill stage carries the identical report (and
-    /// serialized bytes), no decode stage exists, and no handoff traffic
-    /// ever touches the NoC.
+    /// placement, a disaggregated run degenerates to the same spec's
+    /// cluster run without phases bit-exactly — the prefill stage carries
+    /// the identical report (and serialized bytes), no decode stage
+    /// exists, and no handoff traffic ever touches the NoC.
     #[test]
     fn colocated_disagg_reproduces_serve_bit_exactly(
         seed in 0u64..500,
@@ -60,20 +72,15 @@ proptest! {
             serve_config = serve_config.with_policy(KvPolicy::PagedLru).with_page_bytes(256);
         }
         let build = || {
-            let builder = ClusterConfig::builder()
-                .chips(chips)
-                .serve(serve_config)
-                .phase_placement(Colocated);
+            let builder = ServeSpec::builder().chips(chips).config(serve_config);
             match placement_idx % 3 {
                 0 => builder.placement(RoundRobin),
                 1 => builder.placement(LeastLoadedKv),
                 _ => builder.placement(SessionAffinity),
             }
-            .build()
-            .unwrap()
         };
-        let baseline = Cluster::new(engine(), build()).serve(&trace).unwrap();
-        let disagg = Cluster::new(engine(), build()).serve_disaggregated(&trace).unwrap();
+        let baseline = serve_cluster(build(), &trace);
+        let disagg = serve_disagg(&engine(), &build().phases(Colocated).build().unwrap(), &trace);
         prop_assert_eq!(&disagg.prefill_stage, &baseline);
         prop_assert_eq!(
             disagg.prefill_stage.to_json().unwrap(),
@@ -101,22 +108,16 @@ proptest! {
     ) {
         let trace = staggered_trace(seed, n);
         let chips = 1 + decode_chips;
-        let colocated = Cluster::new(
-            engine(),
-            ClusterConfig::builder().chips(chips).build().unwrap(),
-        )
-        .serve(&trace)
-        .unwrap();
-        let split = Cluster::new(
-            engine(),
-            ClusterConfig::builder()
+        let colocated = serve_cluster(ServeSpec::builder().chips(chips), &trace);
+        let split = serve_disagg(
+            &engine(),
+            &ServeSpec::builder()
                 .chips(chips)
-                .phase_placement(PrefillDecodeSplit { prefill_chips: 1 })
+                .phases(PrefillDecodeSplit { prefill_chips: 1 })
                 .build()
                 .unwrap(),
-        )
-        .serve_disaggregated(&trace)
-        .unwrap();
+            &trace,
+        );
         prop_assert_eq!(split.split_requests as usize, n);
         let decode_stage = split.decode_stage.as_ref().unwrap();
         for req in &trace.requests {
@@ -141,23 +142,17 @@ proptest! {
     ) {
         let trace = staggered_trace(seed, 1);
         let fast_noc = NocConfig { link_bytes_per_cycle: u64::MAX, links: 196 };
-        let colocated = Cluster::new(
-            engine(),
-            ClusterConfig::builder().chips(2).noc(fast_noc).build().unwrap(),
-        )
-        .serve(&trace)
-        .unwrap();
-        let split = Cluster::new(
-            engine(),
-            ClusterConfig::builder()
+        let colocated = serve_cluster(ServeSpec::builder().chips(2).noc(fast_noc), &trace);
+        let split = serve_disagg(
+            &engine(),
+            &ServeSpec::builder()
                 .chips(2)
                 .noc(fast_noc)
-                .phase_placement(PrefillDecodeSplit { prefill_chips: 1 })
+                .phases(PrefillDecodeSplit { prefill_chips: 1 })
                 .build()
                 .unwrap(),
-        )
-        .serve_disaggregated(&trace)
-        .unwrap();
+            &trace,
+        );
         let id = trace.requests[0].id;
         let base = colocated.trace(id).unwrap();
         let s = split.summary(id).unwrap();
@@ -192,16 +187,11 @@ proptest! {
             if let Some(spec) = spec {
                 serve_config = serve_config.with_speculation(spec);
             }
-            ClusterConfig::builder()
-                .chips(chips)
-                .serve(serve_config)
-                .placement(LeastLoadedKv)
-                .build()
-                .unwrap()
+            ServeSpec::builder().chips(chips).config(serve_config).placement(LeastLoadedKv)
         };
         let spec = SpecDecode { draft_len, acceptance: 1.0, draft_cost_ratio: 0.5 };
-        let baseline = Cluster::new(engine(), build(None)).serve(&trace).unwrap();
-        let accepted = Cluster::new(engine(), build(Some(spec))).serve(&trace).unwrap();
+        let baseline = serve_cluster(build(None), &trace);
+        let accepted = serve_cluster(build(Some(spec)), &trace);
         prop_assert_eq!(&accepted, &baseline);
         prop_assert_eq!(accepted.to_json().unwrap(), baseline.to_json().unwrap());
     }
@@ -218,12 +208,12 @@ proptest! {
     ) {
         let model = presets::tiny_decoder();
         let trace = staggered_trace(seed, n);
-        let config = ClusterConfig::builder()
+        let spec = ServeSpec::builder()
             .chips(prefill_chips + decode_chips)
-            .phase_placement(PrefillDecodeSplit { prefill_chips })
+            .phases(PrefillDecodeSplit { prefill_chips })
             .build()
             .unwrap();
-        let report = Cluster::new(engine(), config).serve_disaggregated(&trace).unwrap();
+        let report = serve_disagg(&engine(), &spec, &trace);
         // Queue admission (the default) never rejects: every request
         // splits and hands off.
         prop_assert_eq!(report.split_requests as usize, n);
@@ -258,31 +248,31 @@ proptest! {
         speculate in any::<bool>(),
     ) {
         let trace = staggered_trace(seed, n);
-        let build = |threads: usize| {
+        let mut serve_config = ServeConfig::default();
+        if speculate {
+            serve_config = serve_config.with_speculation(SpecDecode {
+                draft_len: 4,
+                acceptance: 0.6,
+                draft_cost_ratio: 0.5,
+            });
+        }
+        let spec = ServeSpec::builder()
+            .chips(1 + decode_chips)
+            .config(serve_config)
+            .phases(PrefillDecodeSplit { prefill_chips: 1 })
+            .build()
+            .unwrap();
+        let run = |threads: usize| {
             let e = MeadowEngine::new(
                 EngineConfig::zcu102(presets::tiny_decoder(), 12.0)
                     .with_exec(ExecConfig::with_threads(threads)),
             )
             .unwrap();
-            let mut serve_config = ServeConfig::default();
-            if speculate {
-                serve_config = serve_config.with_speculation(SpecDecode {
-                    draft_len: 4,
-                    acceptance: 0.6,
-                    draft_cost_ratio: 0.5,
-                });
-            }
-            let config = ClusterConfig::builder()
-                .chips(1 + decode_chips)
-                .serve(serve_config)
-                .phase_placement(PrefillDecodeSplit { prefill_chips: 1 })
-                .build()
-                .unwrap();
-            Cluster::new(e, config)
+            serve_disagg(&e, &spec, &trace)
         };
-        let reference = build(1).serve_disaggregated(&trace).unwrap();
+        let reference = run(1);
         for threads in [2usize, 4, 8] {
-            let report = build(threads).serve_disaggregated(&trace).unwrap();
+            let report = run(threads);
             prop_assert_eq!(&report, &reference, "threads {}", threads);
             prop_assert_eq!(
                 report.to_json().unwrap(),

@@ -5,13 +5,16 @@
 //! diagnostic contract (they land in logs, CI output and the repro
 //! harness), so changing one is an API change, not a cosmetic edit.
 
-use meadow::core::cluster::{ChipLoad, PhaseAssignment, PhasePlacement, PlacementPolicy};
+use meadow::core::cluster::{
+    ChipLoad, PhaseAssignment, PhasePlacement, PlacementPolicy, PrefillDecodeSplit,
+};
 use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig, ServeError, SpecDecode};
 use meadow::core::spec::ServeSpec;
 use meadow::core::{CoreError, EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};
 use meadow::models::{KvCompression, KvLayout};
+use meadow::sim::noc::NocConfig;
 
 fn engine() -> MeadowEngine {
     MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
@@ -273,6 +276,50 @@ fn wrong_sized_link_hops_are_rejected_at_build() {
     assert_eq!(
         err.to_string(),
         "link hop costs cover 1 links but the cluster's linear interconnect has 2"
+    );
+}
+
+#[test]
+fn zero_cost_link_is_rejected_at_build() {
+    // Accepted, a zero-cost link between two distinct chips would hand a
+    // prefill's KV cache to the decode chip for 0 link bytes and 0 cycles.
+    let zcu = EngineConfig::zcu102(presets::tiny_decoder(), 12.0);
+    let err = ServeSpec::builder()
+        .chip_specs(vec![zcu.clone(), zcu])
+        .link_hops(vec![0])
+        .phases(PrefillDecodeSplit { prefill_chips: 1 })
+        .build()
+        .unwrap_err();
+    assert!(matches!(err, ServeError::InvalidInterconnect { .. }), "got {err:?}");
+    assert_eq!(
+        err.to_string(),
+        "invalid interconnect: link 0 costs zero hops, which makes transfers free"
+    );
+}
+
+#[test]
+fn overflowing_link_costs_are_rejected_at_build() {
+    // Accepted, the hop sum between chips 0 and 2 would overflow a u32.
+    let err = ServeSpec::builder().chips(3).link_hops(vec![u32::MAX, 1]).build().unwrap_err();
+    assert!(matches!(err, ServeError::InvalidInterconnect { .. }), "got {err:?}");
+    assert_eq!(err.to_string(), "invalid interconnect: link hop costs sum past u32::MAX");
+}
+
+#[test]
+fn noc_without_links_or_bandwidth_is_rejected_at_build() {
+    // Accepted, every run would fail building the NoC — even on one chip.
+    let no_bandwidth = NocConfig { link_bytes_per_cycle: 0, ..NocConfig::default() };
+    let err = ServeSpec::builder().noc(no_bandwidth).build().unwrap_err();
+    assert!(matches!(err, ServeError::InvalidInterconnect { .. }), "got {err:?}");
+    assert_eq!(
+        err.to_string(),
+        "invalid interconnect: invalid configuration `link_bytes_per_cycle`: must be non-zero"
+    );
+    let no_links = NocConfig { links: 0, ..NocConfig::default() };
+    let err = ServeSpec::builder().chips(2).noc(no_links).build().unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid interconnect: invalid configuration `links`: must be non-zero"
     );
 }
 
