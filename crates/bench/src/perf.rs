@@ -666,6 +666,19 @@ mod tests {
     }
 
     #[test]
+    fn wrapping_schema_version_is_rejected() {
+        // 2^32 + 1 would read back as version 1 if the parse wrapped.
+        let json = run_suite("test", &quick_opts()).to_json().unwrap();
+        let wrapped = json.replacen(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            &format!("\"schema_version\": {}", (1u64 << 32) + u64::from(SCHEMA_VERSION)),
+            1,
+        );
+        assert_ne!(wrapped, json);
+        assert!(BenchReport::from_json(&wrapped).is_err());
+    }
+
+    #[test]
     fn identical_reports_pass_the_gate() {
         let report = run_suite("gate", &quick_opts());
         assert!(find_regressions(&report, &report, 25.0).is_empty());
