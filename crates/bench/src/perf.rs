@@ -282,8 +282,8 @@ const SERVE_CASES: [ServeCase; 7] = [
         },
     },
     // The same squeezed scenario, evicting at page granularity: the
-    // scheduler additionally walks the page pool (LRU scan, peel,
-    // fault-in), which is the overhead this case guards.
+    // scheduler additionally demotes, peels and faults pages back in,
+    // which is the overhead this case guards.
     ServeCase {
         name: "serve_paged",
         chips: 1,

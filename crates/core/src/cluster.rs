@@ -25,7 +25,7 @@
 //! * [`PhasePlacement`] may split a request's prefill and decode across
 //!   chips, handing the prompt KV off over the same NoC ([`DisaggReport`]).
 //!
-//! Each chip's KV page pool, DRAM traffic ledger and weight-residency
+//! Each chip's KV residency, DRAM traffic ledger and weight-residency
 //! state are materialized per run inside its serving loop and land in its
 //! [`ServeReport`]. Each donor chip's headroom (budget minus the peak
 //! demand placement assigned it) is **statically partitioned** among the

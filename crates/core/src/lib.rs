@@ -20,7 +20,7 @@
 //!   builder for single-chip, cluster and disaggregated runs.
 //! * [`cluster`] — the cluster serving layer underneath it: shard the
 //!   session pool across N simulated chips behind one arrival stream, with
-//!   pluggable [`PlacementPolicy`] routing, per-chip page pools,
+//!   pluggable [`PlacementPolicy`] routing, per-chip KV budgets,
 //!   [`MigrationPolicy`]-driven cross-chip KV migration charged on the
 //!   NoC model, [`PhasePlacement`]-driven prefill/decode disaggregation
 //!   with the prompt-KV handoff charged per hop, and the
@@ -28,9 +28,6 @@
 //! * [`capacity`] — the capacity planner: binary-search the minimal chip
 //!   fleet (per candidate palette mix) that meets a p95-TTFT/rejection
 //!   SLO for a workload, each probe a deterministic [`ServeSpec`] run.
-//! * [`kv_pages`] — the paged KV-cache allocator behind
-//!   [`serve::KvPolicy::PagedLru`]: fixed-size pages, a free list,
-//!   per-session page tables and page-LRU victim metadata.
 //! * [`vit`] — the DeiT vision-transformer inference path (Fig. 13).
 //! * [`accuracy`] — lossless-ness verification: bit-exact pack→unpack round
 //!   trips over whole model weight sets (the reproduction's stand-in for
@@ -46,7 +43,6 @@ pub mod capacity;
 pub mod cluster;
 pub mod engine;
 pub mod error;
-pub mod kv_pages;
 pub mod planner;
 pub mod report;
 pub mod roofline;
@@ -64,7 +60,6 @@ pub use cluster::{
 };
 pub use engine::{EngineConfig, LatencyReport, MeadowEngine};
 pub use error::CoreError;
-pub use kv_pages::KvPageAllocator;
 pub use serve::{
     AdmissionPolicy, KvPolicy, LatencySummary, ServeConfig, ServeError, ServeReport, ServeTrace,
     SpecDecode,

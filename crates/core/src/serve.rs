@@ -27,10 +27,11 @@
 //! * **Eviction** frees residency when the growing caches of admitted
 //!   sessions overflow the budget, under a [`KvPolicy`]:
 //!   [`KvPolicy::Fifo`]/[`KvPolicy::Lru`] spill a victim session's *whole*
-//!   cache, while [`KvPolicy::PagedLru`] peels fixed-size pages off the
-//!   stalest session one at a time (see
-//!   [`kv_pages`](crate::kv_pages)), moving only the bytes the tick
-//!   actually needs. Spills and reloads are charged on the engine's DRAM
+//!   cache, while [`KvPolicy::PagedLru`] demotes the stalest session and
+//!   then peels fixed-size pages off demoted sessions one at a time,
+//!   moving only the bytes the tick actually needs. A session holding `b`
+//!   bytes owns `b.div_ceil(page_bytes)` page frames; frames are counted,
+//!   never named. Spills and reloads are charged on the engine's DRAM
 //!   channel per page under
 //!   [`TrafficClass::KvCache`](meadow_sim::TrafficClass), on top of the
 //!   per-step attention traffic.
@@ -76,10 +77,13 @@
 //! # }
 //! ```
 
+// The root `clippy.toml` caps functions at 150 lines, which keeps the chip
+// loop split into one method per decision.
+#![warn(clippy::too_many_lines)]
+
 use crate::cluster::MigrationCtx;
 use crate::engine::{LatencyReport, MeadowEngine, StepShape};
 use crate::error::CoreError;
-use crate::kv_pages::KvPageAllocator;
 use crate::session::SessionPhase;
 use meadow_dataflow::pipeline::flow_shop_completion_times;
 use meadow_dataflow::LayerLatency;
@@ -310,9 +314,10 @@ pub enum KvPolicy {
     Fifo,
     /// Evict the session stepped longest ago, spilling its whole cache.
     Lru,
-    /// Evict at page granularity: peel [`ServeConfig::page_bytes`]-sized
-    /// pages off the least recently stepped session until the tick fits,
-    /// instead of spilling whole caches (see [`crate::kv_pages`]).
+    /// Evict at page granularity: demote the least recently stepped
+    /// session, then peel [`ServeConfig::page_bytes`]-sized pages off the
+    /// stalest demoted session, tail page first, until the tick fits,
+    /// instead of spilling whole caches.
     PagedLru,
 }
 
@@ -782,10 +787,6 @@ struct Session {
     phase: SessionPhase,
     generated: usize,
     prefilled: bool,
-    /// Decode-only legs start with their prompt KV already delivered (the
-    /// handoff charged it on the NoC); the first paged admission loads it
-    /// without a DRAM fault.
-    kv_preloaded: bool,
     /// Deterministic speculative-decoding miss credit: grows by
     /// `1 - acceptance` per verify round, flushes at 1.0.
     spec_miss_credit: f64,
@@ -797,18 +798,13 @@ struct Session {
     last_step_tick: u64,
     /// Set at first admission (or at rejection).
     queue_wait_ms: Option<f64>,
-    /// Whole-cache mode: KV bytes spilled at the last eviction, to reload
-    /// on re-admission.
-    spilled_kv_bytes: u64,
-    /// Whole-cache mode: KV bytes to reload before the next step.
-    pending_reload_bytes: u64,
-    /// Paged mode: logical KV bytes whose page frames are currently held
-    /// (residency the budget accounts; page-aligned except when fully
-    /// resident).
+    /// Paged mode: logical KV bytes the session holds on chip, in
+    /// `held_bytes.div_ceil(page_bytes)` frames (residency the budget
+    /// accounts; page-aligned except when fully resident).
     held_bytes: u64,
-    /// Paged mode: prefix of the KV data that is physically on chip
-    /// (`loaded <= held`; the `[loaded, kv)` suffix is off chip awaiting
-    /// reload).
+    /// Prefix of the KV data that is physically on chip (none or all of it
+    /// under the whole-cache policies); the `[loaded, kv)` suffix is off
+    /// chip awaiting reload.
     loaded_bytes: u64,
     prefill_ms: f64,
     first_token_ms: f64,
@@ -821,23 +817,20 @@ struct Session {
 }
 
 impl Session {
-    fn new(req: ServeRequest, phase: SessionPhase) -> Self {
-        Self {
+    fn new(req: ServeRequest, phase: SessionPhase, sizer: &KvSizer) -> Self {
+        let mut session = Self {
             req,
             phase,
             generated: 0,
             // A decode-only leg resumes a prefill that already ran
             // elsewhere: its prompt KV is logically present from the start.
             prefilled: phase.starts_prefilled(),
-            kv_preloaded: phase.starts_prefilled(),
             spec_miss_credit: 0.0,
             rejected: false,
             evictions: 0,
             admission_seq: 0,
             last_step_tick: 0,
             queue_wait_ms: None,
-            spilled_kv_bytes: 0,
-            pending_reload_bytes: 0,
             held_bytes: 0,
             loaded_bytes: 0,
             prefill_ms: 0.0,
@@ -845,7 +838,11 @@ impl Session {
             finish_ms: 0.0,
             tbt_ms: Vec::new(),
             cold_start: false,
-        }
+        };
+        // That prompt KV is also on chip already (the caller charged the
+        // handoff on the NoC), so the first admission loads it fault-free.
+        session.loaded_bytes = session.kv_bytes(sizer);
+        session
     }
 
     /// Logical KV bytes the session's processed tokens occupy (prompt +
@@ -869,13 +866,21 @@ impl Session {
         }
     }
 
-    fn victim_key(&self, policy: KvPolicy) -> (u64, u64, u32) {
-        match policy {
-            KvPolicy::Fifo => (self.admission_seq, self.last_step_tick, self.req.id),
-            KvPolicy::Lru | KvPolicy::PagedLru => {
-                (self.last_step_tick, self.admission_seq, self.req.id)
-            }
-        }
+    /// Whether the leg is complete: a prefill-only leg once prefilled, any
+    /// other once every requested token is generated.
+    fn is_done(&self) -> bool {
+        self.prefilled
+            && (self.phase.finishes_at_prefill() || self.generated == self.req.generate_tokens)
+    }
+
+    /// Key of arena entry `i` in the ready (step and LRU-victim) order.
+    fn ready_key(&self, i: usize) -> ReadyKey {
+        (self.last_step_tick, self.admission_seq, i)
+    }
+
+    /// Key of arena entry `i` in the FIFO victim order.
+    fn fifo_key(&self, i: usize) -> ReadyKey {
+        (self.admission_seq, self.last_step_tick, i)
     }
 }
 
@@ -915,83 +920,6 @@ impl LatencySummary {
     }
 }
 
-/// Charges one KV-cache spill, preferring cross-chip migration when a
-/// cluster [`MigrationCtx`] accepts the bytes and falling back to the
-/// chip's DRAM channel ([`DramModel::transfer_kv_cache`]) otherwise. With
-/// no migration context this is exactly the single-chip spill arithmetic.
-fn charge_spill(
-    dram: &mut DramModel,
-    migration: &mut Option<&mut MigrationCtx<'_>>,
-    session: u32,
-    bytes: u64,
-    granularity: Option<u64>,
-) -> Cycles {
-    if let Some(ctx) = migration.as_deref_mut() {
-        if let Some(cycles) = ctx.park(session, bytes) {
-            return cycles;
-        }
-    }
-    dram.transfer_kv_cache(bytes, granularity)
-}
-
-/// Charges one KV-cache reload: bytes parked on a remote chip come back
-/// over the cluster NoC first, the rest from DRAM.
-fn charge_reload(
-    dram: &mut DramModel,
-    migration: &mut Option<&mut MigrationCtx<'_>>,
-    session: u32,
-    bytes: u64,
-    granularity: Option<u64>,
-) -> Cycles {
-    let mut cycles = Cycles::ZERO;
-    let mut rest = bytes;
-    if let Some(ctx) = migration.as_deref_mut() {
-        let (noc_cycles, pulled) = ctx.pull_back(session, bytes);
-        cycles += noc_cycles;
-        rest -= pulled;
-    }
-    if rest > 0 {
-        cycles += dram.transfer_kv_cache(rest, granularity);
-    }
-    cycles
-}
-
-/// Residency state of one model's weights on a chip (each chip's weight
-/// state machine, materialized per run by the serving loop exactly like
-/// the per-run KV state):
-///
-/// ```text
-///            load layer 0..L             last layer lands
-/// Evicted ───────────────────▶ Streaming { layers_loaded } ───▶ Resident
-///    ▲                                                             │
-///    └──────────────── LRU eviction (free: read-only) ◀────────────┘
-/// ```
-///
-/// Every model starts `Evicted` (a cold chip holds no weights); a load
-/// walks `Streaming { layers_loaded: 0..layers }` while each layer's bytes
-/// stream in over DRAM, and eviction writes nothing back — weights are
-/// read-only, so dropping them only costs the eventual re-stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WeightResidency {
-    /// Every layer's weights are on chip.
-    Resident,
-    /// A load is in flight: layers `0..layers_loaded` have landed.
-    Streaming {
-        /// Layers already on chip.
-        layers_loaded: usize,
-    },
-    /// No weights on chip (the initial state, and the post-eviction one).
-    Evicted,
-}
-
-impl WeightResidency {
-    /// Whether the model's weights are usable (fully resident or currently
-    /// streaming in for the step that triggered the load).
-    fn holds_weights(self) -> bool {
-        !matches!(self, WeightResidency::Evicted)
-    }
-}
-
 /// Completion time of a cold start whose per-layer weight loads overlap
 /// the compute pipeline (EdgeFlow-style): layer `l`'s compute may begin
 /// once its weights have landed *and* layer `l-1` has finished, so
@@ -1016,26 +944,30 @@ pub fn pipelined_cold_finish(load: &[Cycles], compute: &[Cycles]) -> Cycles {
     Cycles(finish)
 }
 
-/// Slot of one model in a chip's [`WeightSet`].
-#[derive(Debug, Clone, Copy)]
-struct ModelSlot {
-    residency: WeightResidency,
-    /// Monotone last-use sequence number (strict LRU victim order).
-    use_seq: u64,
-}
-
 /// Per-run weight-residency tracker: the budgeted set of models whose
 /// weights are on chip, with strict-LRU eviction and per-layer load
 /// charging through the chip's DRAM channel, driven in step order.
+///
+/// ```text
+///          ensure_resident: stream layers 0..L
+/// evicted ─────────────────────────────────────▶ resident
+///    ▲                                               │
+///    └──────── LRU eviction (free: read-only) ◀──────┘
+/// ```
+///
+/// Every model starts evicted (a cold chip holds no weights), and eviction
+/// writes nothing back — weights are read-only, so dropping them only
+/// costs the eventual re-stream.
 struct WeightSet {
     budget_bytes: u64,
     streaming: bool,
     layers: usize,
     layer_bytes: u64,
     model_bytes: u64,
-    slots: BTreeMap<u32, ModelSlot>,
+    /// Resident models: id → monotone last-use sequence number (strict LRU
+    /// victim order).
+    resident: BTreeMap<u32, u64>,
     use_seq: u64,
-    resident_bytes: u64,
     loads: u64,
     evictions: u64,
 }
@@ -1052,9 +984,8 @@ impl WeightSet {
             layers: model.layers,
             layer_bytes: model.layer_weight_bytes(),
             model_bytes: model.total_weight_bytes(),
-            slots: BTreeMap::new(),
+            resident: BTreeMap::new(),
             use_seq: 0,
-            resident_bytes: 0,
             loads: 0,
             evictions: 0,
         })
@@ -1075,42 +1006,25 @@ impl WeightSet {
         compute: &[Cycles],
     ) -> (Cycles, bool) {
         self.use_seq += 1;
-        let seq = self.use_seq;
-        if let Some(slot) = self.slots.get_mut(&model_id) {
-            if slot.residency.holds_weights() {
-                slot.use_seq = seq;
-                return (Cycles::ZERO, false);
-            }
+        if let Some(use_seq) = self.resident.get_mut(&model_id) {
+            *use_seq = self.use_seq;
+            return (Cycles::ZERO, false);
         }
         // LRU model eviction until the new weights fit. Free: weights are
         // read-only, so nothing is written back — the cost is the churn
         // counted here and the eventual re-stream.
-        while self.resident_bytes + self.model_bytes > self.budget_bytes {
-            let victim = self
-                .slots
+        while (self.resident.len() as u64 + 1) * self.model_bytes > self.budget_bytes {
+            let (&victim, _) = self
+                .resident
                 .iter()
-                .filter(|(id, slot)| **id != model_id && slot.residency.holds_weights())
-                .min_by_key(|(id, slot)| (slot.use_seq, **id))
-                .map(|(id, _)| *id)
+                .min_by_key(|&(&id, &use_seq)| (use_seq, id))
                 .expect("the budget precheck guarantees one model always fits");
-            self.slots.get_mut(&victim).expect("found above").residency = WeightResidency::Evicted;
-            self.resident_bytes -= self.model_bytes;
+            self.resident.remove(&victim);
             self.evictions += 1;
         }
-        // Stream the layers in, charging each on the DRAM channel; the
-        // slot walks Streaming { layers_loaded } layer by layer.
-        let slot = self
-            .slots
-            .entry(model_id)
-            .or_insert(ModelSlot { residency: WeightResidency::Evicted, use_seq: seq });
-        slot.use_seq = seq;
-        let mut load = Vec::with_capacity(self.layers);
-        for layers_loaded in 0..self.layers {
-            slot.residency = WeightResidency::Streaming { layers_loaded };
-            load.push(dram.transfer_weights(self.layer_bytes));
-        }
-        slot.residency = WeightResidency::Resident;
-        self.resident_bytes += self.model_bytes;
+        self.resident.insert(model_id, self.use_seq);
+        let load: Vec<Cycles> =
+            (0..self.layers).map(|_| dram.transfer_weights(self.layer_bytes)).collect();
         self.loads += 1;
         let stall = if self.streaming {
             let warm: u64 = compute.iter().map(|c| c.get()).sum();
@@ -1119,6 +1033,37 @@ impl WeightSet {
             Cycles(load.iter().map(|c| c.get()).sum())
         };
         (stall, true)
+    }
+
+    /// The run's [`WeightSummary`]. Cold and warm TTFT are summarized
+    /// separately over non-rejected sessions, split by whether the
+    /// session's first prefill step had to stream its model's weights in.
+    fn summary(&self, sessions: &[Session], ledger: &TrafficLedger) -> WeightSummary {
+        let mut cold: Vec<f64> = Vec::new();
+        let mut warm: Vec<f64> = Vec::new();
+        for s in sessions.iter().filter(|s| !s.rejected) {
+            let ttft = s.first_token_ms - s.req.arrival_ms;
+            if s.cold_start {
+                cold.push(ttft);
+            } else {
+                warm.push(ttft);
+            }
+        }
+        let mut models: Vec<u32> = sessions.iter().map(|s| s.req.model()).collect();
+        models.sort_unstable();
+        models.dedup();
+        WeightSummary {
+            weight_budget_bytes: self.budget_bytes,
+            streaming: self.streaming,
+            models: models.len(),
+            model_weight_bytes: self.model_bytes,
+            weight_bytes: ledger.bytes(TrafficClass::Weights),
+            weight_loads: self.loads,
+            weight_evictions: self.evictions,
+            cold_requests: cold.len() as u64,
+            cold_ttft: LatencySummary::from_samples(cold),
+            warm_ttft: LatencySummary::from_samples(warm),
+        }
     }
 }
 
@@ -1146,133 +1091,6 @@ fn validate_weights(
         }
     }
     Ok(())
-}
-
-/// Aggregate counters the serving loop hands to [`finalize_report`].
-struct SchedTotals {
-    ticks: u64,
-    makespan_ms: f64,
-    peak_kv: u64,
-    frag_peak: u64,
-    total_evictions: u64,
-    page_spills: u64,
-    page_faults: u64,
-    rejected: u64,
-    weight_loads: u64,
-    weight_evictions: u64,
-}
-
-/// Folds final session state into the [`ServeReport`]: the traces in input
-/// order, the latency sort and the [`LatencySummary`] percentiles.
-fn finalize_report(
-    config: &ServeConfig,
-    model: &TransformerConfig,
-    sizer: &KvSizer,
-    sessions: &[Session],
-    ledger: TrafficLedger,
-    totals: SchedTotals,
-) -> ServeReport {
-    let traces: Vec<ServeTrace> = sessions
-        .iter()
-        .map(|s| ServeTrace {
-            id: s.req.id,
-            prompt_tokens: s.req.prompt_tokens,
-            generated_tokens: s.generated,
-            arrival_ms: s.req.arrival_ms,
-            rejected: s.rejected,
-            queue_wait_ms: s.queue_wait_ms.unwrap_or(0.0),
-            prefill_ms: s.prefill_ms,
-            first_token_ms: s.first_token_ms,
-            finish_ms: s.finish_ms,
-            tbt_ms: s.tbt_ms.clone(),
-            evictions: s.evictions,
-            // Prompt plus tokens actually generated: equals
-            // `final_context_len()` for full and decode legs, and the
-            // prompt alone for a prefill-only leg (its handoff payload).
-            final_kv_bytes: if s.rejected {
-                0
-            } else {
-                sizer.bytes(s.req.prompt_tokens + s.generated)
-            },
-            cold_start: config.weight_budget_bytes.is_some().then_some(s.cold_start),
-        })
-        .collect();
-    let kv = kv_summary(model, sizer, sessions);
-    let weights = weight_summary(config, model, sessions, &ledger, &totals);
-    let total_generated: u64 = traces.iter().map(|t| t.generated_tokens as u64).sum();
-    let latency = LatencySummary::from_samples(
-        traces.iter().filter(|t| !t.rejected).map(ServeTrace::total_latency_ms).collect(),
-    );
-    let tokens_per_sec = if totals.makespan_ms > 0.0 {
-        total_generated as f64 / (totals.makespan_ms / 1e3)
-    } else {
-        0.0
-    };
-    ServeReport {
-        policy: config.policy,
-        admission: config.admission,
-        kv_budget_bytes: config.kv_budget_bytes,
-        page_bytes: config.page_bytes,
-        max_batch: config.max_batch,
-        requests: sessions.len(),
-        rejected_requests: totals.rejected,
-        total_generated_tokens: total_generated,
-        ticks: totals.ticks,
-        makespan_ms: totals.makespan_ms,
-        tokens_per_sec,
-        p50_latency_ms: latency.p50_ms,
-        p95_latency_ms: latency.p95_ms,
-        peak_kv_bytes: totals.peak_kv,
-        total_evictions: totals.total_evictions,
-        total_page_spills: totals.page_spills,
-        total_page_faults: totals.page_faults,
-        kv_frag_peak_bytes: totals.frag_peak,
-        ledger,
-        kv,
-        weights,
-        traces,
-    }
-}
-
-/// Builds the [`WeightSummary`] of a run, or `None` when no weight budget
-/// is set (the permanently-resident identity, whose reports must stay
-/// byte-stable with the pre-residency scheduler). Cold and warm TTFT are
-/// summarized separately over non-rejected sessions, split by whether the
-/// session's first prefill step had to stream its model's weights in.
-fn weight_summary(
-    config: &ServeConfig,
-    model: &TransformerConfig,
-    sessions: &[Session],
-    ledger: &TrafficLedger,
-    totals: &SchedTotals,
-) -> Option<WeightSummary> {
-    let weight_budget_bytes = config.weight_budget_bytes?;
-    let mut cold: Vec<f64> = Vec::new();
-    let mut warm: Vec<f64> = Vec::new();
-    for s in sessions.iter().filter(|s| !s.rejected) {
-        let ttft = s.first_token_ms - s.req.arrival_ms;
-        if s.cold_start {
-            cold.push(ttft);
-        } else {
-            warm.push(ttft);
-        }
-    }
-    let cold_requests = cold.len() as u64;
-    let mut models: Vec<u32> = sessions.iter().map(|s| s.req.model()).collect();
-    models.sort_unstable();
-    models.dedup();
-    Some(WeightSummary {
-        weight_budget_bytes,
-        streaming: config.weight_streaming,
-        models: models.len(),
-        model_weight_bytes: model.total_weight_bytes(),
-        weight_bytes: ledger.bytes(TrafficClass::Weights),
-        weight_loads: totals.weight_loads,
-        weight_evictions: totals.weight_evictions,
-        cold_requests,
-        cold_ttft: LatencySummary::from_samples(cold),
-        warm_ttft: LatencySummary::from_samples(warm),
-    })
 }
 
 /// Builds the [`KvSummary`] of a run, or `None` for the dense identity
@@ -1321,14 +1139,17 @@ pub(crate) fn arrival_order(trace: &ArrivalTrace) -> Vec<usize> {
     order
 }
 
-/// Scheduling key of one resident session: `(last step tick, admission
-/// sequence, request id)` — the step-set order and the LRU victim order.
-type ReadyKey = (u64, u64, u32);
+/// Scheduling key of one session: `(last step tick, admission sequence,
+/// arena index)` — the step-set order and the LRU victim order. The
+/// admission sequence is unique among resident and demoted sessions, so
+/// the index only names the session and never decides an order.
+type ReadyKey = (u64, u64, usize);
 
-/// Ordered index over resident sessions. One instance keyed by the ready
-/// key serves step selection (a prefix walk) and LRU victims (an in-order
-/// scan that skips the step set); a second instance keyed by `(admission
-/// sequence, last step tick, id)` serves FIFO victims. No per-tick
+/// Ordered index over sessions. One instance keyed by the ready key serves
+/// step selection (a prefix walk) and LRU victims (an in-order scan that
+/// skips the step set); a second keyed by `(admission sequence, last step
+/// tick, index)` serves FIFO victims; a third holds the demoted sessions
+/// that still own `PagedLru` frames, stalest first. No per-tick
 /// clone-and-sort.
 #[derive(Debug, Default)]
 struct ReadyOrder {
@@ -1338,16 +1159,20 @@ struct ReadyOrder {
 impl ReadyOrder {
     fn insert(&mut self, key: ReadyKey) {
         let fresh = self.set.insert(key);
-        debug_assert!(fresh, "ready keys embed the unique request id");
+        debug_assert!(fresh, "ready keys embed the unique arena index");
     }
 
     fn remove(&mut self, key: &ReadyKey) {
         let existed = self.set.remove(key);
-        debug_assert!(existed, "removed sessions must be resident");
+        debug_assert!(existed, "removed sessions must be indexed");
     }
 
     fn is_empty(&self) -> bool {
         self.set.is_empty()
+    }
+
+    fn first(&self) -> Option<&ReadyKey> {
+        self.set.first()
     }
 
     /// Sessions in key order (ascending — least recently stepped first
@@ -1369,63 +1194,18 @@ impl ReadyOrder {
 /// produced, a `DecodeOnly` leg starts already prefilled with its prompt
 /// KV delivered (the caller charges the handoff on the cluster NoC).
 ///
-/// Each scheduler iteration (a tick) steps one batch, and simulated time
-/// jumps by the batch makespan, or to the next arrival when the chip
-/// idles. An iteration costs `O(batch · log n)`, not `O(resident
-/// sessions)`:
-///
-/// * Every arrival is known when the run starts, so arrivals enter the
-///   wait queue through a cursor over [`arrival_order`]. The TTFT SLO is
-///   one constant per run and requests enter in arrival order, so their
-///   deadlines fall due in that same order: a FIFO queue holds them, and a
-///   request is shed once `now - arrival > slo` (evaluated against the
-///   original arrival time, never a differently rounded `arrival + slo`).
-///   Shed requests stay in the wait deque as tombstones, skipped at the
-///   head, instead of an `O(n)` `retain`.
-/// * The step/victim order lives in [`ReadyOrder`] indexes maintained
-///   incrementally (one in LRU order, one in FIFO order when that policy
-///   needs it) instead of a per-iteration clone-and-sort.
-/// * The budget sums (`Σ next_kv` for admission, stepping + idle + zombie
-///   demand for eviction) are running `u64` totals — exact, because
-///   unsigned sums are order-independent — with per-session sizes cached
-///   and refreshed at each state change.
-/// * Step measurements are memoized by the measured step shape
-///   `(tokens_new, context)`: `(p, p)` for a `p`-token prefill and
-///   `(1, p + i - 1)` for the `i`-th decode step. The engine's latency
-///   model is a pure function of it — every call builds a fresh DRAM
-///   channel — so a cache hit (errors included) is bit-identical to
-///   re-measuring, and decode steps of different requests at the same
-///   context share one measurement. Misses fan out through an
-///   order-preserving parallel map, preserving `MEADOW_THREADS`
-///   bit-identity.
-///
-/// Step completion is the one event that is not known in advance: the
-/// batch's flow-shop makespan decides the next time the scheduler wakes.
-/// Eviction spills, KV reloads and speculative-decoding flushes complete
-/// *within* the step that needs them (the cost model charges them as
-/// stalls ahead of the first layer), and a disaggregated handoff is an
-/// ordinary arrival of the decode stage at `prefill finish + handoff
-/// latency`.
-///
-/// Sessions live in one arena (`Vec<Session>`, indexed by the trace
-/// order) and the per-iteration scratch buffers are reused across
-/// iterations, so steady-state scheduling allocates only when the batch
-/// shape grows. `tests/oracle_digests.rs` pins the reports to a retired
-/// per-tick scan implementation's, case by case, on a fixed corpus that
-/// crosses every feature axis.
-#[allow(clippy::too_many_lines)]
+/// The run itself is a [`ChipLoop`].
 pub(crate) fn serve_on_chip(
     engine: &MeadowEngine,
     trace: &ArrivalTrace,
     config: &ServeConfig,
     phases: Option<&[SessionPhase]>,
-    mut migration: Option<&mut MigrationCtx<'_>>,
+    migration: Option<&mut MigrationCtx<'_>>,
 ) -> Result<ServeReport, CoreError> {
     let model = &engine.config().model;
     trace.validate(model)?;
     config.validate()?;
     let sizer = kv_sizer(model, config)?;
-    let paged = config.policy == KvPolicy::PagedLru;
     if let Some(budget) = config.kv_budget_bytes {
         for r in &trace.requests {
             let peak = sizer.bytes(r.final_context_len());
@@ -1440,461 +1220,576 @@ pub(crate) fn serve_on_chip(
         }
     }
     validate_weights(config, model, trace)?;
-    let mut weights = WeightSet::for_run(config, model);
+    debug_assert!(
+        phases.is_none_or(|p| p.len() == trace.requests.len()),
+        "phases must align with the trace"
+    );
+    ChipLoop::new(engine, trace, config, sizer, phases, migration)?.run()
+}
 
-    let clock = engine.config().chip.clock;
-    let exec = engine.config().exec;
-    // Serving-level channel for KV spill/reload migration; per-step
-    // attention traffic is ledgered inside each LatencyReport.
-    let mut kv_dram = engine.fresh_dram()?;
-    let mut ledger = TrafficLedger::new();
-    // The page pool tracks identity and fragmentation; the loop below
-    // enforces the byte budget so all three policies share one accounting
-    // scheme (and `peak_kv_bytes <= budget` holds exactly, not
-    // page-rounded). Sized for every session resident at its peak at once
-    // — per session, because each partially filled tail page burns a frame
-    // — which no reachable allocation exceeds.
-    let mut pages: Option<KvPageAllocator> = if paged {
-        let frames: u64 = trace
+/// The state of one chip's serving run, stepped one scheduler iteration (a
+/// tick) at a time by [`ChipLoop::run`], with one method per decision.
+///
+/// Each tick steps one batch, and simulated time jumps by the batch
+/// makespan, or to the next arrival when the chip idles. A tick costs
+/// `O(batch · log n)`, not `O(resident sessions)`:
+///
+/// * Every arrival is known when the run starts, so arrivals enter the
+///   wait queue through a cursor over [`arrival_order`]. The TTFT SLO is
+///   one constant per run and requests enter in arrival order, so their
+///   deadlines fall due in that same order: a FIFO queue holds them, and a
+///   request is shed once `now - arrival > slo` (evaluated against the
+///   original arrival time, never a differently rounded `arrival + slo`).
+///   Shed requests stay in the wait deque as tombstones, skipped at the
+///   head, instead of an `O(n)` `retain`.
+/// * The step/victim order lives in [`ReadyOrder`] indexes keyed by arena
+///   index and maintained incrementally (one in LRU order, one in FIFO
+///   order when that policy needs it, one over paged zombies) instead of a
+///   per-tick clone-and-sort.
+/// * The budget sums (`Σ next_kv` for admission, stepping + idle + zombie
+///   demand for eviction) are running `u64` totals — exact, because
+///   unsigned sums are order-independent — with per-session sizes cached
+///   and refreshed at each state change.
+/// * Step measurements are memoized by the measured step shape
+///   `(tokens_new, context)`: `(p, p)` for a `p`-token prefill and
+///   `(1, p + i - 1)` for the `i`-th decode step. The engine's latency
+///   model is a pure function of it — every call builds a fresh DRAM
+///   channel — so a cache hit (errors included) is bit-identical to
+///   re-measuring, and decode steps of different requests at the same
+///   context share one measurement. Misses fan out through an
+///   order-preserving parallel map, preserving `MEADOW_THREADS`
+///   bit-identity.
+///
+/// `PagedLru` frames are counted, not named: a session holding `b` bytes
+/// owns `b.div_ceil(page_bytes)` frames, so one running `frames_held` sum
+/// gives fragmentation. Every frame a session owns is as stale as the
+/// session (attention reads the whole cache each step), so pages are
+/// peeled in the demoted sessions' order, tail first, which keeps a
+/// session's held bytes a page-aligned prefix.
+///
+/// Step completion is the one event that is not known in advance: the
+/// batch's flow-shop makespan decides the next time the scheduler wakes.
+/// Eviction spills, KV reloads and speculative-decoding flushes complete
+/// *within* the step that needs them (the cost model charges them as
+/// stalls ahead of the first layer), and a disaggregated handoff is an
+/// ordinary arrival of the decode stage at `prefill finish + handoff
+/// latency`.
+///
+/// Sessions live in one arena (`Vec<Session>`, indexed by the trace
+/// order) and the per-tick scratch buffers are reused across ticks, so
+/// steady-state scheduling allocates only when the batch shape grows.
+/// Debug builds audit the running sums and indexes after every tick.
+/// `tests/oracle_digests.rs` pins the reports to a retired per-tick scan
+/// implementation's, case by case, on a fixed corpus that crosses every
+/// feature axis.
+struct ChipLoop<'a, 'm> {
+    engine: &'a MeadowEngine,
+    config: &'a ServeConfig,
+    sizer: KvSizer,
+    paged: bool,
+    use_fifo: bool,
+    migration: Option<&'a mut MigrationCtx<'m>>,
+    weights: Option<WeightSet>,
+    /// Serving-level channel for KV spill/reload migration and weight
+    /// loads; per-step attention traffic is ledgered inside each
+    /// [`LatencyReport`].
+    kv_dram: DramModel,
+    ledger: TrafficLedger,
+    sessions: Vec<Session>,
+    arrivals: Vec<usize>,
+    next_arrival: usize,
+    /// Waiting requests in deadline order, which is arrival order.
+    deadlines: VecDeque<usize>,
+    /// Wait queue with tombstones: shed requests stay in the deque and are
+    /// skipped at the head; `wait_live` counts the live ones.
+    wait: VecDeque<usize>,
+    wait_live: usize,
+    /// Resident sessions in step/LRU-victim order, and in FIFO victim
+    /// order (maintained only when that policy orders victims differently).
+    ready: ReadyOrder,
+    fifo: ReadyOrder,
+    /// `PagedLru`: demoted sessions that still hold frames, keyed by their
+    /// ready key at demotion — the order their pages are peeled in.
+    zombies: ReadyOrder,
+    /// Cached per-session KV sizes, initialized from the *constructed*
+    /// sessions: a decode-only leg starts prefilled, with its prompt KV
+    /// logically present.
+    resident_kv: Vec<u64>,
+    next_kv: Vec<u64>,
+    /// Σ next_kv / Σ resident_kv over resident (ready) sessions, including
+    /// this tick's finishers until the peak snapshot.
+    active_next_sum: u64,
+    active_resident_sum: u64,
+    /// `PagedLru` residency: Σ held bytes over resident sessions and over
+    /// zombies, and Σ held frames over every session.
+    active_held_sum: u64,
+    wait_held_sum: u64,
+    frames_held: u64,
+    /// `step_epoch[i] == tick` marks membership in the current step set,
+    /// so victim scans skip it without an auxiliary set.
+    step_epoch: Vec<u64>,
+    /// Step measurements by step shape. The key deliberately omits the
+    /// chip: the memo lives and dies inside one `ChipLoop`, so it is
+    /// private to one chip's engine. That scoping is load-bearing for
+    /// heterogeneous fleets — the same shape measures differently on a big
+    /// chip than on a LITTLE one, so a memo shared across chips would
+    /// silently serve one chip's latencies to another. Never hoist this
+    /// memo above the per-chip serving loop.
+    cache: HashMap<StepShape, Result<LatencyReport, CoreError>>,
+    now: f64,
+    tick: u64,
+    admission_counter: u64,
+    settled: usize,
+    peak_kv: u64,
+    frag_peak: u64,
+    total_evictions: u64,
+    page_spills: u64,
+    page_faults: u64,
+    rejected: u64,
+    /// This tick's step set, its Σ next_kv / Σ resident_kv, and the spill
+    /// cycles that occupy the channel before the batch starts.
+    step_set: Vec<usize>,
+    step_next: u64,
+    step_resident: u64,
+    spill_cycles: Cycles,
+    // Scratch buffers reused across ticks (no per-tick churn).
+    reload_cycles: Vec<Cycles>,
+    step_shapes: Vec<Result<StepShape, CoreError>>,
+    miss_shapes: Vec<StepShape>,
+    matrix: Vec<Vec<Cycles>>,
+    solo_ms: Vec<f64>,
+    finished: Vec<usize>,
+}
+
+impl<'a, 'm> ChipLoop<'a, 'm> {
+    fn new(
+        engine: &'a MeadowEngine,
+        trace: &ArrivalTrace,
+        config: &'a ServeConfig,
+        sizer: KvSizer,
+        phases: Option<&[SessionPhase]>,
+        migration: Option<&'a mut MigrationCtx<'m>>,
+    ) -> Result<Self, CoreError> {
+        let sessions: Vec<Session> = trace
             .requests
             .iter()
-            .map(|r| sizer.bytes(r.final_context_len()).div_ceil(config.page_bytes))
-            .sum();
-        Some(KvPageAllocator::new(frames.max(1) as usize, config.page_bytes)?)
-    } else {
-        None
-    };
-    let page_bytes = config.page_bytes;
+            .enumerate()
+            .map(|(i, &r)| Session::new(r, phases.map_or(SessionPhase::Full, |p| p[i]), &sizer))
+            .collect();
+        let n = sessions.len();
+        Ok(Self {
+            engine,
+            config,
+            sizer,
+            paged: config.policy == KvPolicy::PagedLru,
+            use_fifo: config.policy == KvPolicy::Fifo,
+            migration,
+            weights: WeightSet::for_run(config, &engine.config().model),
+            kv_dram: engine.fresh_dram()?,
+            ledger: TrafficLedger::new(),
+            resident_kv: sessions.iter().map(|s| s.kv_bytes(&sizer)).collect(),
+            next_kv: sessions.iter().map(|s| s.next_kv(&sizer)).collect(),
+            sessions,
+            arrivals: arrival_order(trace),
+            next_arrival: 0,
+            deadlines: VecDeque::new(),
+            wait: VecDeque::new(),
+            wait_live: 0,
+            ready: ReadyOrder::default(),
+            fifo: ReadyOrder::default(),
+            zombies: ReadyOrder::default(),
+            active_next_sum: 0,
+            active_resident_sum: 0,
+            active_held_sum: 0,
+            wait_held_sum: 0,
+            frames_held: 0,
+            step_epoch: vec![0; n],
+            cache: HashMap::new(),
+            now: 0.0,
+            tick: 0,
+            admission_counter: 0,
+            settled: 0,
+            peak_kv: 0,
+            frag_peak: 0,
+            total_evictions: 0,
+            page_spills: 0,
+            page_faults: 0,
+            rejected: 0,
+            step_set: Vec::new(),
+            step_next: 0,
+            step_resident: 0,
+            spill_cycles: Cycles::ZERO,
+            reload_cycles: Vec::new(),
+            step_shapes: Vec::new(),
+            miss_shapes: Vec::new(),
+            matrix: Vec::new(),
+            solo_ms: Vec::new(),
+            finished: Vec::new(),
+        })
+    }
 
-    let n = trace.requests.len();
-    debug_assert!(phases.is_none_or(|p| p.len() == n), "phases must align with the trace");
-    // Session arena, indexed by trace order for the whole run.
-    let mut sessions: Vec<Session> = trace
-        .requests
-        .iter()
-        .enumerate()
-        .map(|(idx, &r)| Session::new(r, phases.map_or(SessionPhase::Full, |p| p[idx])))
-        .collect();
-    // id → arena index, built once (lookups only, so map order never
-    // influences the schedule).
-    let id2idx: HashMap<u32, usize> =
-        sessions.iter().enumerate().map(|(i, s)| (s.req.id, i)).collect();
-
-    // Arrivals enter in arrival order, ties broken by id for determinism.
-    let arrivals = arrival_order(trace);
-    let mut next_arrival = 0usize;
-    let slo = match config.admission {
-        AdmissionPolicy::RejectAfter { ttft_slo_ms } => Some(ttft_slo_ms),
-        AdmissionPolicy::Queue => None,
-    };
-    // Waiting requests in deadline order, which is arrival order.
-    let mut deadlines: VecDeque<usize> = VecDeque::new();
-
-    // Wait queue with tombstones: shed requests stay in the deque and are
-    // skipped at the head; `wait_live` counts the live ones and `in_wait`
-    // answers the paged zombie-ownership test in O(1).
-    let mut wait: VecDeque<usize> = VecDeque::new();
-    let mut in_wait = vec![false; n];
-    let mut wait_live = 0usize;
-
-    // Resident sessions in step/LRU-victim order; the FIFO index is
-    // maintained only when that policy orders victims differently.
-    let mut ready = ReadyOrder::default();
-    let mut fifo = ReadyOrder::default();
-    let use_fifo = config.policy == KvPolicy::Fifo;
-
-    // Cached per-session KV sizes and the running budget sums. The caches
-    // are initialized from the *constructed* sessions: a decode-only leg
-    // starts prefilled, with its prompt KV logically present.
-    let mut resident_kv: Vec<u64> = sessions.iter().map(|s| s.kv_bytes(&sizer)).collect();
-    let mut next_kv: Vec<u64> = sessions.iter().map(|s| s.next_kv(&sizer)).collect();
-    // Σ next_kv / Σ resident_kv over resident (ready) sessions, including
-    // this iteration's finishers until the peak snapshot.
-    let mut active_next_sum = 0u64;
-    let mut active_resident_sum = 0u64;
-    // Paged residency: Σ held_bytes over resident sessions and over
-    // demoted zombies whose pages have not been peeled yet.
-    let mut active_held_sum = 0u64;
-    let mut wait_held_sum = 0u64;
-
-    // `step_epoch[i] == tick` marks membership in the current step set,
-    // so victim scans skip it without an auxiliary set.
-    let mut step_epoch = vec![0u64; n];
-
-    // Step measurements by step shape. The key deliberately omits the
-    // chip: the memo lives and dies inside this call, so it is private to
-    // one chip's engine. That scoping is load-bearing for heterogeneous
-    // fleets — the same shape measures differently on a big chip than on
-    // a LITTLE one, so a memo shared across chips would silently serve one
-    // chip's latencies to another. Never hoist this memo above the
-    // per-chip serving loop.
-    let mut cache: HashMap<StepShape, Result<LatencyReport, CoreError>> = HashMap::new();
-
-    let mut now = 0.0_f64;
-    let mut tick: u64 = 0;
-    let mut admission_counter: u64 = 0;
-    let mut peak_kv: u64 = 0;
-    let mut frag_peak: u64 = 0;
-    let mut total_evictions: u64 = 0;
-    let mut page_spills: u64 = 0;
-    let mut page_faults: u64 = 0;
-    let mut rejected: u64 = 0;
-    let mut settled = 0usize;
-
-    // Scratch buffers reused across iterations (no per-tick churn).
-    let mut step_set: Vec<usize> = Vec::new();
-    let mut reload_cycles: Vec<Cycles> = Vec::new();
-    let mut step_shapes: Vec<Result<StepShape, CoreError>> = Vec::new();
-    let mut miss_shapes: Vec<StepShape> = Vec::new();
-    let mut matrix: Vec<Vec<Cycles>> = Vec::new();
-    let mut solo_ms: Vec<f64> = Vec::new();
-    let mut finished: Vec<usize> = Vec::new();
-
-    while settled < n {
-        tick += 1;
-        // Idle chip: jump straight to the next arrival.
-        if ready.is_empty() && wait_live == 0 {
-            if let Some(&i) = arrivals.get(next_arrival) {
-                now = now.max(sessions[i].req.arrival_ms);
+    /// Runs ticks until every request has finished or been shed.
+    fn run(mut self) -> Result<ServeReport, CoreError> {
+        while self.settled < self.sessions.len() {
+            self.tick += 1;
+            self.arrive();
+            self.shed_lapsed();
+            self.admit();
+            // An empty step set is only reachable when load shedding
+            // emptied the queue with no resident work; the next tick jumps
+            // to the next arrival.
+            if self.pick_step_set() {
+                self.enforce_budget();
+                self.reload();
+                self.measure()?;
+                self.commit_step();
+                self.record_peak();
+                self.release_finishers();
+            }
+            if cfg!(debug_assertions) {
+                self.audit();
             }
         }
-        // Arrivals at or before `now` enter the wait queue.
-        while let Some(&i) = arrivals.get(next_arrival) {
-            if sessions[i].req.arrival_ms > now {
+        self.ledger.merge(self.kv_dram.ledger());
+        Ok(self.into_report())
+    }
+
+    /// The TTFT SLO past which never-admitted requests are shed.
+    fn slo(&self) -> Option<f64> {
+        match self.config.admission {
+            AdmissionPolicy::RejectAfter { ttft_slo_ms } => Some(ttft_slo_ms),
+            AdmissionPolicy::Queue => None,
+        }
+    }
+
+    /// Arrivals at or before `now` enter the wait queue; an idle chip first
+    /// jumps straight to the next arrival.
+    fn arrive(&mut self) {
+        if self.ready.is_empty() && self.wait_live == 0 {
+            if let Some(&i) = self.arrivals.get(self.next_arrival) {
+                self.now = self.now.max(self.sessions[i].req.arrival_ms);
+            }
+        }
+        let track_deadlines = self.slo().is_some();
+        while let Some(&i) = self.arrivals.get(self.next_arrival) {
+            if self.sessions[i].req.arrival_ms > self.now {
                 break;
             }
-            next_arrival += 1;
-            wait.push_back(i);
-            in_wait[i] = true;
-            wait_live += 1;
-            if slo.is_some() {
-                deadlines.push_back(i);
+            self.next_arrival += 1;
+            self.wait.push_back(i);
+            self.wait_live += 1;
+            if track_deadlines {
+                self.deadlines.push_back(i);
             }
         }
-        // Deadlines: shed every request whose TTFT SLO lapsed before
-        // first admission. Admitted sessions drop their stale deadline
-        // silently — their work is already sunk, never shed.
-        if let Some(ttft_slo_ms) = slo {
-            while let Some(&i) = deadlines.front() {
-                if sessions[i].queue_wait_ms.is_some() {
-                    deadlines.pop_front();
-                    continue;
-                }
-                if now - sessions[i].req.arrival_ms <= ttft_slo_ms {
-                    // Earliest deadline not lapsed: none after it has.
-                    break;
-                }
-                deadlines.pop_front();
-                let s = &mut sessions[i];
-                s.rejected = true;
-                s.queue_wait_ms = Some(now - s.req.arrival_ms);
-                rejected += 1;
-                settled += 1;
-                in_wait[i] = false;
-                wait_live -= 1;
-            }
-        }
-        // Head-of-line admission: the head joins when its next step fits
-        // alongside every resident session's next step (the running
-        // Σ next_kv: conservative, all of them may grow this tick).
-        // Demoted sessions' unspilled pages deliberately do NOT count: the
-        // enforcement loop below reclaims them first, and counting them
-        // could wedge the scheduler — a blocked head with no stepping
-        // session never advances the clock, so the pages never free.
-        while let Some(&head) = wait.front() {
-            if sessions[head].rejected {
-                // Tombstone left by a lapsed deadline.
-                wait.pop_front();
+    }
+
+    /// Sheds every request whose TTFT SLO lapsed before first admission.
+    /// Admitted sessions drop their stale deadline silently — their work is
+    /// already sunk, never shed.
+    fn shed_lapsed(&mut self) {
+        let Some(ttft_slo_ms) = self.slo() else { return };
+        while let Some(&i) = self.deadlines.front() {
+            let s = &mut self.sessions[i];
+            if s.queue_wait_ms.is_some() {
+                self.deadlines.pop_front();
                 continue;
             }
-            let projected = active_next_sum + next_kv[head];
-            if config.kv_budget_bytes.is_some_and(|b| projected > b) {
+            if self.now - s.req.arrival_ms <= ttft_slo_ms {
+                // Earliest deadline not lapsed: none after it has.
                 break;
             }
-            wait.pop_front();
-            in_wait[head] = false;
-            wait_live -= 1;
-            admission_counter += 1;
-            let s = &mut sessions[head];
-            s.admission_seq = admission_counter;
+            self.deadlines.pop_front();
+            s.rejected = true;
+            s.queue_wait_ms = Some(self.now - s.req.arrival_ms);
+            self.rejected += 1;
+            self.settled += 1;
+            self.wait_live -= 1;
+        }
+    }
+
+    /// Head-of-line admission: the head joins when its next step fits
+    /// alongside every resident session's next step (the running
+    /// Σ next_kv: conservative, all of them may grow this tick). Demoted
+    /// sessions' unpeeled pages deliberately do NOT count: budget
+    /// enforcement reclaims them first, and counting them could wedge the
+    /// scheduler — a blocked head with no stepping session never advances
+    /// the clock, so the pages never free.
+    fn admit(&mut self) {
+        while let Some(&head) = self.wait.front() {
+            if self.sessions[head].rejected {
+                // Tombstone left by a lapsed deadline.
+                self.wait.pop_front();
+                continue;
+            }
+            let projected = self.active_next_sum + self.next_kv[head];
+            if self.config.kv_budget_bytes.is_some_and(|b| projected > b) {
+                break;
+            }
+            self.wait.pop_front();
+            self.wait_live -= 1;
+            if self.paged {
+                // Re-admission holds the whole cache up front; a zombie's
+                // unpeeled pages move from the wait sum back to the active
+                // sum.
+                let (held, kv) = (self.sessions[head].held_bytes, self.resident_kv[head]);
+                if held > 0 {
+                    self.zombies.remove(&self.sessions[head].ready_key(head));
+                }
+                self.wait_held_sum -= held;
+                self.active_held_sum += kv;
+                self.set_held(head, kv);
+            }
+            self.admission_counter += 1;
+            let s = &mut self.sessions[head];
+            s.admission_seq = self.admission_counter;
             if s.queue_wait_ms.is_none() {
-                s.queue_wait_ms = Some(now - s.req.arrival_ms);
+                s.queue_wait_ms = Some(self.now - s.req.arrival_ms);
             }
-            if let Some(pool) = pages.as_mut() {
-                // Re-admission reserves frames for the whole cache up
-                // front; a zombie's still-held pages move from the wait
-                // sum back to the active sum.
-                let kv = resident_kv[head];
-                wait_held_sum -= s.held_bytes;
-                s.held_bytes = kv;
-                active_held_sum += kv;
-                pool.grow(
-                    s.req.id,
-                    pool.pages_for(kv),
-                    (s.last_step_tick, s.admission_seq, s.req.id),
-                )
-                .expect("pool is sized for the whole trace");
-                if std::mem::take(&mut s.kv_preloaded) {
-                    // Decode-only leg: prompt KV arrived over the NoC
-                    // handoff, so the first admission loads fault-free.
-                    s.loaded_bytes = kv;
-                }
+            self.active_next_sum += self.next_kv[head];
+            self.active_resident_sum += self.resident_kv[head];
+            self.join_ready(head);
+        }
+    }
+
+    /// Step-set selection: the first `max_batch` sessions in ready order —
+    /// least recently stepped first, deterministic tie-breaks — without
+    /// cloning or sorting the resident set. Returns whether any session
+    /// steps this tick.
+    fn pick_step_set(&mut self) -> bool {
+        self.step_set.clear();
+        self.step_set.extend(self.ready.iter().take(self.config.max_batch).map(|&(_, _, i)| i));
+        self.step_next = 0;
+        self.step_resident = 0;
+        for &i in &self.step_set {
+            self.step_epoch[i] = self.tick;
+            self.step_next += self.next_kv[i];
+            self.step_resident += self.resident_kv[i];
+        }
+        !self.step_set.is_empty()
+    }
+
+    /// Budget enforcement: evict until the tick fits, idle sessions first
+    /// (freeing them costs no progress), then the step set. The demand —
+    /// stepping sessions grown, idle caches and demoted sessions' unpeeled
+    /// pages (zero outside `PagedLru`) — comes O(1) from running sums.
+    fn enforce_budget(&mut self) {
+        self.spill_cycles = Cycles::ZERO;
+        let Some(budget) = self.config.kv_budget_bytes else { return };
+        while self.step_next + (self.active_resident_sum - self.step_resident) + self.wait_held_sum
+            > budget
+        {
+            if self.paged {
+                self.peel_or_demote();
             } else {
-                s.pending_reload_bytes = s.spilled_kv_bytes;
-                s.spilled_kv_bytes = 0;
-            }
-            active_next_sum += next_kv[head];
-            active_resident_sum += resident_kv[head];
-            ready.insert((s.last_step_tick, s.admission_seq, s.req.id));
-            if use_fifo {
-                fifo.insert((s.admission_seq, s.last_step_tick, s.req.id));
+                self.evict_whole_cache();
             }
         }
-        // Step-set selection: the first `max_batch` sessions in ready
-        // order — least recently stepped first, deterministic tie-breaks —
-        // without cloning or sorting the resident set.
-        step_set.clear();
-        step_set.extend(ready.iter().take(config.max_batch).map(|&(_, _, id)| id2idx[&id]));
-        if step_set.is_empty() {
-            // Only reachable when load shedding emptied the queue with no
-            // resident work; the next iteration jumps to the next arrival.
-            continue;
-        }
-        let mut step_next = 0u64;
-        let mut step_resident = 0u64;
-        for &i in &step_set {
-            step_epoch[i] = tick;
-            step_next += next_kv[i];
-            step_resident += resident_kv[i];
-        }
-        // Budget enforcement: evict until the tick fits, idle sessions
-        // first (freeing them costs no progress), then the step set. The
-        // demand — stepping sessions grown, idle caches and, in paged mode,
-        // demoted sessions' unspilled pages — comes O(1) from running sums.
-        let mut spill_cycles = Cycles::ZERO;
-        if let Some(budget) = config.kv_budget_bytes {
-            loop {
-                let zombie_held = if paged { wait_held_sum } else { 0 };
-                let needed = step_next + (active_resident_sum - step_resident) + zombie_held;
-                if needed <= budget {
-                    break;
-                }
-                if let Some(pool) = pages.as_mut() {
-                    // Lazy page-granular spill: first peel pages that
-                    // demoted sessions left behind (stalest owner first);
-                    // once none remain, demote the whole-cache victim —
-                    // without spilling anything yet. Demotion is what
-                    // throttles the multiprogramming level (the session
-                    // stops being scheduled, exactly like whole-cache
-                    // eviction, so paging cannot thrash the step set);
-                    // peeling is what bounds the traffic (only the bytes
-                    // the tick actually needs ever move).
-                    let zombie_page = pool.lru_page(|sid| in_wait[id2idx[&sid]]);
-                    if let Some((_, owner)) = zombie_page {
-                        let victim = id2idx[&owner];
-                        let s = &mut sessions[victim];
-                        let frames = pool.session_pages(owner) as u64;
-                        let tail_start = (frames - 1) * page_bytes;
-                        // Only the valid, on-chip bytes of the tail page
-                        // move; reserved-but-unloaded frames free silently
-                        // (their data never came back on chip).
-                        let write = s.loaded_bytes.saturating_sub(tail_start);
-                        if write > 0 {
-                            spill_cycles +=
-                                charge_spill(&mut kv_dram, &mut migration, owner, write, None);
-                            page_spills += 1;
-                        }
-                        pool.evict_tail(owner);
-                        wait_held_sum -= s.held_bytes - tail_start;
-                        s.held_bytes = tail_start;
-                        s.loaded_bytes = s.loaded_bytes.min(tail_start);
-                    } else {
-                        // First resident session in LRU order that is not
-                        // stepping and still holds pages, located by an
-                        // ordered walk instead of a full scan.
-                        let idle_victim = ready
-                            .iter()
-                            .map(|&(_, _, id)| id2idx[&id])
-                            .find(|&i| step_epoch[i] != tick && sessions[i].held_bytes > 0);
-                        if let Some(victim) = idle_victim {
-                            let s = &mut sessions[victim];
-                            ready.remove(&(s.last_step_tick, s.admission_seq, s.req.id));
-                            active_next_sum -= next_kv[victim];
-                            active_resident_sum -= resident_kv[victim];
-                            // Demoted without spilling: its pages become
-                            // zombie residency until lazily peeled.
-                            active_held_sum -= s.held_bytes;
-                            wait_held_sum += s.held_bytes;
-                            if s.prefilled {
-                                total_evictions += 1;
-                                s.evictions += 1;
-                            }
-                            wait.push_back(victim);
-                            in_wait[victim] = true;
-                            wait_live += 1;
+        debug_assert!(!self.step_set.is_empty(), "a tick with work must step a session");
+    }
+
+    /// The next session to demote: the first resident session in victim
+    /// order (the FIFO index under `Fifo`, else the ready index) that is
+    /// not stepping and holds a cache, else the step set's minimum in that
+    /// order. Evicting the last stepping session is impossible: a single
+    /// next step always fits (validated at run start).
+    fn pick_victim(&self) -> usize {
+        let order = if self.use_fifo { &self.fifo } else { &self.ready };
+        order
+            .iter()
+            .map(|&(_, _, i)| i)
+            .find(|&i| self.step_epoch[i] != self.tick && self.resident_kv[i] > 0)
+            .unwrap_or_else(|| {
+                self.step_set
+                    .iter()
+                    .copied()
+                    .min_by_key(|&i| {
+                        let s = &self.sessions[i];
+                        if self.use_fifo {
+                            s.fifo_key(i)
                         } else {
-                            // No idle cache left: demote a stepping
-                            // session, spilling eagerly (it was about to
-                            // run). Under PagedLru the victim key is the
-                            // ready key, so the minimum is the step set's
-                            // first remaining member.
-                            let victim = *step_set
-                                .first()
-                                .expect("an over-budget tick always has a stepping session");
-                            step_set.remove(0);
-                            let s = &mut sessions[victim];
-                            ready.remove(&(s.last_step_tick, s.admission_seq, s.req.id));
-                            step_next -= next_kv[victim];
-                            step_resident -= resident_kv[victim];
-                            active_next_sum -= next_kv[victim];
-                            active_resident_sum -= resident_kv[victim];
-                            if s.prefilled {
-                                total_evictions += 1;
-                                s.evictions += 1;
-                            }
-                            if s.loaded_bytes > 0 {
-                                spill_cycles += charge_spill(
-                                    &mut kv_dram,
-                                    &mut migration,
-                                    s.req.id,
-                                    s.loaded_bytes,
-                                    Some(page_bytes),
-                                );
-                                page_spills += pool.pages_for(s.loaded_bytes) as u64;
-                            }
-                            pool.release(s.req.id);
-                            active_held_sum -= s.held_bytes;
-                            s.held_bytes = 0;
-                            s.loaded_bytes = 0;
-                            wait.push_back(victim);
-                            in_wait[victim] = true;
-                            wait_live += 1;
+                            s.ready_key(i)
                         }
-                    }
-                } else {
-                    // Whole-cache victim: first non-stepping resident
-                    // session with a cache, in victim-key order (the FIFO
-                    // index when that policy differs from LRU), falling
-                    // back to the step set's minimum.
-                    let victim_order = if use_fifo { &fifo } else { &ready };
-                    let victim = victim_order
-                        .iter()
-                        .map(|&(_, _, id)| id2idx[&id])
-                        .find(|&i| step_epoch[i] != tick && resident_kv[i] > 0)
-                        .unwrap_or_else(|| {
-                            // Evicting the last stepping session is
-                            // impossible: a single next step always fits
-                            // (validated above).
-                            step_set
-                                .iter()
-                                .copied()
-                                .min_by_key(|&i| sessions[i].victim_key(config.policy))
-                                .expect("an over-budget tick always has an evictable session")
-                        });
-                    if let Some(pos) = step_set.iter().position(|&i| i == victim) {
-                        step_set.remove(pos);
-                        step_next -= next_kv[victim];
-                        step_resident -= resident_kv[victim];
-                    }
-                    let s = &mut sessions[victim];
-                    ready.remove(&(s.last_step_tick, s.admission_seq, s.req.id));
-                    if use_fifo {
-                        fifo.remove(&(s.admission_seq, s.last_step_tick, s.req.id));
-                    }
-                    active_next_sum -= next_kv[victim];
-                    active_resident_sum -= resident_kv[victim];
-                    if s.prefilled {
-                        // Only a session that actually holds (or owes) a
-                        // cache counts as evicted; preempting an
-                        // unprefilled session spills nothing.
-                        total_evictions += 1;
-                        s.evictions += 1;
-                        if s.pending_reload_bytes > 0 {
-                            // Evicted again before reloading: nothing to
-                            // write out.
-                            s.spilled_kv_bytes = s.pending_reload_bytes;
-                            s.pending_reload_bytes = 0;
-                        } else {
-                            let bytes = resident_kv[victim];
-                            spill_cycles +=
-                                charge_spill(&mut kv_dram, &mut migration, s.req.id, bytes, None);
-                            s.spilled_kv_bytes = bytes;
-                        }
-                    }
-                    wait.push_back(victim);
-                    in_wait[victim] = true;
-                    wait_live += 1;
-                }
-            }
+                    })
+                    .expect("an over-budget tick always has an evictable session")
+            })
+    }
+
+    /// Whole-cache eviction (`Fifo`/`Lru`): demote the victim and spill its
+    /// whole cache. A session evicted again before reloading, or preempted
+    /// before its prefill, has nothing on chip to write out.
+    fn evict_whole_cache(&mut self) {
+        let victim = self.pick_victim();
+        self.demote(victim);
+        let s = &mut self.sessions[victim];
+        let (id, bytes) = (s.req.id, std::mem::take(&mut s.loaded_bytes));
+        if bytes > 0 {
+            self.charge_spill(id, bytes, None);
         }
-        debug_assert!(!step_set.is_empty(), "a tick with work must step a session");
-        // Reload spilled caches for sessions about to step; paged mode
-        // also reserves the frames the step's KV growth will fill.
-        reload_cycles.clear();
-        for &i in &step_set {
-            if let Some(pool) = pages.as_mut() {
-                let s = &mut sessions[i];
-                let existing = resident_kv[i];
-                pool.grow(s.req.id, pool.pages_for(next_kv[i]), (tick, s.admission_seq, s.req.id))
-                    .expect("pool is sized for the whole trace");
-                let fault = existing - s.loaded_bytes;
-                if fault > 0 {
-                    reload_cycles.push(charge_reload(
-                        &mut kv_dram,
-                        &mut migration,
-                        s.req.id,
-                        fault,
-                        Some(page_bytes),
-                    ));
-                    page_faults += fault.div_ceil(page_bytes);
-                    s.loaded_bytes = existing;
-                } else {
-                    reload_cycles.push(Cycles::ZERO);
-                }
-            } else {
-                let bytes = std::mem::take(&mut sessions[i].pending_reload_bytes);
-                reload_cycles.push(if bytes > 0 {
-                    charge_reload(&mut kv_dram, &mut migration, sessions[i].req.id, bytes, None)
-                } else {
-                    Cycles::ZERO
-                });
-            }
+    }
+
+    /// `PagedLru` eviction, a lazy page-granular spill: first peel pages
+    /// that demoted sessions left behind (stalest owner first); once none
+    /// remain, demote the victim — without spilling anything yet, unless
+    /// it was about to step. Demotion is what throttles the
+    /// multiprogramming level (the session stops being scheduled, exactly
+    /// like whole-cache eviction, so paging cannot thrash the step set);
+    /// peeling is what bounds the traffic (only the bytes the tick
+    /// actually needs ever move).
+    fn peel_or_demote(&mut self) {
+        if let Some(&(_, _, zombie)) = self.zombies.first() {
+            self.peel_tail_page(zombie);
+            return;
         }
-        // Measure each *distinct* step shape once. The engine's latency
-        // model is a pure function of (tokens new, context) — every call
-        // builds a fresh DRAM channel — so a cached result (errors
-        // included) is bit-identical to re-measuring. The misses fan out
-        // on the engine's execution policy through an order-preserving
-        // parallel map, so the run is bit-identical across thread counts.
-        step_shapes.clear();
-        miss_shapes.clear();
-        for &i in &step_set {
-            let shape = step_shape(engine, &sessions[i]);
+        let victim = self.pick_victim();
+        let stepping = self.step_epoch[victim] == self.tick;
+        self.demote(victim);
+        let s = &self.sessions[victim];
+        if !stepping {
+            // Its pages become zombie residency until lazily peeled.
+            self.wait_held_sum += s.held_bytes;
+            self.zombies.insert(s.ready_key(victim));
+            return;
+        }
+        // No idle cache left: a stepping session spills eagerly.
+        let (id, loaded, page_bytes) = (s.req.id, s.loaded_bytes, self.config.page_bytes);
+        if loaded > 0 {
+            self.charge_spill(id, loaded, Some(page_bytes));
+            self.page_spills += loaded.div_ceil(page_bytes);
+        }
+        self.release_frames(victim);
+    }
+
+    /// Peels zombie `victim`'s tail frame. Only the valid, on-chip bytes of
+    /// the tail move; reserved-but-unloaded bytes free silently (their data
+    /// never came back on chip).
+    fn peel_tail_page(&mut self, victim: usize) {
+        let page_bytes = self.config.page_bytes;
+        let s = &self.sessions[victim];
+        let (held, id, key) = (s.held_bytes, s.req.id, s.ready_key(victim));
+        let tail_start = (held.div_ceil(page_bytes) - 1) * page_bytes;
+        let write = s.loaded_bytes.saturating_sub(tail_start);
+        if write > 0 {
+            self.charge_spill(id, write, None);
+            self.page_spills += 1;
+        }
+        if tail_start == 0 {
+            self.zombies.remove(&key);
+        }
+        self.wait_held_sum -= held - tail_start;
+        self.set_held(victim, tail_start);
+        let s = &mut self.sessions[victim];
+        s.loaded_bytes = s.loaded_bytes.min(tail_start);
+    }
+
+    /// Demotion bookkeeping shared by every policy: session `i` leaves the
+    /// step set (when stepping), the ready/FIFO index and the active sums,
+    /// counts an eviction when it holds (or owes) a cache, and rejoins the
+    /// wait queue.
+    fn demote(&mut self, i: usize) {
+        if self.step_epoch[i] == self.tick {
+            let pos = self.step_set.iter().position(|&j| j == i).expect("stepping this tick");
+            self.step_set.remove(pos);
+            self.step_next -= self.next_kv[i];
+            self.step_resident -= self.resident_kv[i];
+        }
+        self.leave_ready(i);
+        self.active_next_sum -= self.next_kv[i];
+        self.active_resident_sum -= self.resident_kv[i];
+        let s = &mut self.sessions[i];
+        self.active_held_sum -= s.held_bytes;
+        if s.prefilled {
+            self.total_evictions += 1;
+            s.evictions += 1;
+        }
+        self.wait.push_back(i);
+        self.wait_live += 1;
+    }
+
+    /// Charges one KV-cache spill ahead of this tick's batch, preferring
+    /// cross-chip migration when a cluster [`MigrationCtx`] accepts the
+    /// bytes and falling back to the chip's DRAM channel
+    /// ([`DramModel::transfer_kv_cache`]) otherwise. With no migration
+    /// context this is exactly the single-chip spill arithmetic.
+    fn charge_spill(&mut self, id: u32, bytes: u64, granularity: Option<u64>) {
+        let parked = self.migration.as_deref_mut().and_then(|ctx| ctx.park(id, bytes));
+        self.spill_cycles +=
+            parked.unwrap_or_else(|| self.kv_dram.transfer_kv_cache(bytes, granularity));
+    }
+
+    /// Reloads, for each session about to step, the `[loaded, kv)` suffix
+    /// of its cache that a spill or peel left off chip: bytes parked on a
+    /// remote chip come back over the cluster NoC first, the rest from
+    /// DRAM (page by page under `PagedLru`).
+    fn reload(&mut self) {
+        let page_bytes = self.paged.then_some(self.config.page_bytes);
+        self.reload_cycles.clear();
+        for &i in &self.step_set {
+            let s = &mut self.sessions[i];
+            let fault = self.resident_kv[i] - s.loaded_bytes;
+            s.loaded_bytes = self.resident_kv[i];
+            let mut cycles = Cycles::ZERO;
+            if fault > 0 {
+                let mut rest = fault;
+                if let Some(ctx) = self.migration.as_deref_mut() {
+                    let (noc_cycles, pulled) = ctx.pull_back(s.req.id, fault);
+                    cycles += noc_cycles;
+                    rest -= pulled;
+                }
+                if rest > 0 {
+                    cycles += self.kv_dram.transfer_kv_cache(rest, page_bytes);
+                }
+                self.page_faults += page_bytes.map_or(0, |p| fault.div_ceil(p));
+            }
+            self.reload_cycles.push(cycles);
+        }
+    }
+
+    /// Measures each *distinct* step shape once and builds the tick's
+    /// flow-shop rows. The engine's latency model is a pure function of
+    /// (tokens new, context) — every call builds a fresh DRAM channel — so
+    /// a cached result (errors included) is bit-identical to re-measuring.
+    /// The misses fan out on the engine's execution policy through an
+    /// order-preserving parallel map, so the run is bit-identical across
+    /// thread counts.
+    ///
+    /// # Errors
+    ///
+    /// The first failing step in step order propagates.
+    fn measure(&mut self) -> Result<(), CoreError> {
+        self.step_shapes.clear();
+        self.miss_shapes.clear();
+        for &i in &self.step_set {
+            let shape = step_shape(self.engine, &self.sessions[i]);
             if let Ok(shape) = shape {
-                if !cache.contains_key(&shape) && !miss_shapes.contains(&shape) {
-                    miss_shapes.push(shape);
+                if !self.cache.contains_key(&shape) && !self.miss_shapes.contains(&shape) {
+                    self.miss_shapes.push(shape);
                 }
             }
-            step_shapes.push(shape);
+            self.step_shapes.push(shape);
         }
-        if !miss_shapes.is_empty() {
-            let measured = par_map(&miss_shapes, &exec, |&shape| engine.measure(shape));
-            for (&shape, result) in miss_shapes.iter().zip(measured) {
-                cache.insert(shape, result);
+        if !self.miss_shapes.is_empty() {
+            let engine = self.engine;
+            let measured =
+                par_map(&self.miss_shapes, &engine.config().exec, |&shape| engine.measure(shape));
+            for (&shape, result) in self.miss_shapes.iter().zip(measured) {
+                self.cache.insert(shape, result);
             }
         }
-        matrix.clear();
-        solo_ms.clear();
-        for (pos, &i) in step_set.iter().enumerate() {
-            let measured =
-                step_shapes[pos].as_ref().map(|shape| cache.get(shape).expect("measured above"));
+        let clock = self.engine.config().chip.clock;
+        self.matrix.clear();
+        self.solo_ms.clear();
+        for (pos, &i) in self.step_set.iter().enumerate() {
+            let measured = self.step_shapes[pos]
+                .as_ref()
+                .map(|shape| self.cache.get(shape).expect("measured above"));
             let report = match measured {
                 Ok(Ok(report)) => report,
-                // The first failing step in step order propagates.
                 Ok(Err(e)) | Err(e) => return Err(e.clone()),
             };
             let mut row: Vec<Cycles> = report.layers.iter().map(LayerLatency::makespan).collect();
-            let mut stall = reload_cycles[pos];
+            let mut stall = self.reload_cycles[pos];
+            let s = &mut self.sessions[i];
             // Weight residency: the stepping session's model must be on
             // chip. A hit is free; a miss streams every layer through the
             // DRAM channel (evicting LRU models as needed) and stalls the
@@ -1902,12 +1797,11 @@ pub(crate) fn serve_on_chip(
             // overhang beyond the compute row when streaming overlap is
             // on. A load at a session's first prefill step is a cold
             // start; later re-streams are residency churn.
-            if let Some(ws) = weights.as_mut() {
-                let (wstall, was_cold) =
-                    ws.ensure_resident(&mut kv_dram, sessions[i].req.model(), &row);
+            if let Some(ws) = self.weights.as_mut() {
+                let (wstall, was_cold) = ws.ensure_resident(&mut self.kv_dram, s.req.model(), &row);
                 stall += wstall;
-                if was_cold && !sessions[i].prefilled {
-                    sessions[i].cold_start = true;
+                if was_cold && !s.prefilled {
+                    s.cold_start = true;
                 }
             }
             // Speculative decoding: each decode step is one verify round.
@@ -1917,122 +1811,264 @@ pub(crate) fn serve_on_chip(
             // up front like a reload. At acceptance 1.0 the credit never
             // grows and this block is arithmetic-free — the bit-exact
             // degeneracy contract.
-            if let Some(spec) = config.speculation {
-                let s = &mut sessions[i];
-                if s.prefilled {
-                    s.spec_miss_credit += 1.0 - spec.acceptance;
-                    if s.spec_miss_credit >= 1.0 {
-                        s.spec_miss_credit -= 1.0;
-                        let step: u64 = row.iter().map(|c| c.get()).sum();
-                        let waste =
-                            (step as f64 * spec.draft_len as f64 * spec.draft_cost_ratio).round();
-                        stall += Cycles(waste as u64);
-                    }
+            if let Some(spec) = self.config.speculation.filter(|_| s.prefilled) {
+                s.spec_miss_credit += 1.0 - spec.acceptance;
+                if s.spec_miss_credit >= 1.0 {
+                    s.spec_miss_credit -= 1.0;
+                    let step: u64 = row.iter().map(|c| c.get()).sum();
+                    let waste =
+                        (step as f64 * spec.draft_len as f64 * spec.draft_cost_ratio).round();
+                    stall += Cycles(waste as u64);
                 }
             }
             // The reload (and any speculation flush) must land before the
             // first layer can run.
             row[0] += stall;
-            solo_ms.push(report.total_ms() + clock.to_ms(stall));
-            ledger.merge(&report.ledger);
-            matrix.push(row);
+            self.solo_ms.push(report.total_ms() + clock.to_ms(stall));
+            self.ledger.merge(&report.ledger);
+            self.matrix.push(row);
         }
-        // Continuous batching: the batch pipelines through the layers like
-        // a flow shop; spills occupy the channel before the batch starts.
-        let finishes = flow_shop_completion_times(&matrix);
-        let tick_cycles = spill_cycles + finishes.last().copied().unwrap_or(Cycles::ZERO);
-        finished.clear();
-        for ((&i, &finish), own_ms) in step_set.iter().zip(&finishes).zip(solo_ms.drain(..)) {
-            let s = &mut sessions[i];
-            // Re-key the ordered indexes for the new step tick.
-            ready.remove(&(s.last_step_tick, s.admission_seq, s.req.id));
-            if use_fifo {
-                fifo.remove(&(s.admission_seq, s.last_step_tick, s.req.id));
-            }
-            s.last_step_tick = tick;
-            let done_ms = now + clock.to_ms(spill_cycles + finish);
-            let mut is_done = false;
+        Ok(())
+    }
+
+    /// Continuous batching: the batch pipelines through the layers like a
+    /// flow shop, and spills occupy the channel before it starts. Each
+    /// stepping session takes its step (the prefill or one decode token),
+    /// is re-keyed for the new step tick, and refreshes its cached sizes
+    /// and the running sums; finishers keep counting until the peak
+    /// snapshot. The clock then advances past the tick.
+    fn commit_step(&mut self) {
+        let clock = self.engine.config().chip.clock;
+        let finishes = flow_shop_completion_times(&self.matrix);
+        self.finished.clear();
+        for (pos, &finish) in finishes.iter().enumerate() {
+            let i = self.step_set[pos];
+            self.leave_ready(i);
+            let done_ms = self.now + clock.to_ms(self.spill_cycles + finish);
+            let own_ms = self.solo_ms[pos];
+            let s = &mut self.sessions[i];
+            s.last_step_tick = self.tick;
             if s.prefilled {
                 s.generated += 1;
                 s.tbt_ms.push(own_ms);
-                if s.generated == s.req.generate_tokens {
-                    s.finish_ms = done_ms;
-                    is_done = true;
-                }
             } else {
                 s.prefilled = true;
                 s.prefill_ms = own_ms;
                 s.first_token_ms = done_ms;
-                if s.phase.finishes_at_prefill() {
-                    s.finish_ms = done_ms;
-                    is_done = true;
-                }
             }
-            // Refresh the cached sizes and running sums; finishers keep
-            // counting until the peak snapshot below.
-            let new_resident = s.kv_bytes(&sizer);
-            let new_next = s.next_kv(&sizer);
-            active_resident_sum = active_resident_sum - resident_kv[i] + new_resident;
-            active_next_sum = active_next_sum - next_kv[i] + new_next;
-            resident_kv[i] = new_resident;
-            next_kv[i] = new_next;
-            if paged {
-                // The step's KV writes land as measured attention
-                // traffic; residency grows in place.
-                active_held_sum = active_held_sum - s.held_bytes + new_resident;
-                s.held_bytes = new_resident;
-                s.loaded_bytes = new_resident;
+            let done = s.is_done();
+            if done {
+                s.finish_ms = done_ms;
             }
-            if is_done {
-                finished.push(i);
+            let (resident, next) = (s.kv_bytes(&self.sizer), s.next_kv(&self.sizer));
+            self.active_resident_sum = self.active_resident_sum - self.resident_kv[i] + resident;
+            self.active_next_sum = self.active_next_sum - self.next_kv[i] + next;
+            self.resident_kv[i] = resident;
+            self.next_kv[i] = next;
+            // The step's KV writes land as measured attention traffic;
+            // residency grows in place.
+            s.loaded_bytes = resident;
+            if self.paged {
+                self.active_held_sum = self.active_held_sum - s.held_bytes + resident;
+                self.set_held(i, resident);
+            }
+            if done {
+                self.finished.push(i);
             } else {
-                ready.insert((tick, s.admission_seq, s.req.id));
-                if use_fifo {
-                    fifo.insert((s.admission_seq, tick, s.req.id));
-                }
+                self.join_ready(i);
             }
         }
-        // Residency peaks at tick end, before completed caches are freed;
-        // paged residency also counts zombie pages. Both are the running
-        // sums — no scan.
-        let resident = if paged { active_held_sum + wait_held_sum } else { active_resident_sum };
-        peak_kv = peak_kv.max(resident);
-        if let Some(pool) = pages.as_ref() {
-            // Every frame is owned by a resident or demoted session and
-            // each owner's held bytes fit its frames, so pool occupancy
-            // minus total held bytes equals the per-session frag sum.
-            frag_peak = frag_peak.max(pool.frag_total_bytes(active_held_sum + wait_held_sum));
-            debug_assert!(pool.conserves_pages(), "page tables must conserve the pool");
-        }
-        for &i in &finished {
-            active_resident_sum -= resident_kv[i];
-            active_next_sum -= next_kv[i];
-            if let Some(pool) = pages.as_mut() {
-                let s = &mut sessions[i];
-                pool.release(s.req.id);
-                active_held_sum -= s.held_bytes;
-                s.held_bytes = 0;
-                s.loaded_bytes = 0;
-            }
-        }
-        settled += finished.len();
-        now += clock.to_ms(tick_cycles);
+        let tick_cycles = self.spill_cycles + finishes.last().copied().unwrap_or(Cycles::ZERO);
+        self.now += clock.to_ms(tick_cycles);
     }
 
-    ledger.merge(kv_dram.ledger());
-    let totals = SchedTotals {
-        ticks: tick,
-        makespan_ms: now,
-        peak_kv,
-        frag_peak,
-        total_evictions,
-        page_spills,
-        page_faults,
-        rejected,
-        weight_loads: weights.as_ref().map_or(0, |ws| ws.loads),
-        weight_evictions: weights.as_ref().map_or(0, |ws| ws.evictions),
-    };
-    Ok(finalize_report(config, model, &sizer, &sessions, ledger, totals))
+    /// Residency peaks at tick end, before completed caches are freed;
+    /// paged residency also counts zombie pages, and its fragmentation is
+    /// the held frames' bytes beyond the held bytes. All are running sums
+    /// — no scan.
+    fn record_peak(&mut self) {
+        if self.paged {
+            let held = self.active_held_sum + self.wait_held_sum;
+            self.peak_kv = self.peak_kv.max(held);
+            self.frag_peak = self.frag_peak.max(self.frames_held * self.config.page_bytes - held);
+        } else {
+            self.peak_kv = self.peak_kv.max(self.active_resident_sum);
+        }
+    }
+
+    /// Finished sessions leave the running sums and free their frames.
+    fn release_finishers(&mut self) {
+        for pos in 0..self.finished.len() {
+            let i = self.finished[pos];
+            self.active_resident_sum -= self.resident_kv[i];
+            self.active_next_sum -= self.next_kv[i];
+            if self.paged {
+                self.active_held_sum -= self.sessions[i].held_bytes;
+                self.release_frames(i);
+            }
+        }
+        self.settled += self.finished.len();
+    }
+
+    /// Session `i` joins the ready index (and the FIFO index).
+    fn join_ready(&mut self, i: usize) {
+        let s = &self.sessions[i];
+        self.ready.insert(s.ready_key(i));
+        if self.use_fifo {
+            self.fifo.insert(s.fifo_key(i));
+        }
+    }
+
+    /// Session `i` leaves the ready index (and the FIFO index); call
+    /// before its key fields change.
+    fn leave_ready(&mut self, i: usize) {
+        let s = &self.sessions[i];
+        self.ready.remove(&s.ready_key(i));
+        if self.use_fifo {
+            self.fifo.remove(&s.fifo_key(i));
+        }
+    }
+
+    /// `PagedLru`: sets session `i`'s held bytes, keeping `frames_held` —
+    /// Σ `held.div_ceil(page_bytes)` over every session — in step. The
+    /// caller moves the bytes between the held sums.
+    fn set_held(&mut self, i: usize, bytes: u64) {
+        let page_bytes = self.config.page_bytes;
+        let s = &mut self.sessions[i];
+        self.frames_held =
+            self.frames_held + bytes.div_ceil(page_bytes) - s.held_bytes.div_ceil(page_bytes);
+        s.held_bytes = bytes;
+    }
+
+    /// `PagedLru`: frees every frame of session `i` (on completion or an
+    /// eager spill); its data is no longer on chip.
+    fn release_frames(&mut self, i: usize) {
+        self.set_held(i, 0);
+        self.sessions[i].loaded_bytes = 0;
+    }
+
+    /// Debug-build audit after every tick: recomputes the five running
+    /// sums, `wait_live` and the ready, FIFO and zombie index memberships
+    /// from the sessions, and asserts that the incremental bookkeeping
+    /// matches them.
+    fn audit(&self) {
+        let mut waiting = vec![false; self.sessions.len()];
+        for &i in self.wait.iter().filter(|&&i| !self.sessions[i].rejected) {
+            assert!(!waiting[i], "session {i} is queued twice");
+            waiting[i] = true;
+        }
+        let (mut ready, mut fifo, mut zombies) = (Vec::new(), Vec::new(), Vec::new());
+        let [mut next, mut resident, mut held, mut wait_held, mut frames] = [0u64; 5];
+        for (i, s) in self.sessions.iter().enumerate() {
+            if self.paged {
+                frames += s.held_bytes.div_ceil(self.config.page_bytes);
+            }
+            if waiting[i] {
+                wait_held += s.held_bytes;
+                if s.held_bytes > 0 {
+                    zombies.push(s.ready_key(i));
+                }
+            } else if s.queue_wait_ms.is_some() && !s.rejected && !s.is_done() {
+                if self.paged {
+                    assert_eq!(s.held_bytes, self.resident_kv[i], "session {i} is partly held");
+                }
+                next += self.next_kv[i];
+                resident += self.resident_kv[i];
+                held += s.held_bytes;
+                ready.push(s.ready_key(i));
+                if self.use_fifo {
+                    fifo.push(s.fifo_key(i));
+                }
+            }
+        }
+        for keys in [&mut ready, &mut fifo, &mut zombies] {
+            keys.sort_unstable();
+        }
+        assert!(self.ready.iter().eq(&ready), "ready index drifted");
+        assert!(self.fifo.iter().eq(&fifo), "FIFO index drifted");
+        assert!(self.zombies.iter().eq(&zombies), "zombie index drifted");
+        assert_eq!(self.wait_live, waiting.iter().filter(|&&w| w).count(), "wait_live drifted");
+        assert_eq!(
+            [
+                self.active_next_sum,
+                self.active_resident_sum,
+                self.active_held_sum,
+                self.wait_held_sum,
+                self.frames_held,
+            ],
+            [next, resident, held, wait_held, frames],
+            "running sums drifted"
+        );
+    }
+
+    /// Folds final session state into the [`ServeReport`]: the traces in
+    /// input order (each session's TBT series moves into its trace), the
+    /// latency sort and the [`LatencySummary`] percentiles.
+    fn into_report(self) -> ServeReport {
+        let config = self.config;
+        let model = &self.engine.config().model;
+        let kv = kv_summary(model, &self.sizer, &self.sessions);
+        // `None` without a weight budget: the permanently-resident
+        // identity, whose reports stay byte-stable.
+        let weights = self.weights.as_ref().map(|ws| ws.summary(&self.sessions, &self.ledger));
+        let requests = self.sessions.len();
+        let traces: Vec<ServeTrace> = self
+            .sessions
+            .into_iter()
+            .map(|s| ServeTrace {
+                id: s.req.id,
+                prompt_tokens: s.req.prompt_tokens,
+                generated_tokens: s.generated,
+                arrival_ms: s.req.arrival_ms,
+                rejected: s.rejected,
+                queue_wait_ms: s.queue_wait_ms.unwrap_or(0.0),
+                prefill_ms: s.prefill_ms,
+                first_token_ms: s.first_token_ms,
+                finish_ms: s.finish_ms,
+                tbt_ms: s.tbt_ms,
+                evictions: s.evictions,
+                // Prompt plus tokens actually generated: equals
+                // `final_context_len()` for full and decode legs, and the
+                // prompt alone for a prefill-only leg (its handoff payload).
+                final_kv_bytes: if s.rejected {
+                    0
+                } else {
+                    self.sizer.bytes(s.req.prompt_tokens + s.generated)
+                },
+                cold_start: config.weight_budget_bytes.is_some().then_some(s.cold_start),
+            })
+            .collect();
+        let total_generated: u64 = traces.iter().map(|t| t.generated_tokens as u64).sum();
+        let latency = LatencySummary::from_samples(
+            traces.iter().filter(|t| !t.rejected).map(ServeTrace::total_latency_ms).collect(),
+        );
+        let tokens_per_sec =
+            if self.now > 0.0 { total_generated as f64 / (self.now / 1e3) } else { 0.0 };
+        ServeReport {
+            policy: config.policy,
+            admission: config.admission,
+            kv_budget_bytes: config.kv_budget_bytes,
+            page_bytes: config.page_bytes,
+            max_batch: config.max_batch,
+            requests,
+            rejected_requests: self.rejected,
+            total_generated_tokens: total_generated,
+            ticks: self.tick,
+            makespan_ms: self.now,
+            tokens_per_sec,
+            p50_latency_ms: latency.p50_ms,
+            p95_latency_ms: latency.p95_ms,
+            peak_kv_bytes: self.peak_kv,
+            total_evictions: self.total_evictions,
+            total_page_spills: self.page_spills,
+            total_page_faults: self.page_faults,
+            kv_frag_peak_bytes: self.frag_peak,
+            ledger: self.ledger,
+            kv,
+            weights,
+            traces,
+        }
+    }
 }
 
 /// Memo key of one session's next step: the shape
@@ -2244,8 +2280,8 @@ mod tests {
         r.insert((3, 1, 10));
         r.insert((1, 2, 11));
         r.insert((1, 1, 12));
-        let ids: Vec<u32> = r.iter().map(|&(_, _, id)| id).collect();
-        // Sorted by (last_step_tick, admission_seq, id).
+        let ids: Vec<usize> = r.iter().map(|&(_, _, i)| i).collect();
+        // Sorted by (last_step_tick, admission_seq, arena index).
         assert_eq!(ids, vec![12, 11, 10]);
         r.remove(&(1, 2, 11));
         assert!(!r.is_empty());

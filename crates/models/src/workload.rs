@@ -156,8 +156,9 @@ fn token_vote(j: usize, len: usize) -> f64 {
 /// dense accounting is bit-exact with the pre-seam code.
 ///
 /// [`KvSizer::bytes`] and [`KvSizer::tokens_kept`] are monotone
-/// nondecreasing in the context length, which keeps page-pool growth
-/// (`kv_pages::grow`, add-only) and spill/reload deltas non-negative.
+/// nondecreasing in the context length, which keeps a paged session's
+/// frame count from shrinking as it steps and spill/reload deltas
+/// non-negative.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvSizer {
     layout: KvLayout,

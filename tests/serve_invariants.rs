@@ -395,3 +395,20 @@ fn reload_penalties_only_ever_add_latency() {
         }
     }
 }
+
+/// Page frames are counted, never allocated, so a page size far below any
+/// cache is just fine-grained accounting: 200 OPT-125M requests of
+/// 512 + 128 tokens at 1-byte pages would be 2.4 × 10⁹ frames. Unbounded,
+/// nothing is evicted, no tail page is partial, and the run serves exactly
+/// what whole-cache `Lru` serves.
+#[test]
+fn one_byte_pages_serve_like_whole_cache_lru() {
+    let e = MeadowEngine::new(EngineConfig::zcu102(presets::opt_125m(), 12.0)).unwrap();
+    let trace = ArrivalTrace::uniform(200, 0.0, 512, 128);
+    let base = ServeConfig::unbounded().with_page_bytes(1);
+    let paged = serve(&e, &trace, &base.with_policy(KvPolicy::PagedLru)).unwrap();
+    let lru = serve(&e, &trace, &base.with_policy(KvPolicy::Lru)).unwrap();
+    assert_eq!(paged.total_generated_tokens, 25_600);
+    assert_eq!(paged.kv_frag_peak_bytes, 0);
+    assert_eq!(paged.traces, lru.traces);
+}
