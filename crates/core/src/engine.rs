@@ -5,7 +5,7 @@ use meadow_dataflow::schedule::ScheduleKnobs;
 use meadow_dataflow::{ExecutionPlan, LayerLatency};
 use meadow_models::weights::ModelPackingStats;
 use meadow_models::workload::{DecodeWorkload, PrefillWorkload};
-use meadow_models::{ModelKind, TransformerConfig};
+use meadow_models::{MatrixKind, ModelKind, TransformerConfig};
 use meadow_packing::PackingConfig;
 use meadow_sim::energy::{ActivityCounts, EnergyModel, PowerReport};
 use meadow_sim::{ChipConfig, ClockDomain, Cycles, DramModel, TrafficLedger};
@@ -119,6 +119,72 @@ pub(crate) struct StepShape {
     pub(crate) context: usize,
 }
 
+/// The checks every engine constructor makes of its configuration.
+fn validate_config(config: &EngineConfig) -> Result<(), CoreError> {
+    if !config.bandwidth_gbps.is_finite() || config.bandwidth_gbps <= 0.0 {
+        return Err(CoreError::InvalidConfig {
+            param: "bandwidth_gbps",
+            reason: format!("must be finite and positive, got {}", config.bandwidth_gbps),
+        });
+    }
+    config.chip.validate()?;
+    config.model.validate()?;
+    Ok(())
+}
+
+/// Checks injected statistics against what the engine reads of them: the
+/// plan's packing level, and one entry per `(layer, kind)` of the model
+/// with that matrix's raw size. Without the check, another level's sizes
+/// would price the plan, and a missing matrix would silently fetch raw.
+fn check_stats_fit(
+    config: &EngineConfig,
+    stats: Option<&ModelPackingStats>,
+) -> Result<(), CoreError> {
+    let unfit = |reason: String| CoreError::InvalidConfig { param: "packing_stats", reason };
+    let stats = match (config.plan.packing, stats) {
+        (None, None) => return Ok(()),
+        (Some(_), None) => {
+            return Err(unfit("plan packs weights but no statistics were provided".into()))
+        }
+        (plan, Some(stats)) if plan != Some(stats.level) => {
+            return Err(unfit(format!(
+                "statistics at {:?} for a plan packing at {plan:?}",
+                stats.level
+            )))
+        }
+        (_, Some(stats)) => stats,
+    };
+    let model = &config.model;
+    let kinds = MatrixKind::all();
+    for layer in 0..model.layers {
+        for kind in kinds {
+            let raw = model.matrix_bytes(kind);
+            if stats.matrix(layer, kind).is_none_or(|m| m.raw_bytes != raw) {
+                return Err(unfit(format!(
+                    "no statistics for {} layer {layer} {kind:?} of {raw} bytes",
+                    model.name
+                )));
+            }
+        }
+    }
+    if stats.iter().count() != model.layers * kinds.len() {
+        return Err(unfit(format!("statistics cover matrices {} does not have", model.name)));
+    }
+    Ok(())
+}
+
+/// The patch tokens of a vision transformer, or the error every ViT-only
+/// measurement returns for a decoder LM.
+pub(crate) fn vit_tokens(model: &TransformerConfig) -> Result<usize, CoreError> {
+    match model.kind {
+        ModelKind::VisionTransformer { tokens } => Ok(tokens),
+        ModelKind::DecoderLm => Err(CoreError::InvalidConfig {
+            param: "model",
+            reason: "vit_inference_latency requires a vision transformer".into(),
+        }),
+    }
+}
+
 /// The MEADOW engine.
 ///
 /// Construction precomputes per-matrix packing statistics when the plan
@@ -153,14 +219,7 @@ impl MeadowEngine {
     /// Returns [`CoreError::InvalidConfig`] for invalid bandwidth and
     /// propagates model/packing errors.
     pub fn new(config: EngineConfig) -> Result<Self, CoreError> {
-        if !config.bandwidth_gbps.is_finite() || config.bandwidth_gbps <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                param: "bandwidth_gbps",
-                reason: format!("must be finite and positive, got {}", config.bandwidth_gbps),
-            });
-        }
-        config.chip.validate()?;
-        config.model.validate()?;
+        validate_config(&config)?;
         let packing_stats = match config.plan.packing {
             Some(level) => {
                 Some(ModelPackingStats::compute(&config.model, &config.packing_config, level)?)
@@ -175,26 +234,17 @@ impl MeadowEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] if the plan packs weights but
-    /// `stats` is `None` for a packing plan, or on invalid bandwidth.
+    /// Returns [`CoreError::InvalidConfig`] on invalid bandwidth, or when
+    /// `stats` do not fit the plan: statistics for a plan that packs no
+    /// weights, none for one that does, statistics at another packing
+    /// level, or statistics that do not cover exactly the model's matrices
+    /// at their raw sizes.
     pub fn with_packing_stats(
         config: EngineConfig,
         stats: Option<ModelPackingStats>,
     ) -> Result<Self, CoreError> {
-        if !config.bandwidth_gbps.is_finite() || config.bandwidth_gbps <= 0.0 {
-            return Err(CoreError::InvalidConfig {
-                param: "bandwidth_gbps",
-                reason: format!("must be finite and positive, got {}", config.bandwidth_gbps),
-            });
-        }
-        config.chip.validate()?;
-        config.model.validate()?;
-        if config.plan.packing.is_some() && stats.is_none() {
-            return Err(CoreError::InvalidConfig {
-                param: "packing_stats",
-                reason: "plan packs weights but no statistics were provided".into(),
-            });
-        }
+        validate_config(&config)?;
+        check_stats_fit(&config, stats.as_ref())?;
         Ok(Self { config, packing_stats: stats })
     }
 
@@ -323,15 +373,8 @@ impl MeadowEngine {
     ///
     /// Returns [`CoreError::InvalidConfig`] for decoder-LM configs.
     pub fn vit_inference_latency(&self) -> Result<LatencyReport, CoreError> {
-        match self.config.model.kind {
-            ModelKind::VisionTransformer { tokens } => {
-                self.measure(StepShape { tokens_new: tokens, context: tokens })
-            }
-            ModelKind::DecoderLm => Err(CoreError::InvalidConfig {
-                param: "model",
-                reason: "vit_inference_latency requires a vision transformer".into(),
-            }),
-        }
+        let tokens = vit_tokens(&self.config.model)?;
+        self.measure(StepShape { tokens_new: tokens, context: tokens })
     }
 
     /// End-to-end latency of a generation request: one prefill plus

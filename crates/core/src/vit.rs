@@ -5,7 +5,7 @@
 //! unchanged. [`vit_speedup`] measures MEADOW against the GEMM baseline for
 //! one DeiT model at one bandwidth.
 
-use crate::engine::{EngineConfig, MeadowEngine};
+use crate::engine::{vit_tokens, EngineConfig, MeadowEngine};
 use crate::error::CoreError;
 use meadow_models::TransformerConfig;
 use serde::{Deserialize, Serialize};
@@ -35,6 +35,8 @@ pub fn vit_speedup(
     model: &TransformerConfig,
     bandwidth_gbps: f64,
 ) -> Result<VitComparison, CoreError> {
+    // Check the model kind before paying for two engine builds.
+    vit_tokens(model)?;
     let gemm = MeadowEngine::new(EngineConfig::gemm_baseline(model.clone(), bandwidth_gbps))?;
     let meadow = MeadowEngine::new(EngineConfig::zcu102(model.clone(), bandwidth_gbps))?;
     let g = gemm.vit_inference_latency()?.total_ms();
@@ -71,7 +73,8 @@ mod tests {
 
     #[test]
     fn decoder_lm_rejected() {
-        assert!(vit_speedup(&presets::opt_125m(), 12.0).is_err());
+        let err = vit_speedup(&presets::opt_125m(), 12.0).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { param: "model", .. }), "{err}");
     }
 
     #[test]

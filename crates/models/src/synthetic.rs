@@ -25,6 +25,14 @@
 //! [`profile_for`] provides the per-matrix calibration; its anchor point is
 //! the paper's decoder-1 MLP1 matrix of OPT-125M with exactly 1272 unique
 //! chunks (Fig. 10a).
+//!
+//! The draw order defines the weights. A matrix is a pure function of its
+//! seed and of the sequence of RNG draws: the pool, the rank shuffle, the
+//! coverage shuffle, then a Zipf draw and a run-length draw per run. Speed
+//! work must keep the order and the number of draws and may change only
+//! how a draw's result is found, as [`ZipfSampler`]'s guide table, the
+//! pool's bitmap and the once-per-matrix run-length constant do. The
+//! statistics digests in `tests/packing_roundtrip.rs` pin the result.
 
 use crate::config::{MatrixKind, TransformerConfig};
 use crate::error::ModelError;
@@ -104,9 +112,18 @@ pub fn matrix_seed(config: &TransformerConfig, kind: MatrixKind, layer: usize) -
 }
 
 /// Inverse-CDF Zipf sampler over ranks `0..n` with exponent `s`.
+///
+/// A sample is the first rank whose CDF value reaches a uniform `u`
+/// (`cdf.partition_point(|c| c < u)`), found through a guide table of `n`
+/// buckets instead of a binary search. With `bucket(x) = min(⌊x·n⌋, n−1)`,
+/// `guide[g]` is the first rank whose `bucket(cdf)` is at least `g`.
+/// `bucket` is monotone, so every rank below `guide[bucket(u)]` has a CDF
+/// value below `u`, and a forward scan from there stops at exactly the rank
+/// the binary search finds. Skewed ranks make that scan a step or two.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl ZipfSampler {
@@ -136,31 +153,66 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        Ok(Self { cdf })
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for g in 0..n {
+            while rank < n && bucket(cdf[rank], n) < g {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Ok(Self { cdf, guide })
     }
 
     /// Samples a rank in `0..n`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a uniform draw `u` selects.
+    fn rank_of(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        let mut rank = self.guide[bucket(u, n)] as usize;
+        while rank < n && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank.min(n - 1)
     }
 }
 
-/// Samples a geometric run length with the given mean (≥ 1).
-fn sample_run_len<R: Rng>(rng: &mut R, mean: f64) -> usize {
-    if mean <= 1.0 {
-        return 1;
-    }
-    let p = 1.0 / mean;
-    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    1 + (u.ln() / (1.0 - p).ln()).floor() as usize
+/// The guide bucket of a CDF value or uniform draw `x` in `[0, 1]`:
+/// `min(⌊x·n⌋, n−1)`, in f64 (the cast truncates, which is the floor for a
+/// non-negative `x`).
+fn bucket(x: f64, n: usize) -> usize {
+    ((x * n as f64) as usize).min(n - 1)
 }
 
-/// Builds a pool of `count` distinct chunks of `chunk_elems` INT8 values.
+/// Geometric run lengths with a given mean, drawn by inversion.
+#[derive(Debug, Clone, Copy)]
+struct RunLengths {
+    /// `ln(1 − 1/mean)`, computed once per matrix; `None` for a mean of at
+    /// most 1, where every run is one ID long and takes no draw.
+    ln_q: Option<f64>,
+}
+
+impl RunLengths {
+    fn new(mean: f64) -> Self {
+        Self { ln_q: if mean <= 1.0 { None } else { Some((1.0 - 1.0 / mean).ln()) } }
+    }
+
+    fn sample<R: Rng>(self, rng: &mut R) -> usize {
+        let Some(ln_q) = self.ln_q else { return 1 };
+        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        1 + (u.ln() / ln_q).floor() as usize
+    }
+}
+
+/// Builds a flat pool of `count` distinct chunks of `chunk_elems` INT8
+/// values, in the layout [`UniqueMatrix::from_flat`] takes.
 ///
 /// `count` is clamped to the size of the chunk space (`256^chunk_elems`):
 /// single-byte chunks, for instance, admit at most 256 distinct values.
-fn build_pool<R: Rng>(rng: &mut R, count: usize, chunk_elems: usize) -> Vec<Vec<i8>> {
+fn build_pool<R: Rng>(rng: &mut R, count: usize, chunk_elems: usize) -> Vec<i8> {
     // 256^chunk_elems, saturating (space is effectively unbounded beyond
     // eight elements).
     let space = 256u128.checked_pow(chunk_elems.min(16) as u32).unwrap_or(u128::MAX);
@@ -168,29 +220,32 @@ fn build_pool<R: Rng>(rng: &mut R, count: usize, chunk_elems: usize) -> Vec<Vec<
     if chunk_elems == 1 {
         // Enumerate-and-shuffle: rejection sampling would crawl as the pool
         // approaches the full 256-value space.
-        let mut all: Vec<Vec<i8>> = (0..=255u8).map(|v| vec![v as i8]).collect();
+        let mut all: Vec<i8> = (0..=255u8).map(|v| v as i8).collect();
         shuffle(&mut all, rng);
         all.truncate(count);
         all
     } else if chunk_elems == 2 {
         // Chunk space is 65536 u16 patterns: rejection-sample distinct
-        // patterns (counts stay well below the space in practice).
-        let mut picked = std::collections::HashSet::with_capacity(count);
-        let mut pool = Vec::with_capacity(count);
-        while pool.len() < count {
+        // patterns (counts stay well below the space in practice), marking
+        // picks in a 65536-bit map.
+        let mut picked = vec![0u64; 1 << 10];
+        let mut pool = Vec::with_capacity(2 * count);
+        while pool.len() < 2 * count {
             let v: u16 = rng.gen();
-            if picked.insert(v) {
-                pool.push(vec![(v & 0xFF) as u8 as i8, (v >> 8) as u8 as i8]);
+            let (word, bit) = (usize::from(v >> 6), 1u64 << (v & 63));
+            if picked[word] & bit == 0 {
+                picked[word] |= bit;
+                pool.extend([(v & 0xFF) as u8 as i8, (v >> 8) as u8 as i8]);
             }
         }
         pool
     } else {
         let mut picked = std::collections::HashSet::with_capacity(count);
-        let mut pool = Vec::with_capacity(count);
-        while pool.len() < count {
+        let mut pool = Vec::with_capacity(count * chunk_elems);
+        while pool.len() < count * chunk_elems {
             let chunk: Vec<i8> = (0..chunk_elems).map(|_| rng.gen::<u8>() as i8).collect();
             if picked.insert(chunk.clone()) {
-                pool.push(chunk);
+                pool.extend_from_slice(&chunk);
             }
         }
         pool
@@ -224,12 +279,12 @@ pub fn generate_decomposition(
     let mut rng = StdRng::seed_from_u64(seed);
     let u = profile.unique_chunks.clamp(1, total.max(1));
     if total == 0 {
-        let unique = UniqueMatrix::from_chunks(Vec::new(), chunk_elems)?;
+        let unique = UniqueMatrix::from_flat(Vec::new(), chunk_elems)?;
         let encoded = EncodedMatrix::from_ids(Vec::new(), rows, chunk_cols, chunk_elems)?;
         return Ok((unique, encoded));
     }
     let pool = build_pool(&mut rng, u, chunk_elems);
-    let u = pool.len();
+    let u = pool.len() / chunk_elems;
     // Random rank → ID permutation: decouples frequency from ID value.
     let mut rank_to_id: Vec<u32> = (0..u as u32).collect();
     shuffle(&mut rank_to_id, &mut rng);
@@ -240,13 +295,14 @@ pub fn generate_decomposition(
     shuffle(&mut prefix, &mut rng);
     ids.extend(prefix.into_iter().take(total));
     // Run-structured Zipf body.
+    let runs = RunLengths::new(profile.mean_run_len);
     while ids.len() < total {
         let rank = zipf.sample(&mut rng);
         let id = rank_to_id[rank];
-        let run = sample_run_len(&mut rng, profile.mean_run_len).min(total - ids.len());
-        ids.extend(std::iter::repeat_n(id, run));
+        let run = runs.sample(&mut rng).min(total - ids.len());
+        ids.resize(ids.len() + run, id);
     }
-    let unique = UniqueMatrix::from_chunks(pool, chunk_elems)?;
+    let unique = UniqueMatrix::from_flat(pool, chunk_elems)?;
     let encoded = EncodedMatrix::from_ids(ids, rows, chunk_cols, chunk_elems)?;
     Ok((unique, encoded))
 }
@@ -365,11 +421,12 @@ mod tests {
     fn run_lengths_have_requested_mean() {
         let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000;
-        let total: usize = (0..n).map(|_| sample_run_len(&mut rng, 8.0)).sum();
+        let runs = RunLengths::new(8.0);
+        let total: usize = (0..n).map(|_| runs.sample(&mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 8.0).abs() < 0.5, "mean run {mean}");
-        assert_eq!(sample_run_len(&mut rng, 1.0), 1);
-        assert_eq!(sample_run_len(&mut rng, 0.5), 1);
+        assert_eq!(RunLengths::new(1.0).sample(&mut rng), 1);
+        assert_eq!(RunLengths::new(0.5).sample(&mut rng), 1);
     }
 
     #[test]
@@ -395,5 +452,34 @@ mod tests {
         let (unique, encoded) = generate_decomposition(0, 0, p, 2, 0).unwrap();
         assert!(unique.is_empty());
         assert!(encoded.is_empty());
+    }
+
+    #[test]
+    fn guided_zipf_rank_equals_the_binary_search() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for (n, s) in [
+            (1, 1.2),
+            (2, 1.01),
+            (7, 3.0),
+            (1272, 1.18),
+            (2458, 1.05),
+            (12_000, 1.01),
+            (60_000, 1.3),
+        ] {
+            let z = ZipfSampler::new(n, s).unwrap();
+            let search = |u: f64| z.cdf.partition_point(|&c| c < u).min(n - 1);
+            let below_one = 1.0 - f64::EPSILON / 2.0;
+            let edges = [0.0, f64::MIN_POSITIVE, 0.5, below_one];
+            // Each CDF value itself and its neighbours sit on bucket and
+            // rank boundaries.
+            let cdf_points =
+                z.cdf.iter().flat_map(|&c| [c, c - c * f64::EPSILON, c + c * f64::EPSILON]);
+            let draws = (0..20_000).map(|_| rng.gen::<f64>());
+            for u in
+                edges.into_iter().chain(cdf_points).chain(draws).filter(|u| (0.0..1.0).contains(u))
+            {
+                assert_eq!(z.rank_of(u), search(u), "n {n}, s {s}, u {u}");
+            }
+        }
     }
 }

@@ -6,11 +6,19 @@
 //! (≈1.2 GB) per run would be wasteful, so [`ModelPackingStats`] measures
 //! stream density on a row sample of each matrix (the ID distribution is
 //! row-count invariant by construction) and extrapolates to the full shape.
+//!
+//! Measuring a sample builds no packing. [`PackedMeta::count`] runs the
+//! encoder's own two decisions, the frequency-aware ID order and each
+//! packet's precision, and counts packets instead of writing them, so the
+//! statistics equal those of the written stream without permuting a chunk
+//! table or writing a bit. `tests/packing_roundtrip.rs` pins the serialized
+//! statistics of four models at every level.
 
 use crate::config::{MatrixKind, TransformerConfig};
 use crate::error::ModelError;
 use crate::synthetic::{generate_decomposition, generate_matrix, matrix_seed, profile_for};
-use meadow_packing::{PackedWeights, PackingConfig, PackingLevel};
+use meadow_packing::encode::PackedMeta;
+use meadow_packing::{PackingConfig, PackingLevel};
 use meadow_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -119,7 +127,9 @@ pub struct MatrixPackingStats {
     pub compression_ratio: f64,
 }
 
-/// Computes packing statistics for one matrix of a model.
+/// Computes packing statistics for one matrix of a model: generates a
+/// `sample_rows`-row decomposition and counts its packets with
+/// [`PackedMeta::count`].
 ///
 /// # Errors
 ///
@@ -138,12 +148,11 @@ pub fn matrix_packing_stats(
     let sample = rows.min(sample_rows.max(1));
     let (unique, encoded) =
         generate_decomposition(sample, cols, profile, packing.chunk.chunk_elems, seed)?;
-    let packed = PackedWeights::from_decomposition(unique, encoded, packing, level)?;
-    let meta = packed.meta();
-    let bits_per_id = packed.stream().bit_len() as f64 / meta.total_ids.max(1) as f64;
+    let meta = PackedMeta::count(unique.len(), &encoded, packing, level)?;
+    let bits_per_id = meta.stream_bits() as f64 / meta.total_ids.max(1) as f64;
     let total_ids_full = (rows * cols / packing.chunk.chunk_elems) as u64;
     let stream_bytes_full = ((bits_per_id * total_ids_full as f64) / 8.0).ceil() as u64;
-    let unique_bytes = packed.unique().size_bytes();
+    let unique_bytes = unique.size_bytes();
     let raw_bytes = (rows * cols) as u64;
     let transfer_bytes = stream_bytes_full + unique_bytes;
     Ok(MatrixPackingStats {
@@ -160,6 +169,9 @@ pub fn matrix_packing_stats(
 }
 
 /// Packing statistics for every matrix of a model at one packing level.
+///
+/// Each matrix's sizes come from [`matrix_packing_stats`]: the sample's
+/// packets are counted through the encoder's decisions, not written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelPackingStats {
     /// Packing level the statistics were computed for.
@@ -203,8 +215,8 @@ impl ModelPackingStats {
         self.per_matrix.get(&(layer, kind))
     }
 
-    /// Packed transfer bytes of one matrix (falls back to raw size if the
-    /// matrix is unknown, which cannot happen for in-range layers).
+    /// Packed transfer bytes of one matrix (0 for a matrix the statistics
+    /// do not cover, which cannot happen for in-range layers).
     pub fn transfer_bytes(&self, layer: usize, kind: MatrixKind) -> u64 {
         self.per_matrix.get(&(layer, kind)).map(|s| s.transfer_bytes).unwrap_or(0)
     }

@@ -40,9 +40,7 @@ impl BitWriter {
             return Ok(());
         }
         if bits < 64 && value >> bits != 0 {
-            return Err(PackingError::InvalidStream {
-                reason: format!("value {value} does not fit in {bits} bits"),
-            });
+            return Err(value_too_wide(value, bits));
         }
         let word_idx = (self.bit_len / 64) as usize;
         let bit_idx = (self.bit_len % 64) as u32;
@@ -65,6 +63,13 @@ impl BitWriter {
     pub fn into_stream(self) -> BitStream {
         BitStream { words: self.words, bit_len: self.bit_len }
     }
+}
+
+/// The error [`BitWriter::write`] returns for a `value` wider than `bits`;
+/// the packet counter returns the same one for an ID its writer would
+/// reject.
+pub(crate) fn value_too_wide(value: u64, bits: u32) -> PackingError {
+    PackingError::InvalidStream { reason: format!("value {value} does not fit in {bits} bits") }
 }
 
 /// Immutable bit stream produced by a [`BitWriter`].

@@ -11,8 +11,8 @@
 use crate::error::PackingError;
 use meadow_tensor::parallel::{par_map_ranges, ExecConfig};
 use meadow_tensor::Matrix;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{Deserialize, JsonWriter, Serialize, Value};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Chunk-decomposition parameters.
@@ -38,49 +38,57 @@ impl Default for ChunkConfig {
     }
 }
 
-/// The deduplicated chunk table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The deduplicated chunk table, stored flat: chunk `id` is
+/// `data[id · C .. (id + 1) · C]` for `C = chunk_elems`, so the table is one
+/// allocation however many chunks it holds.
+///
+/// It serializes as `{"chunks":[[..],..],"chunk_elems":n}`, one array per
+/// chunk, and deserializes through [`UniqueMatrix::from_flat`], so a table
+/// read back is checked exactly like one built in memory.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniqueMatrix {
-    chunks: Vec<Vec<i8>>,
+    data: Vec<i8>,
+    /// Never zero: every constructor rejects an empty chunk shape.
     chunk_elems: usize,
 }
 
 impl UniqueMatrix {
-    /// Builds a unique matrix from an explicit chunk table (used by synthetic
-    /// weight generators that control the decomposition directly).
+    /// Builds a unique matrix from a flat chunk table, `chunk_elems` values
+    /// per chunk in ID order (used by synthetic weight generators that
+    /// control the decomposition directly).
     ///
     /// # Errors
     ///
     /// Returns [`PackingError::ZeroChunkSize`] for an empty chunk shape and
-    /// [`PackingError::InvalidStream`] if chunks have inconsistent lengths or
-    /// duplicates.
-    pub fn from_chunks(chunks: Vec<Vec<i8>>, chunk_elems: usize) -> Result<Self, PackingError> {
+    /// [`PackingError::InvalidStream`] if `data` does not split into whole
+    /// chunks or holds a chunk twice.
+    pub fn from_flat(data: Vec<i8>, chunk_elems: usize) -> Result<Self, PackingError> {
         if chunk_elems == 0 {
             return Err(PackingError::ZeroChunkSize);
         }
-        let mut seen = std::collections::HashSet::with_capacity(chunks.len());
-        for c in &chunks {
-            if c.len() != chunk_elems {
-                return Err(PackingError::InvalidStream {
-                    reason: format!("chunk of length {} in a table of {chunk_elems}", c.len()),
-                });
-            }
-            if !seen.insert(c.as_slice()) {
-                return Err(PackingError::InvalidStream {
-                    reason: format!("duplicate chunk {c:?} in unique matrix"),
-                });
-            }
+        if !data.len().is_multiple_of(chunk_elems) {
+            return Err(PackingError::InvalidStream {
+                reason: format!("{} values do not split into chunks of {chunk_elems}", data.len()),
+            });
         }
-        Ok(Self { chunks, chunk_elems })
+        let mut seen =
+            ChunkSet::with_capacity_and_hasher(data.len() / chunk_elems, Default::default());
+        if let Some(c) = data.chunks_exact(chunk_elems).find(|&c| !seen.insert(c)) {
+            return Err(PackingError::InvalidStream {
+                reason: format!("duplicate chunk {c:?} in unique matrix"),
+            });
+        }
+        Ok(Self { data, chunk_elems })
     }
+
     /// Number of unique chunks.
     pub fn len(&self) -> usize {
-        self.chunks.len()
+        self.data.len() / self.chunk_elems
     }
 
     /// Whether the table is empty (only for an empty source matrix).
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.data.is_empty()
     }
 
     /// Elements per chunk.
@@ -90,12 +98,12 @@ impl UniqueMatrix {
 
     /// The chunk with the given ID, if present.
     pub fn chunk(&self, id: usize) -> Option<&[i8]> {
-        self.chunks.get(id).map(Vec::as_slice)
+        (id < self.len()).then(|| &self.data[id * self.chunk_elems..][..self.chunk_elems])
     }
 
     /// Size of the table in bytes as transferred from DRAM.
     pub fn size_bytes(&self) -> u64 {
-        (self.chunks.len() * self.chunk_elems) as u64
+        self.data.len() as u64
     }
 
     /// Applies a permutation: `new_table[perm[id]] = old_table[id]`.
@@ -106,27 +114,62 @@ impl UniqueMatrix {
     /// Returns [`PackingError::InvalidStream`] if `perm` is not a
     /// permutation of `0..len`.
     pub fn permuted(&self, perm: &[usize]) -> Result<UniqueMatrix, PackingError> {
-        if perm.len() != self.chunks.len() {
+        let n = self.len();
+        if perm.len() != n {
             return Err(PackingError::InvalidStream {
                 reason: format!(
-                    "permutation length {} does not match {} unique chunks",
-                    perm.len(),
-                    self.chunks.len()
+                    "permutation length {} does not match {n} unique chunks",
+                    perm.len()
                 ),
             });
         }
-        let mut new_chunks = vec![Vec::new(); self.chunks.len()];
-        let mut seen = vec![false; self.chunks.len()];
-        for (old_id, &new_id) in perm.iter().enumerate() {
-            if new_id >= self.chunks.len() || seen[new_id] {
+        let c = self.chunk_elems;
+        let mut data = vec![0; self.data.len()];
+        let mut seen = vec![false; n];
+        for (chunk, &new_id) in self.data.chunks_exact(c).zip(perm) {
+            if new_id >= n || seen[new_id] {
                 return Err(PackingError::InvalidStream {
                     reason: format!("invalid permutation target {new_id}"),
                 });
             }
             seen[new_id] = true;
-            new_chunks[new_id] = self.chunks[old_id].clone();
+            data[new_id * c..][..c].copy_from_slice(chunk);
         }
-        Ok(UniqueMatrix { chunks: new_chunks, chunk_elems: self.chunk_elems })
+        Ok(UniqueMatrix { data, chunk_elems: c })
+    }
+}
+
+impl Serialize for UniqueMatrix {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.open_map();
+        w.key("chunks");
+        w.open_seq();
+        for chunk in self.data.chunks_exact(self.chunk_elems) {
+            w.element();
+            chunk.write_json(w);
+        }
+        w.close_seq();
+        w.key("chunk_elems");
+        self.chunk_elems.write_json(w);
+        w.close_map();
+    }
+}
+
+impl Deserialize for UniqueMatrix {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let field =
+            |name| v.get(name).ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")));
+        let chunks = Vec::<Vec<i8>>::from_value(field("chunks")?)?;
+        let chunk_elems = usize::from_value(field("chunk_elems")?)?;
+        // Check every length before flattening: a ragged table can still
+        // have a total length that splits evenly.
+        if let Some(c) = chunks.iter().find(|c| c.len() != chunk_elems) {
+            return Err(serde::Error::msg(format!(
+                "chunk of length {} in a table of {chunk_elems}",
+                c.len()
+            )));
+        }
+        Self::from_flat(chunks.concat(), chunk_elems).map_err(|e| serde::Error::msg(e.to_string()))
     }
 }
 
@@ -283,7 +326,7 @@ pub fn decompose_with(
     });
     // Merge in row order: assign global IDs at global first occurrence.
     let mut table = ChunkTable::default();
-    let mut chunks: Vec<Vec<i8>> = Vec::new();
+    let mut data = Vec::new();
     let mut ids = Vec::with_capacity(w.rows() * chunk_cols);
     for (local_chunks, local_ids) in locals {
         let remap: Vec<u32> = local_chunks
@@ -291,8 +334,8 @@ pub fn decompose_with(
             .map(|chunk| match table.get(chunk) {
                 Some(&id) => id,
                 None => {
-                    let id = chunks.len() as u32;
-                    chunks.push(chunk.to_vec());
+                    let id = table.len() as u32;
+                    data.extend_from_slice(chunk);
                     table.insert(chunk, id);
                     id
                 }
@@ -301,7 +344,7 @@ pub fn decompose_with(
         ids.extend(local_ids.into_iter().map(|local| remap[local as usize]));
     }
     Ok((
-        UniqueMatrix { chunks, chunk_elems: config.chunk_elems },
+        UniqueMatrix { data, chunk_elems: config.chunk_elems },
         EncodedMatrix { ids, rows: w.rows(), chunk_cols, chunk_elems: config.chunk_elems },
     ))
 }
@@ -310,6 +353,10 @@ pub fn decompose_with(
 /// first-occurrence order, never from the hasher, so the hasher changes
 /// only speed.
 type ChunkTable<'a> = HashMap<&'a [i8], u32, BuildHasherDefault<ChunkHasher>>;
+
+/// The chunks a table holds, for [`UniqueMatrix::from_flat`]'s duplicate
+/// check.
+type ChunkSet<'a> = HashSet<&'a [i8], BuildHasherDefault<ChunkHasher>>;
 
 /// Multiply-rotate hasher for chunk keys (the FxHash step). Chunks are a
 /// few bytes each, where SipHash's set-up dominates a lookup. It gives up
@@ -494,5 +541,45 @@ mod tests {
         // against the original table fails.
         let bad = bad.unwrap();
         assert!(reconstruct(&unique, &bad).is_err());
+    }
+
+    #[test]
+    fn flat_tables_are_validated() {
+        let table = UniqueMatrix::from_flat(vec![1, 2, 3, 4], 2).unwrap();
+        assert_eq!((table.len(), table.chunk(1), table.chunk(2)), (2, Some(&[3i8, 4][..]), None));
+        assert_eq!(UniqueMatrix::from_flat(vec![1, 2], 0), Err(PackingError::ZeroChunkSize));
+        for (data, elems) in [(vec![1, 2, 3], 2), (vec![1, 2, 3, 1, 2, 3], 3)] {
+            let err = UniqueMatrix::from_flat(data, elems).unwrap_err();
+            assert!(matches!(err, PackingError::InvalidStream { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn json_keeps_one_array_per_chunk() {
+        let (unique, _) = decompose(&sample(), ChunkConfig::default()).unwrap();
+        let mut json = String::new();
+        unique.write_json(&mut JsonWriter::compact(&mut json));
+        assert_eq!(json, r#"{"chunks":[[1,2],[3,4],[5,6]],"chunk_elems":2}"#);
+        let table = |chunks: &[&[i64]], elems| {
+            let chunks =
+                chunks.iter().map(|c| Value::Seq(c.iter().map(|&v| Value::I64(v)).collect()));
+            let fields =
+                [("chunks", Value::Seq(chunks.collect())), ("chunk_elems", Value::U64(elems))];
+            Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let back = UniqueMatrix::from_value(&table(&[&[1, 2], &[3, 4], &[5, 6]], 2)).unwrap();
+        assert_eq!(back, unique);
+        // Ragged, duplicated and empty-shaped tables go through the same
+        // checks as `from_flat`.
+        for bad in [
+            table(&[&[1, 2], &[3]], 2),
+            table(&[&[1], &[2, 3, 4]], 2),
+            table(&[&[1, 2], &[1, 2]], 2),
+            table(&[&[]], 0),
+            // A chunk size from the input is never trusted for an allocation.
+            table(&[&[1]], 1 << 60),
+        ] {
+            assert!(UniqueMatrix::from_value(&bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -16,12 +16,18 @@
 //!
 //! Frequency-aware re-indexing reuses the packet-specific encoder on a
 //! re-indexed ID stream (see [`crate::reindex`]).
+//!
+//! The format makes two decisions: the frequency-aware ID order and each
+//! packet's precision. Each lives in one function, which both the writer
+//! ([`PackedWeights::from_decomposition`]) and the counter
+//! ([`PackedMeta::count`]) call, so sizes counted without writing a bit
+//! equal the sizes of the written stream.
 
 use crate::bits_for_ids;
-use crate::bitstream::{BitStream, BitWriter};
+use crate::bitstream::{value_too_wide, BitStream, BitWriter};
 use crate::chunk::{decompose_with, reconstruct, ChunkConfig, EncodedMatrix, UniqueMatrix};
 use crate::error::PackingError;
-use crate::reindex::frequency_reindex;
+use crate::reindex::{frequency_order, frequency_reindex};
 use meadow_tensor::parallel::ExecConfig;
 use meadow_tensor::Matrix;
 use serde::{Deserialize, Serialize};
@@ -99,6 +105,67 @@ impl PackedMeta {
     pub fn packet_bits(&self) -> u32 {
         self.mode_bits + self.payload_bits
     }
+
+    /// Length of the packed ID stream in bits: every packet, the last one
+    /// included, is exactly [`packet_bits`](Self::packet_bits) long.
+    pub fn stream_bits(&self) -> u64 {
+        self.packets * u64::from(self.packet_bits())
+    }
+
+    /// The metadata [`PackedWeights::from_decomposition`] produces for a
+    /// table of `unique_count` chunks and `encoded`, without building the
+    /// packing. The frequency-aware level computes its ID order and remaps
+    /// the IDs but permutes no table, and packets are counted through the
+    /// writer's own precision decision instead of being written.
+    ///
+    /// # Errors
+    ///
+    /// The error `from_decomposition` returns for the same input:
+    /// [`PackingError::PayloadTooNarrow`], or [`PackingError::InvalidStream`]
+    /// for an ID outside `0..unique_count` at the frequency-aware level or
+    /// wider than [`max_id_bits`](Self::max_id_bits) at any level.
+    pub fn count(
+        unique_count: usize,
+        encoded: &EncodedMatrix,
+        config: &PackingConfig,
+        level: PackingLevel,
+    ) -> Result<Self, PackingError> {
+        let reindexed;
+        let encoded = if level == PackingLevel::FrequencyAware {
+            reindexed = encoded.remapped(&frequency_order(unique_count, encoded.ids())?)?;
+            &reindexed
+        } else {
+            encoded
+        };
+        let max_id_bits = id_bits(unique_count, config)?;
+        let mut packets = 0;
+        for packet in Packets::new(encoded.ids(), level, max_id_bits, config.payload_bits) {
+            packet?;
+            packets += 1;
+        }
+        Ok(Self::new(encoded, unique_count, max_id_bits, config, level, packets))
+    }
+
+    fn new(
+        encoded: &EncodedMatrix,
+        unique_count: usize,
+        max_id_bits: u32,
+        config: &PackingConfig,
+        level: PackingLevel,
+        packets: u64,
+    ) -> Self {
+        Self {
+            rows: encoded.rows(),
+            chunk_cols: encoded.chunk_cols(),
+            chunk_elems: encoded.chunk_elems(),
+            unique_count,
+            max_id_bits,
+            payload_bits: config.payload_bits,
+            mode_bits: mode_bits(level, max_id_bits),
+            total_ids: encoded.len(),
+            packets,
+        }
+    }
 }
 
 /// A fully packed weight matrix: unique matrix + packed ID stream.
@@ -151,7 +218,9 @@ impl PackedWeights {
     /// # Errors
     ///
     /// Returns [`PackingError::PayloadTooNarrow`] if `payload_bits` cannot
-    /// hold one maximum-precision ID.
+    /// hold one maximum-precision ID, and [`PackingError::InvalidStream`]
+    /// for an ID outside the table at the frequency-aware level or wider
+    /// than the ID precision at any level.
     pub fn from_decomposition(
         unique: UniqueMatrix,
         encoded: EncodedMatrix,
@@ -164,34 +233,19 @@ impl PackedWeights {
         } else {
             (unique, encoded)
         };
-        let max_id_bits = bits_for_ids(unique.len());
-        if config.payload_bits < max_id_bits {
-            return Err(PackingError::PayloadTooNarrow {
-                payload_bits: config.payload_bits,
-                required_bits: max_id_bits,
-            });
+        let max_id_bits = id_bits(unique.len(), config)?;
+        let mode_bits = mode_bits(level, max_id_bits);
+        let mut w = BitWriter::new();
+        let mut packets = 0;
+        for packet in Packets::new(encoded.ids(), level, max_id_bits, config.payload_bits) {
+            let (precision, ids) = packet?;
+            // A zero-width write, and so a no-op, for naive packets.
+            w.write(u64::from(precision - 1), mode_bits)?;
+            write_padded(&mut w, ids, precision, config.payload_bits)?;
+            packets += 1;
         }
-        let (stream, mode_bits, packets) = match level {
-            PackingLevel::Naive => {
-                let (s, packets) = encode_naive(encoded.ids(), max_id_bits, config.payload_bits)?;
-                (s, 0, packets)
-            }
-            PackingLevel::PacketSpecific | PackingLevel::FrequencyAware => {
-                encode_packets(encoded.ids(), max_id_bits, config.payload_bits)?
-            }
-        };
-        let meta = PackedMeta {
-            rows: encoded.rows(),
-            chunk_cols: encoded.chunk_cols(),
-            chunk_elems: encoded.chunk_elems(),
-            unique_count: unique.len(),
-            max_id_bits,
-            payload_bits: config.payload_bits,
-            mode_bits,
-            total_ids: encoded.len(),
-            packets,
-        };
-        Ok(Self { level, unique, stream, meta })
+        let meta = PackedMeta::new(&encoded, unique.len(), max_id_bits, config, level, packets);
+        Ok(Self { level, unique, stream: w.into_stream(), meta })
     }
 
     /// The packing level used.
@@ -307,21 +361,6 @@ fn skip_padding(
     Ok(())
 }
 
-fn encode_naive(
-    ids: &[u32],
-    max_bits: u32,
-    payload_bits: u32,
-) -> Result<(BitStream, u64), PackingError> {
-    let cap = (payload_bits / max_bits) as usize;
-    let mut w = BitWriter::new();
-    let mut packets = 0u64;
-    for group in ids.chunks(cap.max(1)) {
-        write_padded(&mut w, group, max_bits, payload_bits)?;
-        packets += 1;
-    }
-    Ok((w.into_stream(), packets))
-}
-
 fn decode_naive(stream: &BitStream, meta: &PackedMeta) -> Result<Vec<u32>, PackingError> {
     let cap = (meta.payload_bits / meta.max_id_bits) as usize;
     let mut r = stream.reader();
@@ -338,40 +377,89 @@ fn decode_naive(stream: &BitStream, meta: &PackedMeta) -> Result<Vec<u32>, Packi
     Ok(ids)
 }
 
-fn encode_packets(
-    ids: &[u32],
+/// The uniform ID precision for `unique_count` chunks, which one packet
+/// payload must hold.
+fn id_bits(unique_count: usize, config: &PackingConfig) -> Result<u32, PackingError> {
+    let max_id_bits = bits_for_ids(unique_count);
+    if config.payload_bits < max_id_bits {
+        return Err(PackingError::PayloadTooNarrow {
+            payload_bits: config.payload_bits,
+            required_bits: max_id_bits,
+        });
+    }
+    Ok(max_id_bits)
+}
+
+/// Mode-field width: naive packets share one precision and carry no mode
+/// field; the other levels select one of `max_id_bits` precisions.
+fn mode_bits(level: PackingLevel, max_id_bits: u32) -> u32 {
+    match level {
+        PackingLevel::Naive => 0,
+        PackingLevel::PacketSpecific | PackingLevel::FrequencyAware => {
+            bits_for_ids(max_id_bits as usize)
+        }
+    }
+}
+
+/// The format's packet decision, shared by the writer and the counter:
+/// splits an ID stream into packets in stream order, yielding each
+/// packet's precision and IDs.
+///
+/// A packet at precision `p` holds the next `⌊payload / p⌋` IDs, or the
+/// rest of the stream if fewer remain. Naive packets all take `max_bits`.
+/// A packet-specific packet takes the smallest precision whose window of
+/// IDs all fit in it, which also packs the most IDs, and `max_bits` when
+/// none does. An ID wider than `max_bits` ends the stream with the error
+/// [`BitWriter::write`] would return for it.
+struct Packets<'a> {
+    ids: &'a [u32],
+    /// The narrowest precision a packet may take.
+    floor: u32,
     max_bits: u32,
     payload_bits: u32,
-) -> Result<(BitStream, u32, u64), PackingError> {
-    let mode_bits = bits_for_ids(max_bits as usize);
-    let mut w = BitWriter::new();
-    let mut pos = 0;
-    let mut packets = 0u64;
-    while pos < ids.len() {
-        let remaining = ids.len() - pos;
-        // Pick the precision that packs the most of the upcoming IDs into
-        // one packet; ties go to the smaller precision. Scanning from
-        // max_bits downward lets us stop early once smaller precisions can
-        // no longer beat the incumbent.
-        let mut best_p = max_bits;
-        let mut best_take = ((payload_bits / max_bits) as usize).min(remaining);
-        for p in (1..max_bits).rev() {
-            let cap = (payload_bits / p) as usize;
-            let take = cap.min(remaining);
-            if take < best_take {
-                continue;
-            }
-            if ids[pos..pos + take].iter().all(|&id| bits_needed(id) <= p) {
-                best_p = p;
-                best_take = take;
-            }
-        }
-        w.write(u64::from(best_p - 1), mode_bits)?;
-        write_padded(&mut w, &ids[pos..pos + best_take], best_p, payload_bits)?;
-        pos += best_take;
-        packets += 1;
+}
+
+impl<'a> Packets<'a> {
+    fn new(ids: &'a [u32], level: PackingLevel, max_bits: u32, payload_bits: u32) -> Self {
+        let floor = if level == PackingLevel::Naive { max_bits } else { 1 };
+        Self { ids, floor, max_bits, payload_bits }
     }
-    Ok((w.into_stream(), mode_bits, packets))
+}
+
+impl<'a> Iterator for Packets<'a> {
+    type Item = Result<(u32, &'a [u32]), PackingError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.ids.is_empty() {
+            return None;
+        }
+        let (ids, payload_bits) = (self.ids, self.payload_bits);
+        let window = |p: u32| ((payload_bits / p) as usize).min(ids.len());
+        // Feasible precisions are upward-closed: a wider precision's window
+        // is a prefix of a narrower one's. One forward pass therefore finds
+        // the narrowest, keeping every ID before `i` within `p` bits. An ID
+        // that does not fit raises `p` one step at a time, because a wider
+        // precision's shorter window may end before that ID: jumping
+        // straight to the ID's width would overshoot.
+        let mut p = self.floor;
+        let mut end = window(p);
+        let mut i = 0;
+        while i < end {
+            let need = bits_needed(ids[i]);
+            while need > p && i < end {
+                if p == self.max_bits {
+                    self.ids = &[];
+                    return Some(Err(value_too_wide(u64::from(ids[i]), p)));
+                }
+                p += 1;
+                end = window(p);
+            }
+            i += 1;
+        }
+        let (packet, rest) = ids.split_at(end);
+        self.ids = rest;
+        Some(Ok((p, packet)))
+    }
 }
 
 fn decode_packets(stream: &BitStream, meta: &PackedMeta) -> Result<Vec<u32>, PackingError> {
@@ -557,5 +645,171 @@ mod tests {
             naive.compression_ratio()
         );
         assert_eq!(freq.unpack().unwrap(), w);
+    }
+
+    /// The packet-specific precision choice by its definition: rescan the
+    /// window once per candidate precision, from `max_bits` down, and keep
+    /// the narrowest that fits. The reference [`Packets`] must reproduce.
+    fn descending_scan(ids: &[u32], max_bits: u32, payload_bits: u32) -> (u32, usize) {
+        let remaining = ids.len();
+        let mut best_p = max_bits;
+        let mut best_take = ((payload_bits / max_bits) as usize).min(remaining);
+        for p in (1..max_bits).rev() {
+            let take = ((payload_bits / p) as usize).min(remaining);
+            if take < best_take {
+                continue;
+            }
+            if ids[..take].iter().all(|&id| bits_needed(id) <= p) {
+                best_p = p;
+                best_take = take;
+            }
+        }
+        (best_p, best_take)
+    }
+
+    /// A xorshift64 stream, so the tests need no RNG crate.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// `len` IDs of at most `max_bits` bits: mostly 1- and 2-bit IDs, so
+    /// narrow packets form, with wider IDs scattered at random offsets.
+    fn id_stream(rng: &mut XorShift, len: usize, max_bits: u32) -> Vec<u32> {
+        (0..len)
+            .map(|_| {
+                let width = if rng.below(4) == 0 {
+                    1 + rng.below(u64::from(max_bits)) as u32
+                } else {
+                    1 + rng.below(2) as u32
+                };
+                (rng.next() as u32) & ((1u32 << width.min(max_bits)) - 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_precision_matches_descending_scan() {
+        let mut rng = XorShift(0x9E37_79B9);
+        for payload_bits in [8, 13, 16, 64, 128, 200, 256] {
+            for max_bits in [1, 2, 3, 5, 8, 11, 13, 16].into_iter().filter(|&b| b <= payload_bits) {
+                for trial in 0..40 {
+                    // Short streams are all tail; long ones end in a tail.
+                    let len = if trial < 8 { 1 + trial } else { 1 + rng.below(600) as usize };
+                    let ids = id_stream(&mut rng, len, max_bits);
+                    let mut pos = 0;
+                    let packets =
+                        Packets::new(&ids, PackingLevel::PacketSpecific, max_bits, payload_bits);
+                    for packet in packets {
+                        let (p, packet) = packet.unwrap();
+                        let want = descending_scan(&ids[pos..], max_bits, payload_bits);
+                        assert_eq!(
+                            (p, packet.len()),
+                            want,
+                            "payload {payload_bits}, max {max_bits}, at {pos} of {ids:?}"
+                        );
+                        assert_eq!(packet, &ids[pos..pos + packet.len()]);
+                        pos += packet.len();
+                    }
+                    assert_eq!(pos, ids.len());
+                    let cap = (payload_bits / max_bits) as usize;
+                    let naive: Vec<_> =
+                        Packets::new(&ids, PackingLevel::Naive, max_bits, payload_bits)
+                            .map(|packet| packet.unwrap().1)
+                            .collect();
+                    assert_eq!(naive, ids.chunks(cap).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    /// A `rows × 2·cols` matrix over a skewed palette of `palette` values.
+    fn palette_matrix(rng: &mut XorShift, rows: usize, cols: usize, palette: u64) -> Matrix<i8> {
+        let data = (0..rows * 2 * cols)
+            .map(|_| {
+                let (a, b) = (rng.below(palette), rng.below(palette));
+                let pick = a.min(b);
+                (pick as i8).wrapping_mul(37)
+            })
+            .collect();
+        Matrix::from_vec(rows, 2 * cols, data).unwrap()
+    }
+
+    #[test]
+    fn counted_meta_matches_the_written_stream() {
+        let mut rng = XorShift(0xC0FFEE);
+        for trial in 0..48 {
+            let (cols, palette) = (1 + rng.below(70) as usize, 2 + rng.below(40));
+            let w = palette_matrix(&mut rng, 1 + trial % 9, cols, palette);
+            for payload_bits in [16, 64, 128, 200] {
+                let config = PackingConfig { payload_bits, ..PackingConfig::default() };
+                let (unique, encoded) = crate::chunk::decompose(&w, config.chunk).unwrap();
+                for level in PackingLevel::all() {
+                    let counted =
+                        PackedMeta::count(unique.len(), &encoded, &config, level).unwrap();
+                    let packed = PackedWeights::from_decomposition(
+                        unique.clone(),
+                        encoded.clone(),
+                        &config,
+                        level,
+                    )
+                    .unwrap();
+                    assert_eq!(&counted, packed.meta(), "{level:?} at {payload_bits} bits");
+                    assert_eq!(
+                        packed.stream().bit_len(),
+                        counted.packets * u64::from(counted.packet_bits())
+                    );
+                    assert_eq!(packed.stream().bit_len(), counted.stream_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counted_meta_returns_the_writers_errors() {
+        let both = |unique: &UniqueMatrix, ids: Vec<u32>, config: &PackingConfig, level| {
+            let encoded = EncodedMatrix::from_ids(ids.clone(), 1, ids.len(), 2).unwrap();
+            let counted = PackedMeta::count(unique.len(), &encoded, config, level);
+            let built = PackedWeights::from_decomposition(unique.clone(), encoded, config, level);
+            (counted, built.map(|p| *p.meta()))
+        };
+        let three = UniqueMatrix::from_flat(vec![1, 2, 3, 4, 5, 6], 2).unwrap();
+        let cfg = PackingConfig::default();
+        // An ID outside the table: the frequency order rejects it, and the
+        // other levels pack it while it fits the 2-bit precision.
+        let (counted, built) = both(&three, vec![0, 1, 5, 2], &cfg, PackingLevel::FrequencyAware);
+        assert_eq!(counted, built);
+        assert!(matches!(counted, Err(PackingError::InvalidStream { .. })), "{counted:?}");
+        for level in [PackingLevel::Naive, PackingLevel::PacketSpecific] {
+            let (counted, built) = both(&three, vec![0, 3, 1, 2], &cfg, level);
+            assert_eq!(counted, built);
+            assert!(counted.is_ok());
+            // Too wide for 2 bits: the writer's error, from both paths.
+            let (counted, built) = both(&three, vec![0, 1, 1, 9, 12], &cfg, level);
+            assert_eq!(counted, built);
+            assert_eq!(counted, Err(value_too_wide(9, 2)));
+        }
+        // A payload narrower than one ID, after any re-indexing.
+        let many: Vec<i8> = (0..600i32).flat_map(|v| [(v / 256) as i8, v as u8 as i8]).collect();
+        let many = UniqueMatrix::from_flat(many, 2).unwrap();
+        let narrow = PackingConfig { payload_bits: 8, ..cfg };
+        for level in PackingLevel::all() {
+            let (counted, built) = both(&many, (0..600).collect(), &narrow, level);
+            assert_eq!(counted, built);
+            assert_eq!(
+                counted,
+                Err(PackingError::PayloadTooNarrow { payload_bits: 8, required_bits: 10 })
+            );
+        }
     }
 }

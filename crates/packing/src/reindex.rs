@@ -31,27 +31,53 @@ pub fn frequency_reindex(
     unique: &UniqueMatrix,
     encoded: &EncodedMatrix,
 ) -> Result<ReindexResult, PackingError> {
-    let n = unique.len();
-    let mut freq = vec![0u64; n];
-    for &id in encoded.ids() {
-        let slot = freq.get_mut(id as usize).ok_or_else(|| PackingError::InvalidStream {
-            reason: format!("id {id} outside unique matrix of {n}"),
-        })?;
-        *slot += 1;
-    }
-    // Old IDs sorted by (frequency desc, old id asc).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| freq[b].cmp(&freq[a]).then(a.cmp(&b)));
-    let mut old_to_new = vec![0u32; n];
-    for (rank, &old) in order.iter().enumerate() {
-        old_to_new[old] = rank as u32;
-    }
+    let old_to_new = frequency_order(unique.len(), encoded.ids())?;
     let perm: Vec<usize> = old_to_new.iter().map(|&v| v as usize).collect();
     Ok(ReindexResult {
         unique: unique.permuted(&perm)?,
         encoded: encoded.remapped(&old_to_new)?,
         old_to_new,
     })
+}
+
+/// The frequency-aware format's ID order, shared by [`frequency_reindex`]
+/// and [`PackedMeta::count`](crate::encode::PackedMeta::count): maps each
+/// old ID in `0..unique_count` to its rank by (frequency in `ids`
+/// descending, old ID ascending).
+///
+/// # Errors
+///
+/// Returns [`PackingError::InvalidStream`] for an ID outside
+/// `0..unique_count`.
+pub(crate) fn frequency_order(unique_count: usize, ids: &[u32]) -> Result<Vec<u32>, PackingError> {
+    let mut freq = vec![0usize; unique_count];
+    for &id in ids {
+        let slot = freq.get_mut(id as usize).ok_or_else(|| PackingError::InvalidStream {
+            reason: format!("id {id} outside unique matrix of {unique_count}"),
+        })?;
+        *slot += 1;
+    }
+    // A counting sort on frequency: an ID's rank is the number of more
+    // frequent IDs plus the number of equally frequent, smaller old IDs.
+    // Linear in the IDs; a comparison sort would look `freq` up at random
+    // on every comparison.
+    let mut next_rank = vec![0u32; freq.iter().max().map_or(0, |&f| f + 1)];
+    for &f in &freq {
+        next_rank[f] += 1;
+    }
+    let mut rank = 0;
+    for slot in next_rank.iter_mut().rev() {
+        let count = *slot;
+        *slot = rank;
+        rank += count;
+    }
+    Ok(freq
+        .iter()
+        .map(|&f| {
+            next_rank[f] += 1;
+            next_rank[f] - 1
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -125,5 +151,49 @@ mod tests {
         let res = frequency_reindex(&unique, &encoded).unwrap();
         assert!(res.old_to_new.is_empty());
         assert!(res.encoded.is_empty());
+    }
+
+    /// The frequency order by its definition: sort old IDs by (frequency
+    /// descending, old ID ascending).
+    fn sorted_order(unique_count: usize, ids: &[u32]) -> Vec<u32> {
+        let mut freq = vec![0u64; unique_count];
+        for &id in ids {
+            freq[id as usize] += 1;
+        }
+        let mut order: Vec<usize> = (0..unique_count).collect();
+        order.sort_by(|&a, &b| freq[b].cmp(&freq[a]).then(a.cmp(&b)));
+        let mut old_to_new = vec![0u32; unique_count];
+        for (rank, &old) in order.iter().enumerate() {
+            old_to_new[old] = rank as u32;
+        }
+        old_to_new
+    }
+
+    #[test]
+    fn counting_order_matches_the_sorted_definition() {
+        let mut x = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for unique_count in [0usize, 1, 2, 5, 64, 1000] {
+            for len in [0usize, 1, 7, 300, 5000] {
+                if unique_count == 0 && len > 0 {
+                    continue;
+                }
+                // Skewed IDs with many ties and some IDs never used.
+                let ids: Vec<u32> = (0..len)
+                    .map(|_| {
+                        let (a, b) = (next() % unique_count as u64, next() % unique_count as u64);
+                        a.min(b) as u32
+                    })
+                    .collect();
+                let got = frequency_order(unique_count, &ids).unwrap();
+                assert_eq!(got, sorted_order(unique_count, &ids), "{unique_count} ids, {len} long");
+            }
+        }
+        assert!(frequency_order(3, &[0, 3]).is_err());
     }
 }

@@ -3,9 +3,11 @@
 
 use meadow::core::accuracy::verify_model_lossless;
 use meadow::core::baselines::Baseline;
-use meadow::core::{EngineConfig, MeadowEngine};
-use meadow::models::presets;
-use meadow::packing::PackingConfig;
+use meadow::core::{CoreError, EngineConfig, MeadowEngine};
+use meadow::dataflow::ExecutionPlan;
+use meadow::models::weights::ModelPackingStats;
+use meadow::models::{presets, TransformerConfig};
+use meadow::packing::{PackingConfig, PackingLevel};
 use meadow::sim::Cycles;
 
 #[test]
@@ -64,10 +66,41 @@ fn packing_stats_are_exposed_and_match_plan() {
 
 #[test]
 fn injected_stats_must_match_plan() {
-    let config = EngineConfig::zcu102(presets::tiny_decoder(), 12.0);
-    assert!(MeadowEngine::with_packing_stats(config, None).is_err());
-    let config = EngineConfig::gemm_baseline(presets::tiny_decoder(), 12.0);
-    assert!(MeadowEngine::with_packing_stats(config, None).is_ok());
+    let tiny = presets::tiny_decoder();
+    let config = EngineConfig::zcu102(tiny.clone(), 12.0);
+    assert!(MeadowEngine::with_packing_stats(config.clone(), None).is_err());
+    let gemm = EngineConfig::gemm_baseline(tiny.clone(), 12.0);
+    assert!(MeadowEngine::with_packing_stats(gemm.clone(), None).is_ok());
+    let stats = |model: &TransformerConfig, level| {
+        ModelPackingStats::compute(model, &PackingConfig::default(), level).unwrap()
+    };
+    let fitting = stats(&tiny, PackingLevel::FrequencyAware);
+    let engine = MeadowEngine::with_packing_stats(config.clone(), Some(fitting.clone())).unwrap();
+    assert_eq!(engine.packing_stats(), MeadowEngine::new(config.clone()).unwrap().packing_stats());
+    let naive = EngineConfig {
+        plan: ExecutionPlan { packing: Some(PackingLevel::Naive), ..config.plan },
+        ..config.clone()
+    };
+    let wider = TransformerConfig { d_model: 64, ffn_dim: 128, ..tiny.clone() };
+    let deeper = TransformerConfig { layers: tiny.layers + 1, ..tiny.clone() };
+    let shallower = TransformerConfig { layers: tiny.layers - 1, ..tiny.clone() };
+    let unfit = [
+        // Another level's sizes for this plan's level.
+        (naive.clone(), fitting.clone()),
+        // Statistics handed to a plan that packs nothing.
+        (gemm, fitting.clone()),
+        // Another model's matrices: other shapes, a missing layer, an extra one.
+        (config.clone(), stats(&wider, PackingLevel::FrequencyAware)),
+        (EngineConfig::zcu102(deeper, 12.0), fitting.clone()),
+        (EngineConfig::zcu102(shallower, 12.0), fitting),
+    ];
+    for (config, stats) in unfit {
+        let err = MeadowEngine::with_packing_stats(config, Some(stats)).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig { param: "packing_stats", .. }), "{err}");
+    }
+    assert!(
+        MeadowEngine::with_packing_stats(naive, Some(stats(&tiny, PackingLevel::Naive))).is_ok()
+    );
 }
 
 #[test]

@@ -5,6 +5,8 @@
 mod common;
 
 use common::fnv1a64;
+use meadow::models::weights::ModelPackingStats;
+use meadow::models::{presets, TransformerConfig};
 use meadow::packing::{ChunkConfig, PackedWeights, PackingConfig, PackingLevel};
 use meadow::tensor::Matrix;
 use proptest::prelude::*;
@@ -154,4 +156,48 @@ fn packed_weights_match_frozen_digests() {
         let got = fnv1a64(&serde_json::to_string(&packed).unwrap());
         assert_eq!(got, want, "level {level:?}");
     }
+}
+
+/// FNV-1a/64 of the serialized [`ModelPackingStats`] of each model at each
+/// level of [`PackingLevel::all`], recorded before statistics stopped
+/// building a [`PackedWeights`] per matrix: counting packets through the
+/// encoder's own decisions must reproduce every size byte for byte. The
+/// `Naive` digests of the two tiny models agree because naive sizes depend
+/// only on the matrix shapes.
+const FROZEN_STATS: [(&str, [&str; 3]); 4] = [
+    ("tiny-decoder", ["943188ccd3badac7", "40f77f0c7e61da6c", "179793bf46b48b46"]),
+    ("tiny-vit", ["943188ccd3badac7", "ce9bfa3094bf663e", "d4e9e65f1d4f8748"]),
+    ("OPT-125M", ["b296ec424ea48159", "9446fdb73a5b386f", "bcaeaababe35566d"]),
+    ("OPT-1.3B", ["3254136a5b620a33", "19c421863035b435", "b6045aa902630f0c"]),
+];
+
+fn stats_digest(model: &TransformerConfig, level: PackingLevel) -> String {
+    let stats = ModelPackingStats::compute(model, &PackingConfig::default(), level).unwrap();
+    fnv1a64(&serde_json::to_string(&stats).unwrap())
+}
+
+fn assert_frozen_stats(model: &TransformerConfig, levels: &[PackingLevel]) {
+    let (_, digests) = FROZEN_STATS.iter().find(|(name, _)| *name == model.name).unwrap();
+    for (level, want) in PackingLevel::all().into_iter().zip(digests) {
+        if levels.contains(&level) {
+            assert_eq!(stats_digest(model, level), *want, "{} at {level:?}", model.name);
+        }
+    }
+}
+
+#[test]
+fn model_packing_stats_match_frozen_digests() {
+    for model in [presets::tiny_decoder(), presets::tiny_vit()] {
+        assert_frozen_stats(&model, &PackingLevel::all());
+    }
+    // The one exact OPT-scale pin in a debug run: every golden and oracle
+    // case serves the tiny decoder.
+    assert_frozen_stats(&presets::opt_125m(), &[PackingLevel::FrequencyAware]);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: about 20 s in a debug build")]
+fn opt_scale_packing_stats_match_frozen_digests() {
+    assert_frozen_stats(&presets::opt_125m(), &[PackingLevel::Naive, PackingLevel::PacketSpecific]);
+    assert_frozen_stats(&presets::opt_1_3b(), &PackingLevel::all());
 }
