@@ -8,7 +8,7 @@ use meadow_core::CoreError;
 use meadow_dataflow::gemm::WeightFetch;
 use meadow_dataflow::tphs::{plan_allocation, tphs_attention_latency, TphsParams};
 use meadow_models::synthetic::{generate_decomposition, RedundancyProfile};
-use meadow_packing::{ChunkConfig, PackedWeights, PackingConfig, PackingLevel, WiluModule};
+use meadow_packing::{ChunkConfig, PackedWeights, PackingConfig, PackingLevel};
 use meadow_sim::{ChipConfig, ClockDomain, DramModel};
 
 fn anchor_profile() -> RedundancyProfile {
@@ -129,7 +129,7 @@ pub fn ablation_parallelism(_ctx: &ReproContext) -> Result<Artifact, CoreError> 
         chip.broadcasting_pes = bc;
         let alloc = plan_allocation(&chip, &params);
         let mut dram = DramModel::with_bandwidth(12.0, clock)?;
-        let lat = tphs_attention_latency(&chip, &mut dram, &WiluModule::zcu102(), &params)?;
+        let lat = tphs_attention_latency(&chip, &mut dram, &params)?;
         let ms = clock.to_ms(lat.makespan);
         table.row([
             bc.to_string(),
@@ -173,12 +173,7 @@ pub fn ablation_overlap(_ctx: &ReproContext) -> Result<Artifact, CoreError> {
     let mut notes = Vec::new();
     for bw in [1.0, 6.0, 12.0, 51.0] {
         let mut dram = DramModel::with_bandwidth(bw, clock)?;
-        let lat = tphs_attention_latency(
-            &ChipConfig::zcu102(),
-            &mut dram,
-            &WiluModule::zcu102(),
-            &params,
-        )?;
+        let lat = tphs_attention_latency(&ChipConfig::zcu102(), &mut dram, &params)?;
         let overlapped = clock.to_ms(lat.makespan);
         let sequential = clock.to_ms(lat.component_sum());
         table.row([

@@ -28,7 +28,10 @@ impl ReproContext {
     /// # Errors
     ///
     /// Propagates statistics-computation errors.
-    pub fn stats_for(&self, model: &TransformerConfig) -> Result<ModelPackingStats, CoreError> {
+    pub(crate) fn stats_for(
+        &self,
+        model: &TransformerConfig,
+    ) -> Result<ModelPackingStats, CoreError> {
         let mut cache = self.stats.lock().expect("stats cache poisoned");
         if let Some(s) = cache.get(&model.name) {
             return Ok(s.clone());

@@ -133,7 +133,7 @@ pub fn serve_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> {
 /// of long prompts/completions), seed-pinned so the artifact and its
 /// acceptance test reproduce byte-for-byte. Returns the trace plus the
 /// constrained budget and batch cap the comparison runs under.
-pub fn serve_paged_workload() -> (ArrivalTrace, u64, usize) {
+fn serve_paged_workload() -> (ArrivalTrace, u64, usize) {
     let model = presets::opt_125m();
     let lengths = ZipfLengths {
         prompt_min: 16,
@@ -251,7 +251,7 @@ pub fn serve_paged_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> {
 /// every layout/compression row of the artifact runs under the same
 /// bytes, so any extra admissions or lower residency pressure are
 /// attributable to the smaller per-token KV footprint alone.
-pub fn serve_kvcomp_workload() -> (ArrivalTrace, u64, usize) {
+fn serve_kvcomp_workload() -> (ArrivalTrace, u64, usize) {
     let model = presets::opt_125m();
     let lengths = ZipfLengths {
         prompt_min: 32,
@@ -393,7 +393,7 @@ pub fn serve_kvcomp_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> 
 /// the per-chip KV budget the comparison runs under: a sixth of total
 /// demand (but always one full session), so affinity-skewed chips overflow
 /// while balanced ones keep headroom.
-pub fn serve_cluster_workload() -> (ArrivalTrace, u64) {
+fn serve_cluster_workload() -> (ArrivalTrace, u64) {
     let model = presets::opt_125m();
     let lengths = ZipfLengths {
         prompt_min: 16,
@@ -539,7 +539,7 @@ pub fn serve_cluster_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError>
 /// heterogeneous cluster run builds one engine per chip spec, so the
 /// packing-stat cost scales with fleet size — and the placement contract
 /// this artifact pins is model-independent.
-pub fn serve_hetero_workload() -> (ArrivalTrace, u64) {
+fn serve_hetero_workload() -> (ArrivalTrace, u64) {
     let model = presets::tiny_decoder();
     let lengths = ZipfLengths {
         prompt_min: 8,
@@ -559,7 +559,7 @@ pub fn serve_hetero_workload() -> (ArrivalTrace, u64) {
 /// The two `serve_hetero` fleets, built to equal total compute: three big
 /// chips (96 PEs @ 12 Gbps each) against two big plus two LITTLE chips
 /// (48 PEs @ 6 Gbps each) — 3 × 614.4 GMACs = 2 × 614.4 + 2 × 307.2.
-pub fn serve_hetero_fleets() -> (Vec<EngineConfig>, Vec<EngineConfig>) {
+fn serve_hetero_fleets() -> (Vec<EngineConfig>, Vec<EngineConfig>) {
     let model = presets::tiny_decoder();
     let big = || EngineConfig::zcu102(model.clone(), 12.0);
     let little = || EngineConfig::zcu102_little(model.clone(), 6.0);
@@ -683,7 +683,7 @@ pub fn serve_hetero_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> 
 /// The `plan_capacity` workload: 32 open-loop requests at a rate that
 /// overloads a single chip, so the SLO ladder genuinely forces fleet
 /// growth. Seed-pinned like every artifact workload.
-pub fn plan_capacity_workload() -> ArrivalTrace {
+fn plan_capacity_workload() -> ArrivalTrace {
     let lengths = ZipfLengths {
         prompt_min: 8,
         prompt_max: 32,
@@ -812,7 +812,7 @@ pub fn plan_capacity_artifact(_ctx: &ReproContext) -> Result<Artifact, CoreError
 /// dedicated prefill pool releases each prompt's KV the moment it is
 /// computed and drains arrivals as fast as it can prefill them, and the
 /// decode pool pays for it in pace.
-pub fn serve_disagg_workload() -> ArrivalTrace {
+fn serve_disagg_workload() -> ArrivalTrace {
     let lengths = ZipfLengths {
         prompt_min: 32,
         prompt_max: 192,
@@ -945,7 +945,7 @@ pub fn serve_disagg_artifact(ctx: &ReproContext) -> Result<Artifact, CoreError> 
 /// the weight load has drained, so they prefill against a warm chip.
 /// The ladder compares request 0's TTFT across residency modes; the late
 /// arrivals pin the warm class inside the same budgeted run.
-pub fn serve_coldstart_workload() -> ArrivalTrace {
+fn serve_coldstart_workload() -> ArrivalTrace {
     ArrivalTrace::new(vec![
         ServeRequest::new(0, 0.0, 256, 48),
         ServeRequest::new(1, 150.0, 16, 64),

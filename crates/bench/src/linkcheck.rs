@@ -35,7 +35,7 @@ impl fmt::Display for BrokenLink {
 
 /// Extracts inline-link targets from Markdown, skipping fenced code blocks
 /// and inline code spans.
-pub fn extract_links(markdown: &str) -> Vec<String> {
+fn extract_links(markdown: &str) -> Vec<String> {
     let mut links = Vec::new();
     let mut fenced = false;
     for line in markdown.lines() {
@@ -76,7 +76,7 @@ pub fn extract_links(markdown: &str) -> Vec<String> {
 
 /// GitHub-style heading slug: lowercase, alphanumerics, dashes and
 /// underscores kept, spaces become dashes, everything else dropped.
-pub fn heading_slug(heading: &str) -> String {
+fn heading_slug(heading: &str) -> String {
     heading
         .trim()
         .chars()
@@ -94,7 +94,7 @@ pub fn heading_slug(heading: &str) -> String {
 
 /// All heading anchors of a Markdown document (ATX `#` headings only,
 /// outside fenced code blocks).
-pub fn heading_anchors(markdown: &str) -> Vec<String> {
+fn heading_anchors(markdown: &str) -> Vec<String> {
     let mut anchors = Vec::new();
     let mut fenced = false;
     for line in markdown.lines() {
@@ -123,7 +123,7 @@ fn is_external(target: &str) -> bool {
 ///
 /// Returns an I/O error when `file` itself cannot be read — a missing
 /// input is a caller mistake, not a broken link.
-pub fn check_file(file: &Path, broken: &mut Vec<BrokenLink>) -> std::io::Result<()> {
+fn check_file(file: &Path, broken: &mut Vec<BrokenLink>) -> std::io::Result<()> {
     let text = std::fs::read_to_string(file)?;
     let dir = file.parent().unwrap_or_else(|| Path::new("."));
     for target in extract_links(&text) {

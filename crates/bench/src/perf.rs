@@ -1,16 +1,15 @@
 //! Structured wall-clock performance harness with machine-readable output.
 //!
-//! The Criterion harnesses under `benches/` are for interactive
-//! exploration; this module is the *regression* surface. It times the
-//! workspace's hot paths — tiled INT8 GEMM, packing chunk decomposition,
-//! the functional batch forward, the continuous-batching serving
-//! simulator (whole-cache and paged eviction), the multi-model
+//! This module is the *regression* surface for host wall-clock time; the
+//! two-clock benchmark in `twoclock/` measures whole runs end to end. It
+//! times the workspace's hot paths — tiled INT8 GEMM, packing chunk
+//! decomposition, the functional batch forward, the continuous-batching
+//! serving simulator (whole-cache and paged eviction), the multi-model
 //! weight-churn serve, the multi-chip cluster serve, the heterogeneous
-//! big/LITTLE cluster serve and the disaggregated
-//! two-stage serve — serial vs parallel,
-//! with warmup and a fixed number of trials, and reports
-//! median/p95/min/mean per variant as a
-//! schema-versioned [`BenchReport`] that serializes to `BENCH_<id>.json`.
+//! big/LITTLE cluster serve and the disaggregated two-stage serve — serial
+//! vs parallel, with warmup and a fixed number of trials, and reports
+//! median/p95/min/mean per variant as a schema-versioned [`BenchReport`]
+//! that serializes to `BENCH_<id>.json`.
 //!
 //! CI runs the `perfbench` binary on every push, uploads the JSON as an
 //! artifact, and gates on [`find_ratio_regressions`] against the committed
@@ -78,7 +77,7 @@ pub struct TimingStats {
 }
 
 /// Runs `f` for `warmup` untimed and `trials` timed iterations.
-pub fn time_trials<F: FnMut()>(warmup: usize, trials: usize, mut f: F) -> TimingStats {
+fn time_trials<F: FnMut()>(warmup: usize, trials: usize, mut f: F) -> TimingStats {
     for _ in 0..warmup {
         f();
     }

@@ -56,7 +56,7 @@ pub fn verify_model_lossless(
 ///
 /// Propagates generation and packing errors (the first error in serial
 /// order wins).
-pub fn verify_model_lossless_with(
+pub(crate) fn verify_model_lossless_with(
     config: &TransformerConfig,
     packing: &PackingConfig,
     max_rows: usize,

@@ -83,11 +83,6 @@ impl PaletteMix {
         &self.name
     }
 
-    /// The repeating spec pattern.
-    pub fn pattern(&self) -> &[EngineConfig] {
-        &self.pattern
-    }
-
     /// The concrete fleet of `chips` chips: the pattern, cycled.
     pub fn fleet_of(&self, chips: usize) -> Vec<EngineConfig> {
         (0..chips).map(|i| self.pattern[i % self.pattern.len()].clone()).collect()
@@ -96,7 +91,7 @@ impl PaletteMix {
 
 /// Short human-readable description of one chip spec, used in plan
 /// reports (the full [`EngineConfig`] is not serializable).
-pub fn describe_spec(spec: &EngineConfig) -> String {
+fn describe_spec(spec: &EngineConfig) -> String {
     format!("{}pe@{}gbps", spec.chip.total_pes(), spec.bandwidth_gbps)
 }
 
@@ -120,7 +115,7 @@ pub struct MixPlan {
     pub mix: String,
     /// Minimal fleet size that meets the SLO.
     pub chips: usize,
-    /// The chosen fleet, chip by chip ([`describe_spec`] strings).
+    /// The chosen fleet, chip by chip, as `<PEs>pe@<bandwidth>gbps` strings.
     pub fleet: Vec<String>,
     /// The chosen fleet's measured p95 TTFT, in ms.
     pub p95_ttft_ms: f64,

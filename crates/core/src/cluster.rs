@@ -391,7 +391,7 @@ impl PhaseAssignment {
     }
 
     /// Whether the request's phases run on different chips.
-    pub fn is_split(&self) -> bool {
+    fn is_split(&self) -> bool {
         self.prefill_chip != self.decode_chip
     }
 }

@@ -16,7 +16,7 @@ use meadow_dataflow::{AttentionDataflow, ExecutionPlan};
 use meadow_models::weights::ModelPackingStats;
 use meadow_models::TransformerConfig;
 use meadow_packing::{PackingConfig, PackingLevel};
-use meadow_sim::{ChipConfig, ClockDomain, Cycles, DramModel};
+use meadow_sim::{ChipConfig, Cycles, DramModel};
 use serde::{Deserialize, Serialize};
 
 /// One evaluated design point.
@@ -50,7 +50,7 @@ impl PlannerEntry {
 /// # Errors
 ///
 /// Propagates executor errors.
-pub fn evaluate_design_point(
+fn evaluate_design_point(
     config: &TransformerConfig,
     packing_stats: Option<&ModelPackingStats>,
     packing_config: PackingConfig,
@@ -168,12 +168,6 @@ pub fn auto_engine(
         exec: meadow_tensor::parallel::ExecConfig::serial(),
     };
     crate::engine::MeadowEngine::with_packing_stats(config, Some(stats))
-}
-
-/// Convenience: derive a grid clock for reporting (the tile clock is fixed
-/// across design points).
-pub fn grid_clock() -> ClockDomain {
-    ClockDomain::zcu102()
 }
 
 #[cfg(test)]

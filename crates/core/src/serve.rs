@@ -634,7 +634,7 @@ pub struct ServeTrace {
 
 impl ServeTrace {
     /// Arrival → last token, in ms (what the user experienced).
-    pub fn total_latency_ms(&self) -> f64 {
+    pub(crate) fn total_latency_ms(&self) -> f64 {
         self.finish_ms - self.arrival_ms
     }
 
@@ -915,7 +915,7 @@ impl LatencySummary {
     }
 
     /// Summarizes an already-sorted sample.
-    pub fn from_sorted(sorted: &[f64]) -> Self {
+    fn from_sorted(sorted: &[f64]) -> Self {
         Self { p50_ms: percentile(sorted, 0.5), p95_ms: percentile(sorted, 0.95) }
     }
 }

@@ -66,14 +66,14 @@ impl SessionPhase {
     /// Whether a leg of this phase begins with its prompt KV already
     /// present (a decode-only leg resumes a prefill that ran elsewhere,
     /// delivered over the NoC handoff).
-    pub fn starts_prefilled(self) -> bool {
+    pub(crate) fn starts_prefilled(self) -> bool {
         self == SessionPhase::DecodeOnly
     }
 
     /// Whether a leg of this phase is complete once its prefill step has
     /// produced the prompt KV and first token (the cache then leaves over
     /// the NoC; the disaggregation driver charges the handoff).
-    pub fn finishes_at_prefill(self) -> bool {
+    pub(crate) fn finishes_at_prefill(self) -> bool {
         self == SessionPhase::PrefillOnly
     }
 }
@@ -134,7 +134,7 @@ pub struct InferenceSession<'a> {
     /// KV accounting seam: decides how many bytes the final context costs.
     /// [`InferenceSession::start`] uses the dense identity (bit-exact with
     /// the pre-seam `kv_cache_total_bytes`); compressed layouts come in via
-    /// [`InferenceSession::start_with_kv`].
+    /// `InferenceSession::start_with_kv`.
     sizer: KvSizer,
 }
 
@@ -157,7 +157,7 @@ impl<'a> InferenceSession<'a> {
     /// # Errors
     ///
     /// Propagates workload validation and executor errors.
-    pub fn start_with_kv(
+    fn start_with_kv(
         engine: &'a MeadowEngine,
         prompt_tokens: usize,
         sizer: KvSizer,

@@ -185,26 +185,10 @@ pub enum ServeOutcome {
 }
 
 impl ServeOutcome {
-    /// The single-chip report, if this was a single-chip run.
-    pub fn as_single(&self) -> Option<&ServeReport> {
-        match self {
-            ServeOutcome::Single(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// The cluster report, if this was a cluster run.
     pub fn as_cluster(&self) -> Option<&ClusterReport> {
         match self {
             ServeOutcome::Cluster(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The disaggregation report, if this was a disaggregated run.
-    pub fn as_disaggregated(&self) -> Option<&DisaggReport> {
-        match self {
-            ServeOutcome::Disaggregated(r) => Some(r),
             _ => None,
         }
     }
@@ -456,7 +440,6 @@ mod tests {
         let trace = ArrivalTrace::uniform(6, 0.0, 16, 4);
         let spec = ServeSpec::builder().chips(2).placement(RoundRobin).build().unwrap();
         let outcome = spec.run(&e, &trace).unwrap();
-        assert!(outcome.as_single().is_none());
         let report = outcome.as_cluster().unwrap();
         assert_eq!(report.chips, 2);
         assert_eq!(report.requests, 6);
@@ -472,7 +455,7 @@ mod tests {
             .build()
             .unwrap();
         let outcome = spec.run(&e, &trace).unwrap();
-        let report = outcome.as_disaggregated().unwrap();
+        let report = outcome.into_disaggregated().unwrap();
         assert_eq!(report.requests, 4);
         assert_eq!(report.split_requests, 4);
     }
@@ -485,7 +468,7 @@ mod tests {
         let trace = ArrivalTrace::uniform(3, 0.0, 16, 4);
         let spec = ServeSpec::builder().phases(Colocated).build().unwrap();
         let outcome = spec.run(&e, &trace).unwrap();
-        assert!(outcome.as_disaggregated().is_some());
+        assert!(matches!(outcome, ServeOutcome::Disaggregated(_)));
     }
 
     #[test]

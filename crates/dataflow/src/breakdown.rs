@@ -27,7 +27,7 @@ pub struct OpLatency {
 
 impl OpLatency {
     /// A fully sequential op: makespan is the sum of its components.
-    pub fn sequential(
+    pub(crate) fn sequential(
         name: impl Into<String>,
         fetch: Cycles,
         compute: Cycles,
@@ -51,12 +51,12 @@ pub struct LayerLatency {
 
 impl LayerLatency {
     /// An empty layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends an op.
-    pub fn push(&mut self, op: OpLatency) {
+    pub(crate) fn push(&mut self, op: OpLatency) {
         self.ops.push(op);
     }
 
@@ -80,14 +80,9 @@ impl LayerLatency {
         self.ops.iter().map(|o| o.makespan).sum()
     }
 
-    /// Finds an op by name.
-    pub fn op(&self, name: &str) -> Option<&OpLatency> {
-        self.ops.iter().find(|o| o.name == name)
-    }
-
     /// Merges the ops of another layer (used when a schedule is built from
     /// fragments).
-    pub fn extend(&mut self, other: LayerLatency) {
+    pub(crate) fn extend(&mut self, other: LayerLatency) {
         self.ops.extend(other.ops);
     }
 }
@@ -118,8 +113,6 @@ mod tests {
         assert_eq!(layer.compute(), Cycles(35));
         assert_eq!(layer.store(), Cycles(7));
         assert_eq!(layer.makespan(), Cycles(53));
-        assert!(layer.op("TPHS").is_some());
-        assert!(layer.op("nope").is_none());
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn decoder_layer_forward(
 ///
 /// Propagates shape and arithmetic errors from the underlying kernels.
 #[allow(clippy::too_many_arguments)]
-pub fn decoder_layer_forward_with(
+fn decoder_layer_forward_with(
     x: &Matrix<i8>,
     weights: &LayerWeights,
     config: &TransformerConfig,
@@ -197,7 +197,7 @@ pub fn model_forward(
 /// # Errors
 ///
 /// Propagates layer errors.
-pub fn model_forward_with(
+fn model_forward_with(
     x: &Matrix<i8>,
     weights: &ModelWeights,
     mode: ForwardMode,
@@ -226,7 +226,7 @@ pub fn model_forward_with(
 /// bit-identical to mapping [`model_forward`] over `inputs`.
 ///
 /// This is the request-level fan-out a batching server would use; the
-/// per-layer `exec` parallelism of [`model_forward_with`] is the
+/// per-layer `exec` parallelism of `model_forward_with` is the
 /// complementary intra-request axis.
 ///
 /// # Errors

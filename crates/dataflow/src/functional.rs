@@ -62,7 +62,7 @@ pub struct AttentionProblem {
 
 impl AttentionProblem {
     /// Head dimension.
-    pub fn head_dim(&self) -> usize {
+    pub(crate) fn head_dim(&self) -> usize {
         self.x.cols() / self.heads.max(1)
     }
 
@@ -71,7 +71,7 @@ impl AttentionProblem {
     /// # Errors
     ///
     /// Returns [`DataflowError::Schedule`] for inconsistent shapes.
-    pub fn validate(&self) -> Result<(), DataflowError> {
+    pub(crate) fn validate(&self) -> Result<(), DataflowError> {
         let d = self.x.cols();
         if self.heads == 0 || !d.is_multiple_of(self.heads) {
             return Err(DataflowError::Schedule {

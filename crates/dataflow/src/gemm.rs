@@ -2,8 +2,8 @@
 //! fetches its operands from DRAM, computes on the PE array, and stores the
 //! result back (§1, Fig. 1).
 //!
-//! Ops are described by a [`GemmOpSpec`] (operand traffic + compute shape);
-//! [`gemm_op_latency`] charges BRAM-tiling-aware DRAM transfers, PE-array
+//! Ops are described by a `GemmOpSpec` (operand traffic + compute shape);
+//! `gemm_op_latency` charges BRAM-tiling-aware DRAM transfers, PE-array
 //! compute, softmax/LN/NL unit time, and WILU unpacking for packed weights,
 //! producing an [`OpLatency`] whose makespan is the sequential
 //! fetch→compute→store sum — which is what makes the paper's stacked
@@ -12,7 +12,7 @@
 use crate::breakdown::OpLatency;
 use crate::error::DataflowError;
 use crate::tiling::plan_gemm_tiling;
-use meadow_packing::WiluModule;
+use meadow_packing::wilu;
 use meadow_sim::modules::{LayerNormUnit, NonlinearUnit};
 use meadow_sim::softmax_unit::SoftmaxUnit;
 use meadow_sim::{ChipConfig, Cycles, DramModel, TrafficClass};
@@ -34,7 +34,7 @@ impl WeightFetch {
     }
 
     /// Bytes that actually cross the channel.
-    pub fn transfer_bytes(&self) -> u64 {
+    pub(crate) fn transfer_bytes(&self) -> u64 {
         self.packed.map_or(self.raw_bytes, |p| p.transfer_bytes)
     }
 }
@@ -52,7 +52,7 @@ pub struct PackedWeightTransfer {
 
 /// Compute shape of one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ComputeSpec {
+pub(crate) enum ComputeSpec {
     /// A matrix multiply of this many MACs on the PE array.
     Macs(u64),
     /// Softmax over `rows` rows of `features` scores on the SM modules.
@@ -82,7 +82,7 @@ pub enum ComputeSpec {
 
 /// Full description of one GEMM-mode op.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GemmOpSpec {
+pub(crate) struct GemmOpSpec {
     /// Display name ("Q", "QKT", "SM", ...).
     pub name: String,
     /// Weight fetch, if the op has weights.
@@ -97,26 +97,23 @@ pub struct GemmOpSpec {
 
 /// Effective cycles to bring a weight matrix on chip: DRAM transfer,
 /// overlapped with WILU unpacking when packed (the slower side wins).
-pub fn weight_fetch_cycles(
-    dram: &mut DramModel,
-    weight: &WeightFetch,
-    wilu: &WiluModule,
-) -> Cycles {
+///
+/// The packet count spreads every transferred byte, the unique matrix's
+/// included, over packets of `packet_bits`.
+pub(crate) fn weight_fetch_cycles(dram: &mut DramModel, weight: &WeightFetch) -> Cycles {
     let bytes = weight.transfer_bytes();
     let dram_cycles = dram.transfer(TrafficClass::WeightFetch, bytes);
     match weight.packed {
         None => dram_cycles,
         Some(p) => {
             let packets = (bytes * 8).div_ceil(u64::from(p.packet_bits.max(1)));
-            let mau = packets.div_ceil(wilu.packets_per_cycle.max(1));
-            let lookup = p.total_ids.div_ceil(wilu.lookups_per_cycle.max(1));
-            dram_cycles.max(Cycles(mau.max(lookup)))
+            dram_cycles.max(Cycles(wilu::unpack_cycles(packets, p.total_ids)))
         }
     }
 }
 
 /// Compute cycles of a [`ComputeSpec`] on the given chip.
-pub fn compute_cycles(chip: &ChipConfig, compute: ComputeSpec) -> Cycles {
+fn compute_cycles(chip: &ChipConfig, compute: ComputeSpec) -> Cycles {
     match compute {
         ComputeSpec::Macs(macs) => Cycles::for_throughput(macs, chip.peak_macs_per_cycle().max(1)),
         ComputeSpec::Softmax { rows, features } => {
@@ -139,10 +136,9 @@ pub fn compute_cycles(chip: &ChipConfig, compute: ComputeSpec) -> Cycles {
 ///
 /// Currently infallible in practice but typed for forward compatibility with
 /// stricter capacity validation.
-pub fn gemm_op_latency(
+pub(crate) fn gemm_op_latency(
     chip: &ChipConfig,
     dram: &mut DramModel,
-    wilu: &WiluModule,
     spec: &GemmOpSpec,
 ) -> Result<OpLatency, DataflowError> {
     let mut fetch = Cycles::ZERO;
@@ -159,7 +155,7 @@ pub fn gemm_op_latency(
     let input_mult = outcome.input_fetch_bytes.checked_div(input_total).unwrap_or(1);
     if let Some(w) = &spec.weight {
         for _ in 0..weight_mult.max(1) {
-            fetch += weight_fetch_cycles(dram, w, wilu);
+            fetch += weight_fetch_cycles(dram, w);
         }
     }
     for &(class, bytes) in &spec.inputs {
@@ -196,7 +192,7 @@ mod tests {
             compute: ComputeSpec::Macs(512 * 768 * 768),
         };
         let mut d = dram(12.0);
-        let lat = gemm_op_latency(&chip(), &mut d, &WiluModule::zcu102(), &spec).unwrap();
+        let lat = gemm_op_latency(&chip(), &mut d, &spec).unwrap();
         assert!(lat.fetch > Cycles::ZERO);
         assert!(lat.compute > Cycles::ZERO);
         assert!(lat.store > Cycles::ZERO);
@@ -219,9 +215,8 @@ mod tests {
         };
         let mut d1 = dram(1.0);
         let mut d2 = dram(1.0);
-        let wilu = WiluModule::zcu102();
-        let c_raw = weight_fetch_cycles(&mut d1, &raw, &wilu);
-        let c_packed = weight_fetch_cycles(&mut d2, &packed, &wilu);
+        let c_raw = weight_fetch_cycles(&mut d1, &raw);
+        let c_packed = weight_fetch_cycles(&mut d2, &packed);
         assert!(c_packed < c_raw);
         let ratio = c_raw.get() as f64 / c_packed.get() as f64;
         assert!((ratio - 2_359_296.0 / 900_000.0).abs() < 0.05, "ratio {ratio}");
@@ -237,11 +232,10 @@ mod tests {
                 total_ids: 1_179_648,
             }),
         };
-        let wilu = WiluModule::zcu102();
         // At 51 Gbps the channel would take 900000/63.75 ≈ 14118 cycles but
         // the MAU needs packets/2 ≈ 27273 cycles: WILU becomes the limit.
         let mut d = dram(51.0);
-        let cycles = weight_fetch_cycles(&mut d, &packed, &wilu);
+        let cycles = weight_fetch_cycles(&mut d, &packed);
         let packets = (900_000u64 * 8).div_ceil(132);
         assert_eq!(cycles, Cycles(packets.div_ceil(2).max(1_179_648 / 16)));
     }
@@ -256,7 +250,7 @@ mod tests {
             compute: ComputeSpec::Softmax { rows: 12 * 512, features: 512 },
         };
         let mut d = dram(12.0);
-        let lat = gemm_op_latency(&chip(), &mut d, &WiluModule::zcu102(), &spec).unwrap();
+        let lat = gemm_op_latency(&chip(), &mut d, &spec).unwrap();
         // 6144 rows over 84 units = 74 rows/unit → (74+2)*512 cycles.
         assert_eq!(lat.compute, Cycles(76 * 512));
     }
@@ -285,7 +279,7 @@ mod tests {
             compute: ComputeSpec::None,
         };
         let mut with_refetch = dram(12.0);
-        gemm_op_latency(&chip(), &mut with_refetch, &WiluModule::zcu102(), &spec).unwrap();
+        gemm_op_latency(&chip(), &mut with_refetch, &spec).unwrap();
         let fetched = with_refetch.ledger().fetch_bytes();
         assert!(fetched > (7 << 20), "re-fetch must inflate traffic, got {fetched}");
     }
@@ -300,7 +294,7 @@ mod tests {
             compute: ComputeSpec::Macs(1000),
         };
         let mut d = dram(6.0);
-        gemm_op_latency(&chip(), &mut d, &WiluModule::zcu102(), &spec).unwrap();
+        gemm_op_latency(&chip(), &mut d, &spec).unwrap();
         assert_eq!(d.ledger().bytes(TrafficClass::WeightFetch), 1000);
         assert_eq!(d.ledger().bytes(TrafficClass::InputFetch), 500);
         assert_eq!(d.ledger().bytes(TrafficClass::KvStore), 200);

@@ -2,19 +2,18 @@
 //!
 //! TPHS pushes waves of tokens through a linear chain of stages
 //! (Q → QKᵀ → MAX → EXP → DIV → SM·V) connected by double-buffered pipeline
-//! registers (capacity-1 buffers, Fig. 2b). [`flow_shop_makespan`] gives the
+//! registers (capacity-1 buffers, Fig. 2b). `flow_shop_makespan` gives the
 //! closed form for uniform per-wave service times; [`flow_shop_schedule`]
 //! simulates arbitrary per-item times with blocking, used both to validate
 //! the closed form and to model ragged pipelines.
 
 use meadow_sim::Cycles;
-use meadow_tensor::parallel::{par_map, ExecConfig};
 
 /// Makespan of `items` identical jobs through stages with the given service
 /// times, with unlimited intermediate buffering (equivalently capacity-1
 /// buffers — with deterministic uniform times no blocking ever occurs):
 /// `Σ stage_times + (items − 1) · max(stage_times)`.
-pub fn flow_shop_makespan(stage_times: &[Cycles], items: usize) -> Cycles {
+pub(crate) fn flow_shop_makespan(stage_times: &[Cycles], items: usize) -> Cycles {
     if items == 0 || stage_times.is_empty() {
         return Cycles::ZERO;
     }
@@ -92,42 +91,9 @@ pub fn flow_shop_completion_times(times: &[Vec<Cycles>]) -> Vec<Cycles> {
     finishes
 }
 
-/// Evaluates many independent flow-shop instances on the worker threads of
-/// `exec`, returning makespans in input order.
-///
-/// One flow-shop simulation is inherently sequential (every item's start
-/// time depends on its predecessor), but design-space sweeps evaluate
-/// thousands of independent instances — that outer loop is the profitable
-/// axis, and each instance still runs the exact [`flow_shop_schedule`].
-///
-/// # Panics
-///
-/// Panics if any instance has rows with inconsistent stage counts.
-pub fn flow_shop_schedule_many(instances: &[Vec<Vec<Cycles>>], exec: &ExecConfig) -> Vec<Cycles> {
-    par_map(instances, exec, |times| flow_shop_schedule(times))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn schedule_many_matches_individual_schedules() {
-        let instances: Vec<Vec<Vec<Cycles>>> = (0..9)
-            .map(|i| {
-                (0..3 + i % 4)
-                    .map(|item| {
-                        (0..2 + i % 3).map(|s| Cycles(1 + (i * 7 + item * 3 + s) as u64)).collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let expected: Vec<Cycles> = instances.iter().map(|m| flow_shop_schedule(m)).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let exec = ExecConfig::with_threads(threads);
-            assert_eq!(flow_shop_schedule_many(&instances, &exec), expected, "threads {threads}");
-        }
-    }
 
     #[test]
     fn closed_form_matches_simulation_for_uniform_times() {

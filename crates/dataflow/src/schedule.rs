@@ -13,7 +13,7 @@ use crate::gemm::{gemm_op_latency, ComputeSpec, GemmOpSpec, PackedWeightTransfer
 use crate::tphs::{tphs_attention_latency, TphsParams};
 use meadow_models::weights::{MatrixPackingStats, ModelPackingStats};
 use meadow_models::{MatrixKind, TransformerConfig};
-use meadow_packing::{bits_for_ids, PackingConfig, PackingLevel, WiluModule};
+use meadow_packing::{PackingConfig, PackingLevel};
 use meadow_sim::{ChipConfig, DramModel, TrafficClass};
 use serde::{Deserialize, Serialize};
 
@@ -92,18 +92,16 @@ pub struct LayerParams<'a> {
 }
 
 /// Converts a matrix's sampled packing statistics into a [`WeightFetch`].
-pub fn weight_fetch_from_stats(
+fn weight_fetch_from_stats(
     stats: &MatrixPackingStats,
     level: PackingLevel,
     packing_config: &PackingConfig,
 ) -> WeightFetch {
-    let mode_bits =
-        if level == PackingLevel::Naive { 0 } else { bits_for_ids(stats.max_id_bits as usize) };
     WeightFetch {
         raw_bytes: stats.raw_bytes,
         packed: Some(PackedWeightTransfer {
             transfer_bytes: stats.transfer_bytes,
-            packet_bits: mode_bits + packing_config.payload_bits,
+            packet_bits: level.packet_bits(stats.max_id_bits, packing_config),
             total_ids: stats.raw_bytes / packing_config.chunk.chunk_elems.max(1) as u64,
         }),
     }
@@ -264,12 +262,11 @@ pub fn attention_block_latency(
     plan: &ExecutionPlan,
     params: &LayerParams<'_>,
 ) -> Result<LayerLatency, DataflowError> {
-    let wilu = WiluModule::zcu102();
     let mut layer = LayerLatency::new();
     match plan.attention {
         AttentionDataflow::Gemm => {
             for spec in gemm_attention_ops(plan, params) {
-                layer.push(gemm_op_latency(chip, dram, &wilu, &spec)?);
+                layer.push(gemm_op_latency(chip, dram, &spec)?);
             }
         }
         AttentionDataflow::Tphs => {
@@ -281,7 +278,7 @@ pub fn attention_block_latency(
                 context: params.context,
                 wq: weight_fetch(plan, params, MatrixKind::Query),
             };
-            layer.push(tphs_attention_latency(chip, dram, &wilu, &tphs)?);
+            layer.push(tphs_attention_latency(chip, dram, &tphs)?);
         }
     }
     Ok(layer)
@@ -298,55 +295,24 @@ pub fn layer_latency(
     plan: &ExecutionPlan,
     params: &LayerParams<'_>,
 ) -> Result<LayerLatency, DataflowError> {
-    let wilu = WiluModule::zcu102();
     let mut layer = LayerLatency::new();
     for spec in pre_attention_ops(plan, params) {
-        layer.push(gemm_op_latency(chip, dram, &wilu, &spec)?);
+        layer.push(gemm_op_latency(chip, dram, &spec)?);
     }
     layer.extend(attention_block_latency(chip, dram, plan, params)?);
     for spec in post_attention_ops(plan, params) {
-        layer.push(gemm_op_latency(chip, dram, &wilu, &spec)?);
+        layer.push(gemm_op_latency(chip, dram, &spec)?);
     }
     Ok(layer)
-}
-
-/// Schedules every layer of a model, returning per-layer latencies.
-///
-/// # Errors
-///
-/// Propagates executor errors.
-#[allow(clippy::too_many_arguments)]
-pub fn model_latency(
-    chip: &ChipConfig,
-    dram: &mut DramModel,
-    plan: &ExecutionPlan,
-    config: &TransformerConfig,
-    tokens_new: usize,
-    context: usize,
-    packing_stats: Option<&ModelPackingStats>,
-    packing_config: PackingConfig,
-) -> Result<Vec<LayerLatency>, DataflowError> {
-    (0..config.layers)
-        .map(|layer| {
-            let params = LayerParams {
-                config,
-                layer,
-                tokens_new,
-                context,
-                packing_stats,
-                packing_config,
-                knobs: ScheduleKnobs::default(),
-            };
-            layer_latency(chip, dram, plan, &params)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use meadow_models::presets;
-    use meadow_sim::{ClockDomain, Cycles};
+    use meadow_models::weights::{matrix_packing_stats, LayerWeights};
+    use meadow_packing::PackedWeights;
+    use meadow_sim::ClockDomain;
 
     fn dram(gbps: f64) -> DramModel {
         DramModel::with_bandwidth(gbps, ClockDomain::zcu102()).unwrap()
@@ -442,26 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn model_latency_scales_with_layers() {
-        let cfg = presets::tiny_decoder();
-        let chip = ChipConfig::zcu102();
-        let mut d = dram(12.0);
-        let layers = model_latency(
-            &chip,
-            &mut d,
-            &ExecutionPlan::gemm_baseline(),
-            &cfg,
-            16,
-            16,
-            None,
-            PackingConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(layers.len(), 2);
-        assert!(layers.iter().all(|l| l.makespan() > Cycles::ZERO));
-    }
-
-    #[test]
     fn attention_block_is_a_subset_of_the_layer() {
         let cfg = presets::opt_125m();
         let chip = ChipConfig::zcu102();
@@ -473,5 +419,28 @@ mod tests {
         let layer = layer_latency(&chip, &mut d2, &plan, &params(&cfg, 256, 256)).unwrap();
         assert!(block.makespan() < layer.makespan());
         assert_eq!(block.ops.len(), 4);
+    }
+
+    #[test]
+    fn latency_model_prices_the_written_packet_width() {
+        // The MAU charge counts packets as wide as the ones the writer
+        // emits for the same matrix, at every level.
+        let cfg = presets::tiny_decoder();
+        let packing = PackingConfig::default();
+        let weights = LayerWeights::synthesize(&cfg, 0).unwrap();
+        for level in PackingLevel::all() {
+            for kind in MatrixKind::all() {
+                let stats =
+                    matrix_packing_stats(&cfg, kind, 0, &packing, level, usize::MAX).unwrap();
+                let written = PackedWeights::pack(weights.matrix(kind), &packing, level).unwrap();
+                assert_eq!(stats.max_id_bits, written.meta().max_id_bits, "{kind:?} at {level:?}");
+                let fetch = weight_fetch_from_stats(&stats, level, &packing);
+                assert_eq!(
+                    fetch.packed.map(|p| p.packet_bits),
+                    Some(written.meta().packet_bits()),
+                    "{kind:?} at {level:?}"
+                );
+            }
+        }
     }
 }

@@ -12,7 +12,6 @@ use crate::breakdown::OpLatency;
 use crate::error::DataflowError;
 use crate::gemm::{weight_fetch_cycles, WeightFetch};
 use crate::pipeline::flow_shop_makespan;
-use meadow_packing::WiluModule;
 use meadow_sim::event::{EventSim, TaskKind};
 use meadow_sim::{ChipConfig, Cycles, DramModel, TrafficClass};
 use serde::{Deserialize, Serialize};
@@ -47,7 +46,7 @@ pub struct TphsAllocation {
 
 /// Per-stage service times of one wave (cycles).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TphsStageTimes {
+pub(crate) struct TphsStageTimes {
     /// [Q, QKᵀ, MAX, EXP, DIV, SM·V] wave service times.
     pub stages: Vec<Cycles>,
 }
@@ -80,7 +79,7 @@ pub fn plan_allocation(chip: &ChipConfig, params: &TphsParams) -> TphsAllocation
 }
 
 /// Stage service times for one wave under an allocation.
-pub fn stage_times(
+pub(crate) fn stage_times(
     chip: &ChipConfig,
     params: &TphsParams,
     alloc: &TphsAllocation,
@@ -112,7 +111,6 @@ pub fn stage_times(
 pub fn tphs_attention_latency(
     chip: &ChipConfig,
     dram: &mut DramModel,
-    wilu: &WiluModule,
     params: &TphsParams,
 ) -> Result<OpLatency, DataflowError> {
     if params.heads == 0 || params.head_dim == 0 || params.tokens_new == 0 || params.context == 0 {
@@ -163,7 +161,7 @@ pub fn tphs_attention_latency(
     // back buffer), i.e. fetch_h depends on compute_{h-2}.
     let mut computes: Vec<meadow_sim::event::TaskId> = Vec::with_capacity(params.heads);
     for head in 0..params.heads {
-        let mut dur = weight_fetch_cycles(dram, &wq_head, wilu);
+        let mut dur = weight_fetch_cycles(dram, &wq_head);
         dur += dram.transfer(TrafficClass::KvFetch, kv_head_bytes);
         if !x_fits {
             dur += dram.transfer(TrafficClass::InputFetch, x_bytes);
@@ -245,9 +243,7 @@ mod tests {
     fn tphs_eliminates_intermediate_traffic() {
         let chip = ChipConfig::zcu102();
         let mut d = dram(12.0);
-        let lat =
-            tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &opt125m_params(512))
-                .unwrap();
+        let lat = tphs_attention_latency(&chip, &mut d, &opt125m_params(512)).unwrap();
         let ledger = d.ledger();
         // No intermediate stores or fetches at all.
         assert_eq!(ledger.bytes(TrafficClass::IntermediateFetch), 0);
@@ -262,9 +258,7 @@ mod tests {
     fn dma_overlaps_compute() {
         let chip = ChipConfig::zcu102();
         let mut d = dram(12.0);
-        let lat =
-            tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &opt125m_params(512))
-                .unwrap();
+        let lat = tphs_attention_latency(&chip, &mut d, &opt125m_params(512)).unwrap();
         // The makespan must be well below the sequential sum thanks to
         // prefetch overlap.
         assert!(lat.makespan < lat.component_sum());
@@ -277,7 +271,7 @@ mod tests {
         let chip = ChipConfig::zcu102();
         let mut d = dram(12.0);
         let p = TphsParams { tokens_new: 1, context: 575, ..opt125m_params(512) };
-        let lat = tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &p).unwrap();
+        let lat = tphs_attention_latency(&chip, &mut d, &p).unwrap();
         assert!(lat.makespan > Cycles::ZERO);
         let alloc = plan_allocation(&chip, &p);
         assert_eq!(alloc.token_parallelism, 1);
@@ -289,9 +283,9 @@ mod tests {
         let chip = ChipConfig::zcu102();
         let mut d = dram(12.0);
         let p = TphsParams { heads: 0, ..opt125m_params(8) };
-        assert!(tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &p).is_err());
+        assert!(tphs_attention_latency(&chip, &mut d, &p).is_err());
         let p = TphsParams { context: 0, ..opt125m_params(8) };
-        assert!(tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &p).is_err());
+        assert!(tphs_attention_latency(&chip, &mut d, &p).is_err());
     }
 
     #[test]
@@ -301,8 +295,8 @@ mod tests {
         let p = opt125m_params(256);
         let mut d1 = dram(12.0);
         let mut d2 = dram(12.0);
-        let slow = tphs_attention_latency(&small, &mut d1, &WiluModule::zcu102(), &p).unwrap();
-        let fast = tphs_attention_latency(&big, &mut d2, &WiluModule::zcu102(), &p).unwrap();
+        let slow = tphs_attention_latency(&small, &mut d1, &p).unwrap();
+        let fast = tphs_attention_latency(&big, &mut d2, &p).unwrap();
         assert!(slow.makespan > fast.makespan);
     }
 
@@ -313,7 +307,7 @@ mod tests {
         chip.input_bram_bytes = 1024;
         let mut d = dram(12.0);
         let p = opt125m_params(64);
-        tphs_attention_latency(&chip, &mut d, &WiluModule::zcu102(), &p).unwrap();
+        tphs_attention_latency(&chip, &mut d, &p).unwrap();
         assert_eq!(d.ledger().bytes(TrafficClass::InputFetch), 12 * 64 * 768);
     }
 }

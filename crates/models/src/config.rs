@@ -51,7 +51,7 @@ impl MatrixKind {
     }
 
     /// Whether this matrix belongs to the attention block (vs the MLP).
-    pub fn is_attention(self) -> bool {
+    pub(crate) fn is_attention(self) -> bool {
         !matches!(self, MatrixKind::MlpUp | MatrixKind::MlpDown)
     }
 }

@@ -54,13 +54,6 @@ pub struct RedundancyProfile {
     pub mean_run_len: f64,
 }
 
-impl RedundancyProfile {
-    /// A flat, low-redundancy profile useful in tests.
-    pub fn flat(unique_chunks: usize) -> Self {
-        Self { unique_chunks, zipf_exponent: 1.0001, mean_run_len: 1.0 }
-    }
-}
-
 /// Calibrated redundancy profile for a given matrix of a model.
 ///
 /// Anchors:
@@ -165,7 +158,7 @@ impl ZipfSampler {
     }
 
     /// Samples a rank in `0..n`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         self.rank_of(rng.gen())
     }
 
@@ -431,7 +424,7 @@ mod tests {
 
     #[test]
     fn invalid_inputs_rejected() {
-        let p = RedundancyProfile::flat(4);
+        let p = RedundancyProfile { unique_chunks: 4, zipf_exponent: 1.0001, mean_run_len: 1.0 };
         assert!(generate_decomposition(4, 7, p, 2, 0).is_err());
         assert!(generate_decomposition(4, 8, p, 0, 0).is_err());
     }
@@ -448,7 +441,7 @@ mod tests {
 
     #[test]
     fn empty_matrix_generation() {
-        let p = RedundancyProfile::flat(4);
+        let p = RedundancyProfile { unique_chunks: 4, zipf_exponent: 1.0001, mean_run_len: 1.0 };
         let (unique, encoded) = generate_decomposition(0, 0, p, 2, 0).unwrap();
         assert!(unique.is_empty());
         assert!(encoded.is_empty());

@@ -51,22 +51,6 @@ impl LayerWeights {
     pub fn matrix(&self, kind: MatrixKind) -> &Matrix<i8> {
         &self.matrices[&kind]
     }
-
-    /// The per-head slice of the query weights: rows
-    /// `[head · HD, (head+1) · HD)` of `W_Q`, as fetched by the TPHS
-    /// dataflow for one head.
-    ///
-    /// # Errors
-    ///
-    /// Propagates slicing errors for out-of-range heads.
-    pub fn query_head(
-        &self,
-        config: &TransformerConfig,
-        head: usize,
-    ) -> Result<Matrix<i8>, ModelError> {
-        let hd = config.head_dim();
-        Ok(self.matrix(MatrixKind::Query).row_block(head * hd, hd)?)
-    }
 }
 
 /// A whole materialized model (use only for small test configs).
@@ -215,27 +199,6 @@ impl ModelPackingStats {
         self.per_matrix.get(&(layer, kind))
     }
 
-    /// Packed transfer bytes of one matrix (0 for a matrix the statistics
-    /// do not cover, which cannot happen for in-range layers).
-    pub fn transfer_bytes(&self, layer: usize, kind: MatrixKind) -> u64 {
-        self.per_matrix.get(&(layer, kind)).map(|s| s.transfer_bytes).unwrap_or(0)
-    }
-
-    /// Total packed bytes of one layer.
-    pub fn layer_transfer_bytes(&self, layer: usize) -> u64 {
-        MatrixKind::all().iter().map(|&k| self.transfer_bytes(layer, k)).sum()
-    }
-
-    /// Whole-model effective compression ratio.
-    pub fn effective_compression(&self) -> f64 {
-        let raw: u64 = self.per_matrix.values().map(|s| s.raw_bytes).sum();
-        let packed: u64 = self.per_matrix.values().map(|s| s.transfer_bytes).sum();
-        if packed == 0 {
-            return 1.0;
-        }
-        raw as f64 / packed as f64
-    }
-
     /// Iterates over all matrix statistics in (layer, kind) order.
     pub fn iter(&self) -> impl Iterator<Item = &MatrixPackingStats> {
         self.per_matrix.values()
@@ -247,6 +210,13 @@ mod tests {
     use super::*;
     use crate::presets;
 
+    /// Whole-model compression: raw bytes over packed transfer bytes.
+    fn compression(stats: &ModelPackingStats) -> f64 {
+        let raw: u64 = stats.iter().map(|s| s.raw_bytes).sum();
+        let packed: u64 = stats.iter().map(|s| s.transfer_bytes).sum();
+        raw as f64 / packed as f64
+    }
+
     #[test]
     fn tiny_model_materializes_and_slices() {
         let c = presets::tiny_decoder();
@@ -254,9 +224,6 @@ mod tests {
         assert_eq!(w.num_layers(), 2);
         let q = w.layer(0).matrix(MatrixKind::Query);
         assert_eq!(q.shape(), (32, 32));
-        let qh = w.layer(0).query_head(&c, 3).unwrap();
-        assert_eq!(qh.shape(), (8, 32));
-        assert!(w.layer(0).query_head(&c, 4).is_err());
     }
 
     #[test]
@@ -334,9 +301,8 @@ mod tests {
             ModelPackingStats::compute(&c, &PackingConfig::default(), PackingLevel::FrequencyAware)
                 .unwrap();
         assert_eq!(stats.iter().count(), c.layers * 6);
-        assert!(stats.matrix(0, MatrixKind::Query).is_some());
-        assert!(stats.layer_transfer_bytes(0) > 0);
-        assert!(stats.effective_compression() > 0.5);
+        assert!(MatrixKind::all().iter().all(|&k| stats.matrix(0, k).unwrap().transfer_bytes > 0));
+        assert!(compression(&stats) > 0.5);
     }
 
     #[test]
@@ -348,7 +314,7 @@ mod tests {
         let stats =
             ModelPackingStats::compute(&c, &PackingConfig::default(), PackingLevel::FrequencyAware)
                 .unwrap();
-        let eff = stats.effective_compression();
+        let eff = compression(&stats);
         assert!((1.3..=2.2).contains(&eff), "effective compression {eff}");
     }
 }

@@ -130,7 +130,7 @@ impl DecodeWorkload {
 }
 
 /// KV-cache bytes per layer at a given context length (K and V, INT8).
-pub fn kv_cache_layer_bytes(config: &TransformerConfig, context_len: usize) -> u64 {
+fn kv_cache_layer_bytes(config: &TransformerConfig, context_len: usize) -> u64 {
     2 * (context_len * config.d_model) as u64
 }
 

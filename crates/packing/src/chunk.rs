@@ -25,13 +25,6 @@ pub struct ChunkConfig {
     pub chunk_elems: usize,
 }
 
-impl ChunkConfig {
-    /// Chunk payload size in bits at 8-bit quantization.
-    pub fn chunk_bits(self) -> u32 {
-        (self.chunk_elems * 8) as u32
-    }
-}
-
 impl Default for ChunkConfig {
     fn default() -> Self {
         Self { chunk_elems: 2 }
@@ -92,12 +85,12 @@ impl UniqueMatrix {
     }
 
     /// Elements per chunk.
-    pub fn chunk_elems(&self) -> usize {
+    pub(crate) fn chunk_elems(&self) -> usize {
         self.chunk_elems
     }
 
     /// The chunk with the given ID, if present.
-    pub fn chunk(&self, id: usize) -> Option<&[i8]> {
+    pub(crate) fn chunk(&self, id: usize) -> Option<&[i8]> {
         (id < self.len()).then(|| &self.data[id * self.chunk_elems..][..self.chunk_elems])
     }
 
@@ -113,7 +106,7 @@ impl UniqueMatrix {
     ///
     /// Returns [`PackingError::InvalidStream`] if `perm` is not a
     /// permutation of `0..len`.
-    pub fn permuted(&self, perm: &[usize]) -> Result<UniqueMatrix, PackingError> {
+    pub(crate) fn permuted(&self, perm: &[usize]) -> Result<UniqueMatrix, PackingError> {
         let n = self.len();
         if perm.len() != n {
             return Err(PackingError::InvalidStream {
@@ -221,17 +214,17 @@ impl EncodedMatrix {
     }
 
     /// Number of weight-matrix rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Chunks per row (`M / C`).
-    pub fn chunk_cols(&self) -> usize {
+    pub(crate) fn chunk_cols(&self) -> usize {
         self.chunk_cols
     }
 
     /// Elements per chunk.
-    pub fn chunk_elems(&self) -> usize {
+    pub(crate) fn chunk_elems(&self) -> usize {
         self.chunk_elems
     }
 
@@ -251,7 +244,7 @@ impl EncodedMatrix {
     /// # Errors
     ///
     /// Returns [`PackingError::InvalidStream`] if an ID is outside `map`.
-    pub fn remapped(&self, map: &[u32]) -> Result<EncodedMatrix, PackingError> {
+    pub(crate) fn remapped(&self, map: &[u32]) -> Result<EncodedMatrix, PackingError> {
         let mut ids = Vec::with_capacity(self.ids.len());
         for &id in &self.ids {
             let new = *map.get(id as usize).ok_or_else(|| PackingError::InvalidStream {

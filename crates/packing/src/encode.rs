@@ -48,6 +48,24 @@ impl PackingLevel {
     pub fn all() -> [PackingLevel; 3] {
         [PackingLevel::Naive, PackingLevel::PacketSpecific, PackingLevel::FrequencyAware]
     }
+
+    /// Bits per packet at this level for IDs of up to `max_id_bits` bits:
+    /// the mode field plus the configured payload. This is
+    /// [`PackedMeta::packet_bits`] for any stream packed at this level.
+    pub fn packet_bits(self, max_id_bits: u32, config: &PackingConfig) -> u32 {
+        self.mode_bits(max_id_bits) + config.payload_bits
+    }
+
+    /// Mode-field width: naive packets share one precision and carry no
+    /// mode field; the other levels select one of `max_id_bits` precisions.
+    fn mode_bits(self, max_id_bits: u32) -> u32 {
+        match self {
+            PackingLevel::Naive => 0,
+            PackingLevel::PacketSpecific | PackingLevel::FrequencyAware => {
+                bits_for_ids(max_id_bits as usize)
+            }
+        }
+    }
 }
 
 /// Configuration shared by all packing levels.
@@ -65,15 +83,8 @@ impl Default for PackingConfig {
     }
 }
 
-/// The precision ladder available to the MAU unpacker: every integer width
-/// from 1 to `max_bits`, exactly as the paper's packets carry 2-bit and
-/// 3-bit IDs side by side (Fig. 4b).
-pub fn precision_ladder(max_bits: u32) -> Vec<u32> {
-    (1..=max_bits).collect()
-}
-
 /// Bits needed to represent the single value `v` (minimum 1).
-pub fn bits_needed(v: u32) -> u32 {
+pub(crate) fn bits_needed(v: u32) -> u32 {
     (32 - v.leading_zeros()).max(1)
 }
 
@@ -161,7 +172,7 @@ impl PackedMeta {
             unique_count,
             max_id_bits,
             payload_bits: config.payload_bits,
-            mode_bits: mode_bits(level, max_id_bits),
+            mode_bits: level.mode_bits(max_id_bits),
             total_ids: encoded.len(),
             packets,
         }
@@ -234,7 +245,7 @@ impl PackedWeights {
             (unique, encoded)
         };
         let max_id_bits = id_bits(unique.len(), config)?;
-        let mode_bits = mode_bits(level, max_id_bits);
+        let mode_bits = level.mode_bits(max_id_bits);
         let mut w = BitWriter::new();
         let mut packets = 0;
         for packet in Packets::new(encoded.ids(), level, max_id_bits, config.payload_bits) {
@@ -248,11 +259,6 @@ impl PackedWeights {
         Ok(Self { level, unique, stream: w.into_stream(), meta })
     }
 
-    /// The packing level used.
-    pub fn level(&self) -> PackingLevel {
-        self.level
-    }
-
     /// Stream metadata.
     pub fn meta(&self) -> &PackedMeta {
         &self.meta
@@ -264,7 +270,7 @@ impl PackedWeights {
     }
 
     /// The packed ID stream.
-    pub fn stream(&self) -> &BitStream {
+    pub(crate) fn stream(&self) -> &BitStream {
         &self.stream
     }
 
@@ -390,17 +396,6 @@ fn id_bits(unique_count: usize, config: &PackingConfig) -> Result<u32, PackingEr
     Ok(max_id_bits)
 }
 
-/// Mode-field width: naive packets share one precision and carry no mode
-/// field; the other levels select one of `max_id_bits` precisions.
-fn mode_bits(level: PackingLevel, max_id_bits: u32) -> u32 {
-    match level {
-        PackingLevel::Naive => 0,
-        PackingLevel::PacketSpecific | PackingLevel::FrequencyAware => {
-            bits_for_ids(max_id_bits as usize)
-        }
-    }
-}
-
 /// The format's packet decision, shared by the writer and the counter:
 /// splits an ID stream into packets in stream order, yielding each
 /// packet's precision and IDs.
@@ -509,9 +504,14 @@ mod tests {
 
     #[test]
     fn ladder_shapes() {
-        assert_eq!(precision_ladder(1), vec![1]);
-        assert_eq!(precision_ladder(3), vec![1, 2, 3]);
-        assert_eq!(precision_ladder(11).len(), 11);
+        // The mode field selects one of the `max_id_bits` precisions
+        // 1..=max_id_bits; naive packets have no ladder and no mode field.
+        let config = PackingConfig::default();
+        for (max_bits, mode) in [(1, 1), (2, 1), (3, 2), (8, 3), (11, 4)] {
+            assert_eq!(PackingLevel::PacketSpecific.packet_bits(max_bits, &config), mode + 128);
+            assert_eq!(PackingLevel::FrequencyAware.packet_bits(max_bits, &config), mode + 128);
+            assert_eq!(PackingLevel::Naive.packet_bits(max_bits, &config), 128);
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!    re-assign IDs so frequent chunks get small IDs, maximizing the
 //!    proportion of low-precision packets (Fig. 4c).
 //!
-//! Unpacking happens in the WILU module ([`wilu`]): the mode-aware unpacking
-//! (MAU) stage decodes packets back to IDs, and a unique-matrix lookup
-//! reconstructs the exact original weights. The whole pipeline is lossless;
+//! Unpacking happens in the WILU module: the mode-aware unpacking (MAU)
+//! stage decodes packets back to IDs, and a unique-matrix lookup
+//! reconstructs the exact original weights ([`PackedWeights::unpack`]);
+//! [`wilu`] prices that work in cycles. The whole pipeline is lossless;
 //! property tests assert bit-exact round trips at every level.
 //!
 //! # Example
@@ -50,10 +51,9 @@ pub use chunk::{ChunkConfig, EncodedMatrix, UniqueMatrix};
 pub use encode::{PackedWeights, PackingConfig, PackingLevel};
 pub use error::PackingError;
 pub use meadow_tensor::parallel::ExecConfig;
-pub use wilu::WiluModule;
 
 /// Number of bits needed to represent IDs in `[0, count)`, minimum 1.
-pub fn bits_for_ids(count: usize) -> u32 {
+pub(crate) fn bits_for_ids(count: usize) -> u32 {
     if count <= 1 {
         1
     } else {

@@ -1,6 +1,6 @@
 //! Histograms and packing statistics behind Figs. 4a and 10b/c.
 
-use crate::chunk::{EncodedMatrix, UniqueMatrix};
+use crate::chunk::EncodedMatrix;
 use crate::encode::{bits_needed, PackedWeights};
 use meadow_tensor::parallel::{par_map_ranges, ExecConfig};
 use serde::{Deserialize, Serialize};
@@ -100,16 +100,6 @@ impl PrecisionDistribution {
         }
         Self { counts }
     }
-
-    /// Mean bits needed per ID.
-    pub fn mean_bits(&self) -> f64 {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self.counts.iter().enumerate().map(|(b, &c)| (b as u64 + 1) * c).sum();
-        weighted as f64 / total as f64
-    }
 }
 
 /// Summary of one packed matrix for reports and figure generators.
@@ -148,11 +138,6 @@ impl PackingSummary {
     }
 }
 
-/// Convenience: reduction ratio straight from a decomposition.
-pub fn reduction_ratio_of(unique: &UniqueMatrix, encoded: &EncodedMatrix) -> f64 {
-    crate::chunk::reduction_ratio(unique, encoded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,6 +161,13 @@ mod tests {
         Matrix::from_rows(&refs).unwrap()
     }
 
+    /// Mean bits needed per ID.
+    fn mean_bits(d: &PrecisionDistribution) -> f64 {
+        let total: u64 = d.counts.iter().sum();
+        let weighted: u64 = d.counts.iter().enumerate().map(|(b, &c)| (b as u64 + 1) * c).sum();
+        weighted as f64 / total as f64
+    }
+
     #[test]
     fn histogram_counts_everything() {
         let (unique, encoded) = decompose(&skewed(), ChunkConfig::default()).unwrap();
@@ -197,9 +189,9 @@ mod tests {
     #[test]
     fn precision_distribution_mean_drops_after_reindex() {
         let (unique, encoded) = decompose(&skewed(), ChunkConfig::default()).unwrap();
-        let before = PrecisionDistribution::new(&encoded).mean_bits();
+        let before = mean_bits(&PrecisionDistribution::new(&encoded));
         let r = frequency_reindex(&unique, &encoded).unwrap();
-        let after = PrecisionDistribution::new(&r.encoded).mean_bits();
+        let after = mean_bits(&PrecisionDistribution::new(&r.encoded));
         assert!(after <= before, "mean bits {after} vs {before}");
     }
 
@@ -238,6 +230,6 @@ mod tests {
         let h = IdHistogram::new(&encoded, unique.len(), 4);
         assert_eq!(h.head_mass(2), 0.0);
         let d = PrecisionDistribution::new(&encoded);
-        assert_eq!(d.mean_bits(), 0.0);
+        assert_eq!(d.counts.iter().sum::<u64>(), 0);
     }
 }

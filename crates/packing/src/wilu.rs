@@ -6,130 +6,67 @@
 //! unique matrix to recover exact weight values, which the NoC forwards to PE
 //! weight register files.
 //!
-//! [`WiluModule`] provides both the *functional* path (delegating to the
-//! stream decoder — identical arithmetic, so the round-trip tests cover the
-//! hardware behavior) and the *throughput* model: the MAU processes a fixed
-//! number of packets per cycle and the lookup stage a fixed number of IDs per
-//! cycle, pipelined against each other. At high DRAM bandwidths unpacking can
-//! become the bottleneck, so the dataflow executors charge packed weight
-//! fetches as `max(channel cycles, WILU cycles)` via
-//! [`WiluModule::effective_fetch_cycles`].
+//! The functional path is the stream decoder itself
+//! ([`PackedWeights::unpack`](crate::PackedWeights::unpack)), so the
+//! round-trip tests cover the hardware behavior. This module holds the
+//! throughput model: the MAU processes a fixed number of packets per cycle
+//! and the lookup stage a fixed number of IDs per cycle, pipelined against
+//! each other. At high DRAM bandwidths unpacking can become the bottleneck,
+//! so the dataflow executors charge a packed weight fetch the larger of its
+//! channel cycles and [`unpack_cycles`].
 
-use crate::encode::PackedWeights;
-use crate::error::PackingError;
-use meadow_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+/// Packets the ZCU102 build's MAU demultiplexes per cycle: 2 × 64-bit
+/// payloads ≈ 16 B per cycle, comfortably above the 15 B/cycle the 12 Gbps
+/// channel can deliver.
+const PACKETS_PER_CYCLE: u64 = 2;
 
-/// Throughput model of the WILU module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct WiluModule {
-    /// Packets the MAU demultiplexes per cycle.
-    pub packets_per_cycle: u64,
-    /// Unique-matrix lookups per cycle (chunks resolved to weight values).
-    pub lookups_per_cycle: u64,
-}
+/// Unique-matrix lookups per cycle: the ZCU102 build's 16 parallel lookup
+/// lanes.
+const IDS_PER_CYCLE: u64 = 16;
 
-impl WiluModule {
-    /// The ZCU102 build: a 2-packet-wide MAU (2 × 64-bit payloads ≈ 16 B per
-    /// cycle, comfortably above the 15 B/cycle the 12 Gbps channel can
-    /// deliver) and 16 parallel lookup lanes.
-    pub fn zcu102() -> Self {
-        Self { packets_per_cycle: 2, lookups_per_cycle: 16 }
-    }
-
-    /// Cycles the MAU needs to demultiplex the whole stream.
-    pub fn mau_cycles(&self, packed: &PackedWeights) -> u64 {
-        if self.packets_per_cycle == 0 {
-            return 0;
-        }
-        packed.meta().packets.div_ceil(self.packets_per_cycle)
-    }
-
-    /// Cycles the lookup stage needs to resolve every chunk ID.
-    pub fn lookup_cycles(&self, packed: &PackedWeights) -> u64 {
-        if self.lookups_per_cycle == 0 {
-            return 0;
-        }
-        (packed.meta().total_ids as u64).div_ceil(self.lookups_per_cycle)
-    }
-
-    /// Total WILU cycles: MAU and lookup are pipelined, so the slower stage
-    /// dominates.
-    pub fn unpack_cycles(&self, packed: &PackedWeights) -> u64 {
-        self.mau_cycles(packed).max(self.lookup_cycles(packed))
-    }
-
-    /// Effective cycles to bring this packed matrix on chip when the DRAM
-    /// channel alone would take `dram_cycles`: the WILU pipeline overlaps the
-    /// transfer, so the slower of the two wins.
-    pub fn effective_fetch_cycles(&self, packed: &PackedWeights, dram_cycles: u64) -> u64 {
-        dram_cycles.max(self.unpack_cycles(packed))
-    }
-
-    /// Functional unpack through the MAU + lookup path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream-decoding errors.
-    pub fn execute(&self, packed: &PackedWeights) -> Result<Matrix<i8>, PackingError> {
-        packed.unpack()
-    }
-}
-
-impl Default for WiluModule {
-    fn default() -> Self {
-        Self::zcu102()
-    }
+/// Cycles the ZCU102 WILU module needs to unpack `packets` packets that
+/// carry `ids` chunk IDs. MAU and lookup are pipelined, so the slower stage
+/// dominates.
+pub fn unpack_cycles(packets: u64, ids: u64) -> u64 {
+    packets.div_ceil(PACKETS_PER_CYCLE).max(ids.div_ceil(IDS_PER_CYCLE))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{PackingConfig, PackingLevel};
+    use crate::encode::{PackedWeights, PackingConfig, PackingLevel};
+    use meadow_tensor::Matrix;
 
-    fn packed(level: PackingLevel) -> PackedWeights {
+    fn weights() -> Matrix<i8> {
         let mut rows = Vec::new();
         for r in 0..32i32 {
             let row: Vec<i8> = (0..32).map(|c| ((r * c) % 7) as i8).collect();
             rows.push(row);
         }
         let refs: Vec<&[i8]> = rows.iter().map(Vec::as_slice).collect();
-        let w = Matrix::from_rows(&refs).unwrap();
-        PackedWeights::pack(&w, &PackingConfig::default(), level).unwrap()
+        Matrix::from_rows(&refs).unwrap()
+    }
+
+    fn packed(level: PackingLevel) -> PackedWeights {
+        PackedWeights::pack(&weights(), &PackingConfig::default(), level).unwrap()
     }
 
     #[test]
     fn functional_path_is_lossless() {
-        let wilu = WiluModule::zcu102();
+        // The WILU functional path is the stream decoder itself.
         for level in PackingLevel::all() {
-            let p = packed(level);
-            let w = wilu.execute(&p).unwrap();
-            assert_eq!(w, p.unpack().unwrap());
+            assert_eq!(packed(level).unpack().unwrap(), weights());
         }
     }
 
     #[test]
-    fn throughput_scales_with_width() {
-        let p = packed(PackingLevel::FrequencyAware);
-        let narrow = WiluModule { packets_per_cycle: 1, lookups_per_cycle: 16 };
-        let wide = WiluModule { packets_per_cycle: 4, lookups_per_cycle: 16 };
-        assert!(narrow.mau_cycles(&p) >= wide.mau_cycles(&p));
-    }
-
-    #[test]
-    fn effective_fetch_is_max_of_channel_and_unpack() {
-        let wilu = WiluModule::zcu102();
-        let p = packed(PackingLevel::PacketSpecific);
-        let unpack = wilu.unpack_cycles(&p);
-        assert_eq!(wilu.effective_fetch_cycles(&p, 0), unpack);
-        assert_eq!(wilu.effective_fetch_cycles(&p, unpack + 100), unpack + 100);
-    }
-
-    #[test]
     fn naive_streams_count_their_packets() {
-        let wilu = WiluModule::zcu102();
-        let p = packed(PackingLevel::Naive);
-        assert_eq!(wilu.mau_cycles(&p), p.meta().packets.div_ceil(2));
+        let m = *packed(PackingLevel::Naive).meta();
+        assert_eq!(unpack_cycles(m.packets, 0), m.packets.div_ceil(2));
+        assert_eq!(
+            unpack_cycles(m.packets, m.total_ids as u64),
+            m.packets.div_ceil(2).max((m.total_ids as u64).div_ceil(16))
+        );
     }
 
     #[test]
@@ -137,14 +74,12 @@ mod tests {
         // 12 Gbps moves 15 bytes/cycle; the MAU demuxes 2 packets/cycle of
         // (mode + 128 payload) bits ≈ 32+ B/cycle of stream.
         let p = packed(PackingLevel::FrequencyAware);
-        let wilu = WiluModule::zcu102();
         let stream_bytes = p.stream().byte_len();
         let dram_cycles = (stream_bytes as f64 / 15.0).ceil() as u64;
+        let mau = unpack_cycles(p.meta().packets, 0);
         assert!(
-            wilu.mau_cycles(&p) <= dram_cycles + 1,
-            "MAU ({}) must keep up with the channel ({})",
-            wilu.mau_cycles(&p),
-            dram_cycles
+            mau <= dram_cycles + 1,
+            "MAU ({mau}) must keep up with the channel ({dram_cycles})"
         );
     }
 }

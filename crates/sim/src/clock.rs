@@ -23,21 +23,6 @@ impl Cycles {
         self.0
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two cycle counts.
-    pub fn max(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.max(rhs.0))
-    }
-
-    /// The smaller of two cycle counts.
-    pub fn min(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.min(rhs.0))
-    }
-
     /// Cycles needed to process `items` at a throughput of `per_cycle` items
     /// per cycle, rounding up. Zero throughput yields zero cycles (the caller
     /// models "this unit is absent" that way; configuration validation guards
@@ -95,7 +80,7 @@ impl ClockDomain {
     ///
     /// Panics if `freq_mhz` is not finite and positive (a hardware
     /// description bug, not a data-dependent condition).
-    pub fn from_mhz(freq_mhz: f64) -> Self {
+    fn from_mhz(freq_mhz: f64) -> Self {
         assert!(
             freq_mhz.is_finite() && freq_mhz > 0.0,
             "clock frequency must be positive, got {freq_mhz} MHz"
@@ -109,7 +94,7 @@ impl ClockDomain {
     }
 
     /// Clock frequency in Hz.
-    pub fn freq_hz(self) -> f64 {
+    pub(crate) fn freq_hz(self) -> f64 {
         self.freq_hz
     }
 
@@ -121,11 +106,6 @@ impl ClockDomain {
     /// Converts cycles to milliseconds.
     pub fn to_ms(self, cycles: Cycles) -> f64 {
         self.to_seconds(cycles) * 1e3
-    }
-
-    /// Converts cycles to microseconds.
-    pub fn to_us(self, cycles: Cycles) -> f64 {
-        self.to_seconds(cycles) * 1e6
     }
 }
 
@@ -145,7 +125,6 @@ mod tests {
         let b = Cycles(4);
         assert_eq!(a + b, Cycles(14));
         assert_eq!(a - b, Cycles(6));
-        assert_eq!(b.saturating_sub(a), Cycles::ZERO);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
         let total: Cycles = [a, b, Cycles(1)].into_iter().sum();
@@ -165,7 +144,6 @@ mod tests {
         let clk = ClockDomain::zcu102();
         assert_eq!(clk.freq_hz(), 1e8);
         assert!((clk.to_ms(Cycles(100_000)) - 1.0).abs() < 1e-9);
-        assert!((clk.to_us(Cycles(100)) - 1.0).abs() < 1e-9);
         assert!((clk.to_seconds(Cycles(100_000_000)) - 1.0).abs() < 1e-12);
     }
 

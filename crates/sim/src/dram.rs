@@ -48,7 +48,7 @@ pub enum TrafficClass {
 
 impl TrafficClass {
     /// Whether the class is a fetch (DRAM → chip).
-    pub fn is_fetch(self) -> bool {
+    fn is_fetch(self) -> bool {
         matches!(
             self,
             TrafficClass::WeightFetch
@@ -60,12 +60,12 @@ impl TrafficClass {
     }
 
     /// Whether the class is a store (chip → DRAM).
-    pub fn is_store(self) -> bool {
+    fn is_store(self) -> bool {
         !self.is_fetch()
     }
 
     /// All classes, for iteration in reports.
-    pub fn all() -> [TrafficClass; 9] {
+    pub(crate) fn all() -> [TrafficClass; 9] {
         [
             TrafficClass::WeightFetch,
             TrafficClass::InputFetch,
@@ -94,7 +94,7 @@ impl TrafficLedger {
     }
 
     /// Records a transfer.
-    pub fn record(&mut self, class: TrafficClass, bytes: u64, cycles: Cycles) {
+    fn record(&mut self, class: TrafficClass, bytes: u64, cycles: Cycles) {
         *self.bytes.entry(class).or_insert(0) += bytes;
         *self.cycles.entry(class).or_insert(0) += cycles.get();
     }
@@ -200,19 +200,14 @@ impl DramModel {
         Self::new(bandwidth_gbps, clock, Self::DEFAULT_BURST_BYTES)
     }
 
-    /// Channel bandwidth in Gbps.
-    pub fn bandwidth_gbps(&self) -> f64 {
-        self.bandwidth_gbps
-    }
-
     /// Bytes the channel moves per accelerator clock cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    fn bytes_per_cycle(&self) -> f64 {
         self.bandwidth_gbps * 1e9 / 8.0 / self.clock.freq_hz()
     }
 
     /// Cycles to transfer `bytes`, including burst rounding. Does not touch
     /// the ledger; use [`DramModel::transfer`] for accounted transfers.
-    pub fn transfer_cycles(&self, bytes: u64) -> Cycles {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> Cycles {
         if bytes == 0 {
             return Cycles::ZERO;
         }
@@ -236,7 +231,7 @@ impl DramModel {
     ///
     /// A zero `page_bytes` falls back to a single whole transfer rather
     /// than dividing by zero (callers validate page sizes upstream).
-    pub fn transfer_paged(&mut self, class: TrafficClass, bytes: u64, page_bytes: u64) -> Cycles {
+    fn transfer_paged(&mut self, class: TrafficClass, bytes: u64, page_bytes: u64) -> Cycles {
         if page_bytes == 0 || bytes <= page_bytes {
             return self.transfer(class, bytes);
         }
@@ -254,7 +249,7 @@ impl DramModel {
     /// charges `bytes` under [`TrafficClass::KvCache`], as one whole burst
     /// (`granularity == None`, the whole-cache spill/reload path) or as
     /// page-granular chunks (`granularity == Some(page_bytes)`, the paged
-    /// path — see [`DramModel::transfer_paged`]). Routing both eviction
+    /// path — see `DramModel::transfer_paged`). Routing both eviction
     /// disciplines through one helper keeps their `KvCache` accounting
     /// from drifting apart.
     pub fn transfer_kv_cache(&mut self, bytes: u64, granularity: Option<u64>) -> Cycles {
@@ -276,11 +271,6 @@ impl DramModel {
     /// The accumulated traffic ledger.
     pub fn ledger(&self) -> &TrafficLedger {
         &self.ledger
-    }
-
-    /// Resets the ledger (e.g. between prefill and decode measurements).
-    pub fn reset_ledger(&mut self) {
-        self.ledger = TrafficLedger::new();
     }
 }
 
@@ -328,8 +318,6 @@ mod tests {
         assert_eq!(d.ledger().fetch_bytes(), 1500);
         assert_eq!(d.ledger().store_bytes(), 200);
         assert!(d.ledger().fetch_cycles() > Cycles::ZERO);
-        d.reset_ledger();
-        assert_eq!(d.ledger().fetch_bytes(), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Error type for hardware-model misuse and capacity violations.
+//! Error type for hardware-model misuse.
 
 use std::error::Error;
 use std::fmt;
@@ -7,22 +7,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// An allocation did not fit in a BRAM.
-    BramOverflow {
-        /// Human-readable BRAM name ("weight", "input", "output").
-        bram: &'static str,
-        /// Bytes requested by the allocation.
-        requested: usize,
-        /// Bytes still free.
-        available: usize,
-    },
-    /// A register-file write exceeded its capacity.
-    RegisterFileOverflow {
-        /// Bytes requested.
-        requested: usize,
-        /// Register file capacity in bytes.
-        capacity: usize,
-    },
     /// A configuration parameter was invalid (zero PEs, zero bandwidth, ...).
     InvalidConfig {
         /// Parameter name.
@@ -46,33 +30,17 @@ pub enum SimError {
         /// The not-yet-submitted dependency.
         dep: usize,
     },
-    /// A free operation did not match any live allocation.
-    UnknownAllocation {
-        /// The allocation handle.
-        handle: usize,
-    },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::BramOverflow { bram, requested, available } => write!(
-                f,
-                "{bram} BRAM overflow: requested {requested} B with only {available} B free"
-            ),
-            SimError::RegisterFileOverflow { requested, capacity } => write!(
-                f,
-                "register file overflow: requested {requested} B with capacity {capacity} B"
-            ),
             SimError::InvalidConfig { param, reason } => {
                 write!(f, "invalid configuration `{param}`: {reason}")
             }
             SimError::UnknownId { kind, id } => write!(f, "unknown {kind} id {id}"),
             SimError::ForwardDependency { task, dep } => {
                 write!(f, "task {task} depends on not-yet-submitted task {dep}")
-            }
-            SimError::UnknownAllocation { handle } => {
-                write!(f, "no live allocation with handle {handle}")
             }
         }
     }
@@ -87,12 +55,9 @@ mod tests {
     #[test]
     fn display_nonempty() {
         let variants = [
-            SimError::BramOverflow { bram: "weight", requested: 10, available: 5 },
-            SimError::RegisterFileOverflow { requested: 10, capacity: 4 },
             SimError::InvalidConfig { param: "pe", reason: "zero".into() },
             SimError::UnknownId { kind: "task", id: 3 },
             SimError::ForwardDependency { task: 1, dep: 2 },
-            SimError::UnknownAllocation { handle: 9 },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

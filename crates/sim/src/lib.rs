@@ -5,8 +5,10 @@
 //! softmax modules, LayerNorm and nonlinearity modules, on-chip BRAMs and
 //! register files, a NoC interconnect and a bandwidth-constrained off-chip
 //! DRAM. Real hardware is not available in this reproduction, so this crate
-//! implements a cycle-level model of each component plus a small
-//! discrete-event engine that the dataflow executors schedule work onto.
+//! models the components whose timing the dataflow executors charge, plus
+//! a small discrete-event engine that they schedule work onto. The on-chip
+//! memories are sized, not simulated: [`ChipConfig`] holds their
+//! capacities, and the executors derive tiling passes from them.
 //!
 //! Components:
 //!
@@ -15,8 +17,6 @@
 //!   rounding, and a traffic ledger that attributes every byte to
 //!   fetch/store categories (the paper's latency-distribution figures are
 //!   exactly this attribution).
-//! * [`bram`] / [`regfile`] — capacity-checked on-chip memories, with the
-//!   double-buffering the paper uses to overlap fetch and compute.
 //! * [`pe`] — the hybrid PE (Fig. 2b,c): parallel-MAC (adder tree, one output
 //!   per cycle across the multiply dimension) and broadcasting-MAC
 //!   (accumulator registers, one input broadcast per cycle).
@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bram;
 pub mod chip;
 pub mod clock;
 pub mod dram;
@@ -41,7 +40,6 @@ pub mod event;
 pub mod modules;
 pub mod noc;
 pub mod pe;
-pub mod regfile;
 pub mod softmax_unit;
 
 pub use chip::ChipConfig;

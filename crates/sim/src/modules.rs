@@ -5,7 +5,6 @@
 //! (statistics, then normalization), NL needs one.
 
 use crate::clock::Cycles;
-use meadow_tensor::activations::Activation;
 use meadow_tensor::layernorm::{layernorm_rows, LayerNormParams};
 use meadow_tensor::{Matrix, TensorError};
 use serde::{Deserialize, Serialize};
@@ -17,7 +16,7 @@ pub struct LayerNormUnit;
 impl LayerNormUnit {
     /// Cycles to normalize one token of `features` features: one pass to
     /// accumulate mean/variance, one pass to normalize.
-    pub fn token_cycles(self, features: usize) -> Cycles {
+    fn token_cycles(self, features: usize) -> Cycles {
         Cycles(2 * features as u64)
     }
 
@@ -51,7 +50,7 @@ pub struct NonlinearUnit;
 
 impl NonlinearUnit {
     /// Cycles for one token of `features` activations (streaming, 1/cycle).
-    pub fn token_cycles(self, features: usize) -> Cycles {
+    fn token_cycles(self, features: usize) -> Cycles {
         Cycles(features as u64)
     }
 
@@ -62,13 +61,6 @@ impl NonlinearUnit {
         }
         let per_unit_tokens = (tokens as u64).div_ceil(units as u64);
         Cycles(per_unit_tokens * self.token_cycles(features).get())
-    }
-
-    /// Functional evaluation on INT8 data under a symmetric scale.
-    pub fn execute_i8(self, activation: Activation, data: &mut [i8], scale: f32) {
-        for v in data {
-            *v = activation.apply_i8(*v, scale);
-        }
     }
 }
 
@@ -93,13 +85,6 @@ mod tests {
     #[test]
     fn zero_units_is_absent_hardware() {
         assert_eq!(LayerNormUnit.batch_cycles(10, 10, 0), Cycles::ZERO);
-    }
-
-    #[test]
-    fn nl_functional_applies_activation() {
-        let mut data = [-10i8, 5, -3, 8];
-        NonlinearUnit.execute_i8(Activation::Relu, &mut data, 0.1);
-        assert_eq!(data, [0, 5, 0, 8]);
     }
 
     #[test]

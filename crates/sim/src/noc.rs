@@ -65,13 +65,8 @@ impl Noc {
         Ok(Self { config, total_bytes: 0, total_link_cycles: 0 })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> NocConfig {
-        self.config
-    }
-
     /// Cycles for a point-to-point transfer of `bytes` over one link.
-    pub fn transfer_cycles(&self, bytes: u64) -> Cycles {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> Cycles {
         Cycles::for_throughput(bytes, self.config.link_bytes_per_cycle)
     }
 
@@ -81,14 +76,6 @@ impl Noc {
         self.total_bytes += bytes;
         self.total_link_cycles += cycles.get();
         cycles
-    }
-
-    /// Cycles for a store-and-forward transfer of `bytes` across `hops`
-    /// links: each hop's link carries the full payload, so the latency is
-    /// `hops` times the single-link cost. Zero hops (same endpoint) is
-    /// free.
-    pub fn transfer_hops_cycles(&self, bytes: u64, hops: u32) -> Cycles {
-        Cycles(self.transfer_cycles(bytes).get() * u64::from(hops))
     }
 
     /// Performs an accounted store-and-forward transfer of `bytes` across
@@ -177,8 +164,6 @@ mod tests {
         let mut noc = Noc::default();
         // 3 hops of a one-link transfer: 3× the cycles, 3× the link bytes.
         let one = noc.transfer_cycles(128);
-        assert_eq!(noc.transfer_hops_cycles(128, 3), Cycles(one.get() * 3));
-        assert_eq!(noc.transfer_hops_cycles(128, 0), Cycles::ZERO);
         let charged = noc.transfer_hops(128, 3);
         assert_eq!(charged, Cycles(one.get() * 3));
         assert_eq!(noc.total_bytes(), 3 * 128);

@@ -50,13 +50,8 @@ impl ParallelMacPe {
         Self { geometry }
     }
 
-    /// The PE's geometry.
-    pub fn geometry(&self) -> PeGeometry {
-        self.geometry
-    }
-
     /// Cycles to produce one dot-product output of length `d_mult`.
-    pub fn dot_cycles(&self, d_mult: usize) -> Cycles {
+    fn dot_cycles(&self, d_mult: usize) -> Cycles {
         Cycles::for_throughput(d_mult as u64, self.geometry.multipliers as u64)
     }
 
@@ -96,15 +91,10 @@ impl BroadcastingMacPe {
         Self { geometry }
     }
 
-    /// The PE's geometry.
-    pub fn geometry(&self) -> PeGeometry {
-        self.geometry
-    }
-
     /// Cycles for a `1×d_mult · d_mult×n` vector-matrix product: one
     /// broadcast per `d_mult` element, times the number of accumulator
     /// groups needed to cover `n` output channels.
-    pub fn broadcast_cycles(&self, d_mult: usize, n: usize) -> Cycles {
+    fn broadcast_cycles(&self, d_mult: usize, n: usize) -> Cycles {
         let groups = (n as u64).div_ceil(self.geometry.multipliers as u64).max(1);
         Cycles((d_mult as u64) * groups)
     }

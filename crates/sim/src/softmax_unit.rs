@@ -32,14 +32,9 @@ impl SoftmaxUnit {
         Self { lut }
     }
 
-    /// The module's EXP LUT.
-    pub fn lut(&self) -> &ExpLut {
-        &self.lut
-    }
-
     /// Cycles for a single token of `features` scores to traverse all three
     /// stages (no pipelining benefit for one token).
-    pub fn single_token_cycles(&self, features: usize) -> Cycles {
+    fn single_token_cycles(&self, features: usize) -> Cycles {
         Cycles(SOFTMAX_STAGES * features as u64)
     }
 
@@ -50,13 +45,6 @@ impl SoftmaxUnit {
             return Cycles::ZERO;
         }
         Cycles((tokens as u64 + SOFTMAX_STAGES - 1) * features as u64)
-    }
-
-    /// Per-stage service time: one stage occupies its token for `features`
-    /// cycles. This is what the TPHS flow-shop scheduler uses for the
-    /// MAX/EXP/DIV stage nodes.
-    pub fn stage_cycles(&self, features: usize) -> Cycles {
-        Cycles(features as u64)
     }
 
     /// Functionally evaluates the module on one row of scores, exactly as
@@ -115,7 +103,9 @@ mod tests {
 
     #[test]
     fn stage_time_is_feature_count() {
+        // Each stage holds a token for one cycle per feature, so one more
+        // token in the stream costs exactly one stage time.
         let sm = SoftmaxUnit::default();
-        assert_eq!(sm.stage_cycles(512), Cycles(512));
+        assert_eq!(sm.pipelined_cycles(65, 512) - sm.pipelined_cycles(64, 512), Cycles(512));
     }
 }

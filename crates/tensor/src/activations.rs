@@ -18,7 +18,7 @@ pub enum Activation {
 
 impl Activation {
     /// Applies the activation to a single `f32`.
-    pub fn apply(self, x: f32) -> f32 {
+    fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Gelu => {
@@ -36,13 +36,6 @@ impl Activation {
         let real = f32::from(x) * scale;
         let y = self.apply(real);
         (y / scale).round().clamp(-128.0, 127.0) as i8
-    }
-
-    /// Applies the activation elementwise to a slice in place.
-    pub fn apply_slice(self, xs: &mut [f32]) {
-        for x in xs {
-            *x = self.apply(*x);
-        }
     }
 }
 
@@ -80,13 +73,6 @@ mod tests {
             let _ = Activation::Gelu.apply_i8(x, 0.05);
             let _ = Activation::Relu.apply_i8(x, 10.0);
         }
-    }
-
-    #[test]
-    fn slice_application() {
-        let mut xs = [-1.0_f32, 2.0, -3.0];
-        Activation::Relu.apply_slice(&mut xs);
-        assert_eq!(xs, [0.0, 2.0, 0.0]);
     }
 
     #[test]

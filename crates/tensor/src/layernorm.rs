@@ -24,11 +24,6 @@ impl LayerNormParams {
     pub fn identity(features: usize) -> Self {
         Self { gamma: vec![1.0; features], beta: vec![0.0; features], eps: 1e-5 }
     }
-
-    /// Number of features this site normalizes over.
-    pub fn features(&self) -> usize {
-        self.gamma.len()
-    }
 }
 
 /// Applies LayerNorm to each row of `x`.

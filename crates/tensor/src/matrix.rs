@@ -74,11 +74,6 @@ impl<T> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the flat row-major backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -117,12 +112,6 @@ impl<T> Matrix<T> {
             None
         }
     }
-
-    /// Iterates over rows as slices (empty slices for a zero-column
-    /// matrix, one per row).
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
-        (0..self.rows).map(|r| self.row(r))
-    }
 }
 
 impl<T: Clone> Matrix<T> {
@@ -157,30 +146,6 @@ impl<T: Clone> Matrix<T> {
             }
         }
         Self { rows: self.cols, cols: self.rows, data }
-    }
-
-    /// Copies rows `[start, start + count)` into a new matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if the range exceeds the
-    /// number of rows.
-    pub fn row_block(&self, start: usize, count: usize) -> Result<Self, TensorError> {
-        let end = start.checked_add(count).ok_or(TensorError::IndexOutOfBounds {
-            index: (start, 0),
-            shape: (self.rows, self.cols),
-        })?;
-        if end > self.rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: (end, 0),
-                shape: (self.rows, self.cols),
-            });
-        }
-        Ok(Self {
-            rows: count,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        })
     }
 
     /// Copies columns `[start, start + count)` into a new matrix.
@@ -225,16 +190,11 @@ impl Matrix<i8> {
             data: self.data.iter().map(|&v| f32::from(v) * scale).collect(),
         }
     }
-
-    /// Total size of the matrix payload in bytes (1 byte per INT8 element).
-    pub fn size_bytes(&self) -> usize {
-        self.data.len()
-    }
 }
 
 impl Matrix<f32> {
     /// Maximum absolute element, or 0.0 for an empty matrix.
-    pub fn max_abs(&self) -> f32 {
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0_f32, |m, &v| m.max(v.abs()))
     }
 }
@@ -263,7 +223,7 @@ mod tests {
         assert_eq!(m.get(2, 0), None);
         assert_eq!(m.get(0, 3), None);
         assert_eq!(m.row(0), &[1, 2, 3]);
-        assert_eq!(m.iter_rows().count(), 2);
+        assert_eq!(m.rows(), 2);
     }
 
     #[test]
@@ -278,12 +238,9 @@ mod tests {
     #[test]
     fn row_and_col_blocks() {
         let m = Matrix::from_rows(&[&[1_i8, 2, 3], &[4, 5, 6], &[7, 8, 9]]).unwrap();
-        let rb = m.row_block(1, 2).unwrap();
-        assert_eq!(rb.row(0), &[4, 5, 6]);
-        assert_eq!(rb.row(1), &[7, 8, 9]);
         let cb = m.col_block(1, 2).unwrap();
         assert_eq!(cb.row(0), &[2, 3]);
-        assert!(m.row_block(2, 2).is_err());
+        assert_eq!(cb.row(2), &[8, 9]);
         assert!(m.col_block(3, 1).is_err());
     }
 
@@ -307,10 +264,8 @@ mod tests {
         let m = Matrix::<i8>::zeros(0, 0);
         assert!(m.is_empty());
         assert_eq!(m.shape(), (0, 0));
-        assert_eq!(m.iter_rows().count(), 0);
         let no_cols = Matrix::<i8>::zeros(3, 0);
-        assert_eq!(no_cols.iter_rows().count(), 3);
-        assert!(no_cols.iter_rows().all(<[i8]>::is_empty));
-        assert_eq!(no_cols.row(2), &[] as &[i8]);
+        assert_eq!(no_cols.rows(), 3);
+        assert!((0..3).all(|r| no_cols.row(r).is_empty()));
     }
 }

@@ -84,13 +84,8 @@ impl ExecConfig {
         self.threads
     }
 
-    /// Whether this policy is single-threaded.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Workers actually worth spawning for `items` units of work.
-    pub fn effective_threads(&self, items: usize) -> usize {
+    fn effective_threads(&self, items: usize) -> usize {
         self.threads.min(items).max(1)
     }
 }
@@ -209,7 +204,7 @@ mod tests {
 
     #[test]
     fn exec_config_clamps_and_reports() {
-        assert!(ExecConfig::default().is_serial());
+        assert_eq!(ExecConfig::default().threads(), 1);
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::with_threads(6).effective_threads(3), 3);
         assert_eq!(ExecConfig::with_threads(2).effective_threads(0), 1);

@@ -63,7 +63,7 @@ pub fn softmax_row_lut(row: &[f32], lut: &ExpLut) -> Vec<f32> {
 }
 
 /// Applies softmax independently to each row of a matrix.
-pub fn softmax_rows(m: &Matrix<f32>, kind: SoftmaxKind, lut: &ExpLut) -> Matrix<f32> {
+fn softmax_rows(m: &Matrix<f32>, kind: SoftmaxKind, lut: &ExpLut) -> Matrix<f32> {
     let mut out = Vec::with_capacity(m.len());
     for r in 0..m.rows() {
         let sm = match kind {
