@@ -17,7 +17,7 @@ use crate::functional::{
 use meadow_models::weights::{LayerWeights, ModelWeights};
 use meadow_models::{MatrixKind, TransformerConfig};
 use meadow_tensor::fixed::ExpLut;
-use meadow_tensor::gemm::{matmul_i8_bt_with, requantize_i32};
+use meadow_tensor::gemm::{matmul_i8_bt, requantize_i32};
 use meadow_tensor::layernorm::{layernorm_rows, LayerNormParams};
 use meadow_tensor::parallel::{par_map, ExecConfig};
 use meadow_tensor::softmax::SoftmaxKind;
@@ -74,9 +74,8 @@ fn linear(
     x: &Matrix<i8>,
     w: &Matrix<i8>,
     scales: &ForwardScales,
-    exec: &ExecConfig,
 ) -> Result<Matrix<i8>, DataflowError> {
-    let acc = matmul_i8_bt_with(x, w, exec)?;
+    let acc = matmul_i8_bt(x, w)?;
     Ok(requantize_i32(&acc, scales.requant_multiplier())?)
 }
 
@@ -119,33 +118,11 @@ pub fn decoder_layer_forward(
     scales: &ForwardScales,
     lut: &ExpLut,
 ) -> Result<Matrix<i8>, DataflowError> {
-    decoder_layer_forward_with(x, weights, config, mode, scales, lut, &ExecConfig::serial())
-}
-
-/// [`decoder_layer_forward`] with caller-chosen parallelism: every linear
-/// projection runs its GEMM row-partitioned across the worker threads of
-/// `exec`. Outputs are bit-identical to the serial path for every thread
-/// count (each output row is accumulated by exactly one worker in serial
-/// order).
-///
-/// # Errors
-///
-/// Propagates shape and arithmetic errors from the underlying kernels.
-#[allow(clippy::too_many_arguments)]
-fn decoder_layer_forward_with(
-    x: &Matrix<i8>,
-    weights: &LayerWeights,
-    config: &TransformerConfig,
-    mode: ForwardMode,
-    scales: &ForwardScales,
-    lut: &ExpLut,
-    exec: &ExecConfig,
-) -> Result<Matrix<i8>, DataflowError> {
     // LN1.
     let normed = layernorm_i8(x, scales)?;
     // K/V projections are GEMM-mode in both plans (§6.1).
-    let k_cache = linear(&normed, weights.matrix(MatrixKind::Key), scales, exec)?;
-    let v_cache = linear(&normed, weights.matrix(MatrixKind::Value), scales, exec)?;
+    let k_cache = linear(&normed, weights.matrix(MatrixKind::Key), scales)?;
+    let v_cache = linear(&normed, weights.matrix(MatrixKind::Value), scales)?;
     // Attention chain: the part the two modes compute differently.
     let problem = AttentionProblem {
         x: normed.clone(),
@@ -163,15 +140,15 @@ fn decoder_layer_forward_with(
         }
     };
     // Projection + residual.
-    let proj = linear(&attn, weights.matrix(MatrixKind::Proj), scales, exec)?;
+    let proj = linear(&attn, weights.matrix(MatrixKind::Proj), scales)?;
     let x = residual_add(x, &proj)?;
     // LN2 + MLP + residual.
     let normed = layernorm_i8(&x, scales)?;
-    let mut mid = linear(&normed, weights.matrix(MatrixKind::MlpUp), scales, exec)?;
+    let mut mid = linear(&normed, weights.matrix(MatrixKind::MlpUp), scales)?;
     for v in mid.as_mut_slice() {
         *v = config.activation.apply_i8(*v, scales.activation);
     }
-    let down = linear(&mid, weights.matrix(MatrixKind::MlpDown), scales, exec)?;
+    let down = linear(&mid, weights.matrix(MatrixKind::MlpDown), scales)?;
     residual_add(&x, &down)
 }
 
@@ -187,34 +164,15 @@ pub fn model_forward(
     scales: &ForwardScales,
     lut: &ExpLut,
 ) -> Result<Matrix<i8>, DataflowError> {
-    model_forward_with(x, weights, mode, scales, lut, &ExecConfig::serial())
-}
-
-/// [`model_forward`] with caller-chosen parallelism (layers stay
-/// sequential — each consumes the previous layer's output — but every
-/// layer's projections run on `exec`'s workers).
-///
-/// # Errors
-///
-/// Propagates layer errors.
-fn model_forward_with(
-    x: &Matrix<i8>,
-    weights: &ModelWeights,
-    mode: ForwardMode,
-    scales: &ForwardScales,
-    lut: &ExpLut,
-    exec: &ExecConfig,
-) -> Result<Matrix<i8>, DataflowError> {
     let mut state = x.clone();
     for layer in 0..weights.num_layers() {
-        state = decoder_layer_forward_with(
+        state = decoder_layer_forward(
             &state,
             weights.layer(layer),
             &weights.config,
             mode,
             scales,
             lut,
-            exec,
         )?;
     }
     Ok(state)
@@ -225,9 +183,7 @@ fn model_forward_with(
 /// Each sequence itself runs the serial forward path, so outputs are
 /// bit-identical to mapping [`model_forward`] over `inputs`.
 ///
-/// This is the request-level fan-out a batching server would use; the
-/// per-layer `exec` parallelism of `model_forward_with` is the
-/// complementary intra-request axis.
+/// This is the request-level fan-out a batching server would use.
 ///
 /// # Errors
 ///
@@ -302,22 +258,6 @@ mod tests {
                 .unwrap();
         assert_eq!(mismatch_fraction(&gemm, &tphs), 0.0);
         assert!(gemm.as_slice().iter().any(|&v| v != 0));
-    }
-
-    #[test]
-    fn parallel_forward_is_bit_identical() {
-        let config = presets::tiny_decoder();
-        let weights = ModelWeights::synthesize(&config).unwrap();
-        let lut = ExpLut::hardware_default();
-        let x = random_tokens(6, config.d_model, 41);
-        let scales = ForwardScales::default();
-        let serial = model_forward(&x, &weights, ForwardMode::Gemm, &scales, &lut).unwrap();
-        for threads in [2usize, 4, 8] {
-            let exec = ExecConfig::with_threads(threads);
-            let par =
-                model_forward_with(&x, &weights, ForwardMode::Gemm, &scales, &lut, &exec).unwrap();
-            assert_eq!(par, serial, "threads {threads}");
-        }
     }
 
     #[test]

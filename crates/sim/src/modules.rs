@@ -5,8 +5,6 @@
 //! (statistics, then normalization), NL needs one.
 
 use crate::clock::Cycles;
-use meadow_tensor::layernorm::{layernorm_rows, LayerNormParams};
-use meadow_tensor::{Matrix, TensorError};
 use serde::{Deserialize, Serialize};
 
 /// Cycle model of one LayerNorm module.
@@ -28,19 +26,6 @@ impl LayerNormUnit {
         }
         let per_unit_tokens = (tokens as u64).div_ceil(units as u64);
         Cycles(per_unit_tokens * self.token_cycles(features).get())
-    }
-
-    /// Functional evaluation (delegates to the tensor reference).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying reference.
-    pub fn execute(
-        self,
-        x: &Matrix<f32>,
-        params: &LayerNormParams,
-    ) -> Result<Matrix<f32>, TensorError> {
-        layernorm_rows(x, params)
     }
 }
 
@@ -85,12 +70,5 @@ mod tests {
     #[test]
     fn zero_units_is_absent_hardware() {
         assert_eq!(LayerNormUnit.batch_cycles(10, 10, 0), Cycles::ZERO);
-    }
-
-    #[test]
-    fn ln_functional_delegates() {
-        let x = Matrix::from_rows(&[&[1.0f32, 3.0]]).unwrap();
-        let y = LayerNormUnit.execute(&x, &LayerNormParams::identity(2)).unwrap();
-        assert!(y.row(0)[0] < 0.0 && y.row(0)[1] > 0.0);
     }
 }

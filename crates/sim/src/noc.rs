@@ -4,9 +4,7 @@
 //! On the ZCU102 build the NoC is a wide crossbar whose links move a fixed
 //! number of bytes per cycle; TPHS pipeline-register forwarding consumes one
 //! link per producer/consumer pair. The model charges cycles per transfer and
-//! tracks aggregate utilization so executors can verify that the NoC is not
-//! the bottleneck (it never is at Table 1 widths, which is itself a result
-//! worth asserting in tests).
+//! accumulates the bytes and link-cycles it has moved.
 
 use crate::clock::Cycles;
 use crate::error::SimError;
@@ -35,7 +33,7 @@ impl Default for NocConfig {
     }
 }
 
-/// NoC transfer-cost model with utilization accounting.
+/// NoC transfer-cost model with traffic accounting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Noc {
     config: NocConfig,
@@ -105,15 +103,6 @@ impl Noc {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// Fraction of the NoC's aggregate capacity consumed over a window of
-    /// `makespan` cycles. Values ≪ 1 mean the NoC is not a bottleneck.
-    pub fn utilization(&self, makespan: Cycles) -> f64 {
-        if makespan == Cycles::ZERO {
-            return 0.0;
-        }
-        self.total_link_cycles as f64 / (makespan.get() as f64 * self.config.links as f64)
-    }
 }
 
 impl Default for Noc {
@@ -142,15 +131,6 @@ mod tests {
         noc.transfer(64);
         assert_eq!(noc.total_bytes(), 192);
         assert_eq!(noc.total_link_cycles(), 3);
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut noc = Noc::default();
-        noc.transfer(64 * 196);
-        let u = noc.utilization(Cycles(1));
-        assert!((u - 1.0).abs() < 1e-9);
-        assert_eq!(noc.utilization(Cycles::ZERO), 0.0);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl ParallelMacPe {
         Cycles::for_throughput(d_mult as u64, self.geometry.multipliers as u64)
     }
 
-    /// Cycles for a full `m×k · k×n` GEMM tile mapped onto this single PE.
-    pub fn gemm_cycles(&self, m: usize, k: usize, n: usize) -> Cycles {
-        Cycles(self.dot_cycles(k).get() * (m as u64) * (n as u64))
-    }
-
     /// Functionally computes a dot product (the adder-tree datapath),
     /// returning the INT32 accumulator and the cycles spent.
     ///
@@ -137,13 +132,6 @@ mod tests {
         assert_eq!(pe.dot_cycles(65), Cycles(2));
         assert_eq!(pe.dot_cycles(768), Cycles(12));
         assert_eq!(pe.dot_cycles(0), Cycles(0));
-    }
-
-    #[test]
-    fn parallel_gemm_cycles() {
-        let pe = ParallelMacPe::default();
-        // 4x128 · 128x8 = 32 outputs, each ceil(128/64)=2 cycles.
-        assert_eq!(pe.gemm_cycles(4, 128, 8), Cycles(64));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! * [`gemm`] — reference and tiled INT8×INT8→INT32 matrix multiplication,
 //!   bit-identical regardless of tiling (the property the dataflow executors
 //!   rely on for GEMM-vs-TPHS equivalence testing).
-//! * [`quant`] — symmetric INT8 quantization with SmoothQuant-style scale
-//!   migration between activations and weights.
+//! * [`quant`] — symmetric per-tensor INT8 quantization.
 //! * [`softmax`] — numerically stable softmax, in an exact `f32` form and in
 //!   the fixed-point EXP-LUT form computed by MEADOW's pipelined softmax
 //!   module (Fig. 2d of the paper).

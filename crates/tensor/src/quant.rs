@@ -1,12 +1,10 @@
-//! Symmetric INT8 quantization with SmoothQuant-style scale migration.
+//! Symmetric INT8 quantization.
 //!
 //! The paper evaluates OPT models quantized with SmoothQuant to W8A8
-//! (§6.1). SmoothQuant's key trick is migrating quantization difficulty from
-//! activations to weights by a per-channel factor `s_j = max|X_j|^α /
-//! max|W_j|^(1-α)`; activations are divided by `s_j`, weights multiplied, so
-//! the product is unchanged. [`smooth_scales`] and [`apply_smoothing`]
-//! implement that migration and [`quantize_symmetric`] performs the final
-//! symmetric INT8 rounding.
+//! (§6.1). Real SmoothQuant checkpoints are unavailable offline and the
+//! workspace synthesizes INT8 weights directly, so no scale migration is
+//! modelled: [`quantize_symmetric`] performs the symmetric INT8 rounding
+//! under a per-tensor [`QuantScale`].
 
 use crate::error::TensorError;
 use crate::matrix::Matrix;
@@ -69,85 +67,9 @@ pub fn quantize_auto(m: &Matrix<f32>) -> (Matrix<i8>, QuantScale) {
     (quantize_symmetric(m, scale), scale)
 }
 
-/// Computes SmoothQuant per-channel migration factors.
-///
-/// `act_max[j]` is the calibration-time max-abs of activation channel `j`;
-/// `weight_max[j]` the max-abs of weight row `j` (the row multiplying that
-/// activation channel). `alpha` is the migration strength (0.5 in the paper's
-/// SmoothQuant setting).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the two slices have different
-/// lengths and [`TensorError::InvalidScale`] if `alpha` is outside `[0, 1]`.
-pub fn smooth_scales(
-    act_max: &[f32],
-    weight_max: &[f32],
-    alpha: f32,
-) -> Result<Vec<f32>, TensorError> {
-    if act_max.len() != weight_max.len() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: (1, act_max.len()),
-            rhs: (1, weight_max.len()),
-            op: "smooth_scales",
-        });
-    }
-    if !(0.0..=1.0).contains(&alpha) || alpha.is_nan() {
-        return Err(TensorError::InvalidScale { scale: alpha });
-    }
-    Ok(act_max
-        .iter()
-        .zip(weight_max)
-        .map(|(&a, &w)| {
-            let a = a.abs().max(1e-5);
-            let w = w.abs().max(1e-5);
-            let s = a.powf(alpha) / w.powf(1.0 - alpha);
-            if s.is_finite() && s > 0.0 {
-                s
-            } else {
-                1.0
-            }
-        })
-        .collect())
-}
-
-/// Applies migration factors: activations columns divided by `s`, weight rows
-/// multiplied by `s`, leaving the matrix product mathematically unchanged.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `scales.len()` does not equal
-/// `activations.cols()` (which must equal `weights.rows()`).
-pub fn apply_smoothing(
-    activations: &mut Matrix<f32>,
-    weights: &mut Matrix<f32>,
-    scales: &[f32],
-) -> Result<(), TensorError> {
-    if scales.len() != activations.cols() || scales.len() != weights.rows() {
-        return Err(TensorError::ShapeMismatch {
-            lhs: activations.shape(),
-            rhs: weights.shape(),
-            op: "apply_smoothing",
-        });
-    }
-    for r in 0..activations.rows() {
-        let row = activations.row_mut(r);
-        for (v, &s) in row.iter_mut().zip(scales) {
-            *v /= s;
-        }
-    }
-    for (r, &s) in scales.iter().enumerate() {
-        for v in weights.row_mut(r) {
-            *v *= s;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm;
 
     #[test]
     fn scale_validation() {
@@ -182,50 +104,5 @@ mod tests {
         let m = Matrix::from_rows(&[&[10.0_f32, -10.0]]).unwrap();
         let q = quantize_symmetric(&m, QuantScale::new(0.01).unwrap());
         assert_eq!(q.as_slice(), &[127, -127]);
-    }
-
-    #[test]
-    fn smoothing_preserves_product() {
-        let mut x = Matrix::from_rows(&[&[4.0_f32, 0.5], &[-2.0, 1.0]]).unwrap();
-        let mut w = Matrix::from_rows(&[&[0.25_f32, 1.0], &[2.0, -0.5]]).unwrap();
-        let before = {
-            let (xq, xs) = quantize_auto(&x);
-            let (wq, ws) = quantize_auto(&w);
-            let acc = gemm::matmul_i8(&xq, &wq).unwrap();
-            acc.dequantize_like(xs.value() * ws.value())
-        };
-        let scales = smooth_scales(&[4.0, 1.0], &[1.0, 2.0], 0.5).unwrap();
-        apply_smoothing(&mut x, &mut w, &scales).unwrap();
-        let after = {
-            let (xq, xs) = quantize_auto(&x);
-            let (wq, ws) = quantize_auto(&w);
-            let acc = gemm::matmul_i8(&xq, &wq).unwrap();
-            acc.dequantize_like(xs.value() * ws.value())
-        };
-        for (b, a) in before.as_slice().iter().zip(after.as_slice()) {
-            assert!((b - a).abs() < 0.2, "product drifted: {b} vs {a}");
-        }
-    }
-
-    #[test]
-    fn smooth_scales_validates_inputs() {
-        assert!(smooth_scales(&[1.0], &[1.0, 2.0], 0.5).is_err());
-        assert!(smooth_scales(&[1.0], &[1.0], 1.5).is_err());
-        assert!(smooth_scales(&[1.0], &[1.0], f32::NAN).is_err());
-    }
-
-    #[test]
-    fn smooth_scales_handles_zero_maxima() {
-        let s = smooth_scales(&[0.0, 1.0], &[0.0, 1.0], 0.5).unwrap();
-        assert!(s.iter().all(|v| v.is_finite() && *v > 0.0));
-    }
-
-    impl Matrix<i32> {
-        /// Test-local helper: dequantize an i32 accumulator with a product
-        /// scale.
-        fn dequantize_like(&self, scale: f32) -> Matrix<f32> {
-            let data = self.as_slice().iter().map(|&v| v as f32 * scale).collect();
-            Matrix::from_vec(self.rows(), self.cols(), data).unwrap()
-        }
     }
 }

@@ -1,12 +1,12 @@
-//! Property and golden suite for the cluster serving API: single-chip
+//! Property suite for the cluster serving API: single-chip
 //! degeneracy (a 1-chip cluster reproduces `serve` bit-exactly), request
 //! conservation across chips, per-chip budget safety, migration-vs-spill
-//! traffic ordering, `MEADOW_THREADS` bit-identity, and a byte-stable
-//! `ClusterReport` golden snapshot.
+//! traffic ordering, `MEADOW_THREADS` bit-identity, and per-chip engine
+//! sharing. The cluster golden snapshots live in `tests/serve_golden.rs`.
 
 mod common;
 
-use common::{requests_from_seed, serve};
+use common::{requests_from_seed, serve, tiny_engine};
 use meadow::core::cluster::{
     ClusterReport, LeastLoadedKv, LeastLoadedWeighted, RoundRobin, SessionAffinity, ToLeastLoaded,
 };
@@ -15,15 +15,10 @@ use meadow::core::spec::{ServeSpec, ServeSpecBuilder};
 use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::dataflow::ExecutionPlan;
 use meadow::models::presets;
-use meadow::models::workload::{ArrivalTrace, ServeRequest};
+use meadow::models::workload::ArrivalTrace;
 use meadow::packing::PackingLevel;
 use meadow::tensor::parallel::ExecConfig;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
 
 /// Up to 5 requests with ragged lengths and staggered arrivals.
 fn staggered_trace(seed: u64, n: usize) -> ArrivalTrace {
@@ -75,7 +70,7 @@ proptest! {
         if paged {
             config = config.with_policy(KvPolicy::PagedLru).with_page_bytes(256);
         }
-        let e = engine();
+        let e = tiny_engine();
         let single = serve(&e, &trace, &config).unwrap();
         let spec =
             ServeSpec::builder().chips(1).config(config).placement(RoundRobin).build().unwrap();
@@ -102,7 +97,7 @@ proptest! {
         let trace = staggered_trace(seed, n);
         let serve_config = ServeConfig::default().with_budget(contended_budget(&trace));
         let spec = placement_config(placement_idx, chips, serve_config);
-        let report = serve_cluster(&engine(), &spec, &trace);
+        let report = serve_cluster(&tiny_engine(), &spec, &trace);
         prop_assert_eq!(report.chips, chips);
         prop_assert_eq!(report.requests, n);
         let placed: u64 = report.per_chip.iter().map(|c| c.assigned_requests).sum();
@@ -151,7 +146,7 @@ proptest! {
         let spec = if migrate { builder.migration(ToLeastLoaded) } else { builder }
             .build()
             .unwrap();
-        let report = serve_cluster(&engine(), &spec, &trace);
+        let report = serve_cluster(&tiny_engine(), &spec, &trace);
         for chip in &report.per_chip {
             prop_assert!(
                 chip.report.peak_kv_bytes <= budget,
@@ -186,7 +181,7 @@ proptest! {
                 ServeSpec::builder().chips(chips).config(serve_config).placement(LeastLoadedKv);
             let spec =
                 if migrate { builder.migration(ToLeastLoaded) } else { builder }.build().unwrap();
-            serve_cluster(&engine(), &spec, &trace)
+            serve_cluster(&tiny_engine(), &spec, &trace)
         };
         let without = run(false);
         let with = run(true);
@@ -269,8 +264,8 @@ proptest! {
             };
             with_placement(builder, placement_idx).build().unwrap()
         };
-        let replica = serve_cluster(&engine(), &build(false), &trace);
-        let mut hetero = serve_cluster(&engine(), &build(true), &trace);
+        let replica = serve_cluster(&tiny_engine(), &build(false), &trace);
+        let mut hetero = serve_cluster(&tiny_engine(), &build(true), &trace);
         // The spec path additionally reports per-chip utilization; strip
         // it to compare the shared accounting bit-exactly.
         for chip in &hetero.per_chip {
@@ -304,7 +299,7 @@ proptest! {
             }
             .build()
             .unwrap();
-            serve_cluster(&engine(), &spec, &trace)
+            serve_cluster(&tiny_engine(), &spec, &trace)
         };
         let mut weighted = run(true);
         let kv = run(false);
@@ -312,66 +307,6 @@ proptest! {
         weighted.placement = kv.placement.clone();
         prop_assert_eq!(&weighted, &kv);
     }
-}
-
-/// The pinned cluster scenario: the serve-golden arrival set with sticky
-/// affinity hints skewing 6 of 8 requests onto chip 0 of a 2-chip
-/// cluster, paged eviction under a tight budget, and NoC migration into
-/// chip 1's headroom — placement, eviction, page-granular migration,
-/// remote reload *and* residual DRAM spill (the headroom is smaller than
-/// the spill demand) all land in the snapshot.
-fn golden_cluster_report() -> ClusterReport {
-    let requests: Vec<ServeRequest> = [
-        (0u32, 0.0f64, 16usize, 8usize),
-        (1, 0.0, 24, 4),
-        (2, 0.01, 8, 6),
-        (3, 0.015, 31, 2),
-        (4, 0.02, 4, 8),
-        (5, 0.03, 12, 5),
-        (6, 0.05, 20, 3),
-        (7, 0.08, 6, 7),
-    ]
-    .into_iter()
-    .map(|(id, arrival, prompt, generate)| {
-        ServeRequest::new(id, arrival, prompt, generate).with_affinity(u32::from(id >= 6))
-    })
-    .collect();
-    let trace = ArrivalTrace::new(requests);
-    let budget = 6144u64;
-    let serve_config = ServeConfig::default()
-        .with_budget(budget)
-        .with_policy(KvPolicy::PagedLru)
-        .with_page_bytes(256)
-        .with_max_batch(2);
-    let spec = ServeSpec::builder()
-        .chips(2)
-        .config(serve_config)
-        .placement(SessionAffinity)
-        .migration(ToLeastLoaded)
-        .build()
-        .unwrap();
-    let report = serve_cluster(&engine(), &spec, &trace);
-    assert!(report.migration_events > 0, "the golden scenario must exercise migration");
-    assert!(report.dram_kv_bytes > 0, "the golden scenario must still spill");
-    report
-}
-
-#[test]
-fn cluster_report_is_byte_stable() {
-    let got = golden_cluster_report().to_json().unwrap() + "\n";
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cluster_zcu102.json");
-    if std::env::var_os("MEADOW_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    assert_eq!(
-        got, want,
-        "ClusterReport diverged from the committed snapshot; if the change is intentional, \
-         regenerate with MEADOW_UPDATE_GOLDEN=1 cargo test --test cluster_invariants"
-    );
 }
 
 /// Engine sharing: `build` constructs each chip's engine once and reuses
@@ -405,73 +340,4 @@ fn chip_engines_equal_fresh_engines_of_their_specs() {
         assert_eq!(got.config().clone().with_exec(exec), *fresh.config(), "chip {chip}");
         assert_eq!(got.packing_stats(), fresh.packing_stats(), "chip {chip}");
     }
-}
-
-/// The pinned heterogeneous scenario: two fast ZCU102 chips and one
-/// LITTLE chip (half the PEs, half the bandwidth) under the same
-/// constrained paged budget as the replica golden, with weighted
-/// placement skewing load toward the fast chips and NoC migration
-/// parking evicted pages in whoever has headroom — per-chip utilization,
-/// the throughput-score-weighted routing and the migration accounting
-/// all land in the snapshot.
-fn golden_hetero_report() -> ClusterReport {
-    let requests: Vec<ServeRequest> = [
-        (0u32, 0.0f64, 16usize, 8usize),
-        (1, 0.0, 24, 4),
-        (2, 0.01, 8, 6),
-        (3, 0.015, 31, 2),
-        (4, 0.02, 4, 8),
-        (5, 0.03, 12, 5),
-        (6, 0.05, 20, 3),
-        (7, 0.08, 6, 7),
-    ]
-    .into_iter()
-    .map(|(id, arrival, prompt, generate)| ServeRequest::new(id, arrival, prompt, generate))
-    .collect();
-    let trace = ArrivalTrace::new(requests);
-    let serve_config = ServeConfig::default()
-        .with_budget(7168)
-        .with_policy(KvPolicy::PagedLru)
-        .with_page_bytes(256)
-        .with_max_batch(2);
-    let model = presets::tiny_decoder();
-    let spec = ServeSpec::builder()
-        .chip_specs(vec![
-            EngineConfig::zcu102(model.clone(), 12.0),
-            EngineConfig::zcu102(model.clone(), 12.0),
-            EngineConfig::zcu102_little(model, 6.0),
-        ])
-        .config(serve_config)
-        .placement(LeastLoadedWeighted)
-        .migration(ToLeastLoaded)
-        .build()
-        .unwrap();
-    let report = serve_cluster(&engine(), &spec, &trace);
-    assert_eq!(report.chips, 3);
-    assert_eq!(report.placement, "least-loaded-weighted");
-    assert!(report.migration_events > 0, "the hetero golden must exercise migration");
-    for chip in &report.per_chip {
-        let u = chip.utilization.expect("hetero runs report per-chip utilization");
-        assert!((0.0..=1.0).contains(&u));
-    }
-    report
-}
-
-#[test]
-fn hetero_cluster_report_is_byte_stable() {
-    let got = golden_hetero_report().to_json().unwrap() + "\n";
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve_hetero_zcu102.json");
-    if std::env::var_os("MEADOW_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    assert_eq!(
-        got, want,
-        "heterogeneous ClusterReport diverged from the committed snapshot; if the change is \
-         intentional, regenerate with MEADOW_UPDATE_GOLDEN=1 cargo test --test cluster_invariants"
-    );
 }

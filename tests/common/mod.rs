@@ -3,8 +3,31 @@
 
 use meadow::core::serve::{ServeConfig, ServeReport};
 use meadow::core::spec::ServeSpec;
-use meadow::core::{CoreError, MeadowEngine};
+use meadow::core::{CoreError, EngineConfig, MeadowEngine};
+use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};
+
+/// The engine every serving suite runs on: the tiny decoder on the
+/// ZCU102 at 12 Gbps.
+pub fn tiny_engine() -> MeadowEngine {
+    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
+}
+
+/// The golden suite's pinned arrival set: 8 staggered requests with
+/// ragged prompt/generation lengths; arrival spacing is on the scale of a
+/// tick (tens of µs on the tiny model) so sessions genuinely overlap.
+pub fn golden_trace() -> ArrivalTrace {
+    ArrivalTrace::new(vec![
+        ServeRequest::new(0, 0.0, 16, 8),
+        ServeRequest::new(1, 0.0, 24, 4),
+        ServeRequest::new(2, 0.01, 8, 6),
+        ServeRequest::new(3, 0.015, 31, 2),
+        ServeRequest::new(4, 0.02, 4, 8),
+        ServeRequest::new(5, 0.03, 12, 5),
+        ServeRequest::new(6, 0.05, 20, 3),
+        ServeRequest::new(7, 0.08, 6, 7),
+    ])
+}
 
 /// Serves `trace` on one chip through the [`ServeSpec`] front door.
 pub fn serve(

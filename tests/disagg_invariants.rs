@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::requests_from_seed;
+use common::{requests_from_seed, tiny_engine};
 use meadow::core::cluster::{
     ClusterReport, Colocated, DisaggReport, LeastLoadedKv, PrefillDecodeSplit, RoundRobin,
     SessionAffinity,
@@ -21,10 +21,6 @@ use meadow::models::workload::ArrivalTrace;
 use meadow::sim::noc::NocConfig;
 use meadow::tensor::parallel::ExecConfig;
 use proptest::prelude::*;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
 
 /// Up to 5 requests with ragged lengths and staggered arrivals.
 fn staggered_trace(seed: u64, n: usize) -> ArrivalTrace {
@@ -40,7 +36,8 @@ fn contended_budget(trace: &ArrivalTrace) -> u64 {
 
 /// Runs a cluster-mode spec over `trace`.
 fn serve_cluster(builder: ServeSpecBuilder, trace: &ArrivalTrace) -> ClusterReport {
-    builder.build().unwrap().run(&engine(), trace).unwrap().into_cluster().expect("cluster mode")
+    let outcome = builder.build().unwrap().run(&tiny_engine(), trace).unwrap();
+    outcome.into_cluster().expect("cluster mode")
 }
 
 /// Runs a disaggregated spec on `engine` over `trace`.
@@ -80,7 +77,8 @@ proptest! {
             }
         };
         let baseline = serve_cluster(build(), &trace);
-        let disagg = serve_disagg(&engine(), &build().phases(Colocated).build().unwrap(), &trace);
+        let colocated = build().phases(Colocated).build().unwrap();
+        let disagg = serve_disagg(&tiny_engine(), &colocated, &trace);
         prop_assert_eq!(&disagg.prefill_stage, &baseline);
         prop_assert_eq!(
             disagg.prefill_stage.to_json().unwrap(),
@@ -110,7 +108,7 @@ proptest! {
         let chips = 1 + decode_chips;
         let colocated = serve_cluster(ServeSpec::builder().chips(chips), &trace);
         let split = serve_disagg(
-            &engine(),
+            &tiny_engine(),
             &ServeSpec::builder()
                 .chips(chips)
                 .phases(PrefillDecodeSplit { prefill_chips: 1 })
@@ -144,7 +142,7 @@ proptest! {
         let fast_noc = NocConfig { link_bytes_per_cycle: u64::MAX, links: 196 };
         let colocated = serve_cluster(ServeSpec::builder().chips(2).noc(fast_noc), &trace);
         let split = serve_disagg(
-            &engine(),
+            &tiny_engine(),
             &ServeSpec::builder()
                 .chips(2)
                 .noc(fast_noc)
@@ -213,7 +211,7 @@ proptest! {
             .phases(PrefillDecodeSplit { prefill_chips })
             .build()
             .unwrap();
-        let report = serve_disagg(&engine(), &spec, &trace);
+        let report = serve_disagg(&tiny_engine(), &spec, &trace);
         // Queue admission (the default) never rejects: every request
         // splits and hands off.
         prop_assert_eq!(report.split_requests as usize, n);

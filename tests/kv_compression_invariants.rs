@@ -16,32 +16,12 @@
 
 mod common;
 
-use common::{fnv1a64, serve};
+use common::{fnv1a64, golden_trace, serve, tiny_engine};
 use meadow::core::serve::{KvPolicy, ServeConfig, ServeReport};
-use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
-use meadow::models::workload::{kv_cache_total_bytes, ArrivalTrace, KvSizer, ServeRequest};
+use meadow::models::workload::{kv_cache_total_bytes, KvSizer, ServeRequest};
 use meadow::models::{KvCompression, KvLayout};
 use proptest::prelude::*;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
-
-/// The pinned arrival set of the golden suite: 8 staggered requests with
-/// ragged lengths, overlapping on the tick scale.
-fn trace() -> ArrivalTrace {
-    ArrivalTrace::new(vec![
-        ServeRequest::new(0, 0.0, 16, 8),
-        ServeRequest::new(1, 0.0, 24, 4),
-        ServeRequest::new(2, 0.01, 8, 6),
-        ServeRequest::new(3, 0.015, 31, 2),
-        ServeRequest::new(4, 0.02, 4, 8),
-        ServeRequest::new(5, 0.03, 12, 5),
-        ServeRequest::new(6, 0.05, 20, 3),
-        ServeRequest::new(7, 0.08, 6, 7),
-    ])
-}
 
 /// A contended whole-cache configuration (evictions fire on the trace).
 fn contended_config() -> ServeConfig {
@@ -51,7 +31,7 @@ fn contended_config() -> ServeConfig {
 }
 
 fn run(config: ServeConfig) -> ServeReport {
-    serve(&engine(), &trace(), &config).unwrap()
+    serve(&tiny_engine(), &golden_trace(), &config).unwrap()
 }
 
 /// Degenerate settings of every layout/compression axis: each must
@@ -151,7 +131,7 @@ fn spill_and_reload_conserve_compressed_bytes_exactly() {
             .with_max_batch(4)
             .with_kv_layout(layout)
             .with_kv_compression(compression);
-        let report = serve(&engine(), &trace(), &config).unwrap();
+        let report = serve(&tiny_engine(), &golden_trace(), &config).unwrap();
         assert!(
             report.total_evictions > 0,
             "{layout:?}/{compression:?}: the squeezed budget must churn"
@@ -180,8 +160,8 @@ const COMPRESSED_ORACLE: &str = "\
 /// digest (the scheduler contract does not bend for the seam).
 #[test]
 fn scheduler_cores_agree_on_every_compressed_point() {
-    let engine = engine();
-    let trace = trace();
+    let engine = tiny_engine();
+    let trace = golden_trace();
     let got: Vec<String> = compressed_points()
         .into_iter()
         .chain(degenerate_points())

@@ -5,20 +5,19 @@
 //! diagnostic contract (they land in logs, CI output and the repro
 //! harness), so changing one is an API change, not a cosmetic edit.
 
+mod common;
+
+use common::tiny_engine;
 use meadow::core::cluster::{
     ChipLoad, PhaseAssignment, PhasePlacement, PlacementPolicy, PrefillDecodeSplit,
 };
 use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig, ServeError, SpecDecode};
 use meadow::core::spec::ServeSpec;
-use meadow::core::{CoreError, EngineConfig, MeadowEngine};
+use meadow::core::{CoreError, EngineConfig};
 use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};
 use meadow::models::{KvCompression, KvLayout};
 use meadow::sim::noc::NocConfig;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
 
 /// Builds a spec expected to fail validation, returning the build error.
 fn build_err(config: ServeConfig) -> ServeError {
@@ -118,7 +117,7 @@ fn model_incompatible_kv_layout_is_rejected_at_run() {
         .config(ServeConfig::default().with_kv_layout(KvLayout::GroupedHeads { kv_heads: 3 }))
         .build()
         .expect("the structural checks cannot see the model");
-    let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
+    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     assert!(matches!(&err, ServeError::InvalidKvLayout { .. }), "got {err:?}");
     assert_eq!(
@@ -130,7 +129,7 @@ fn model_incompatible_kv_layout_is_rejected_at_run() {
 #[test]
 fn oversized_request_is_rejected_at_run() {
     let spec = ServeSpec::builder().config(ServeConfig::default().with_budget(1)).build().unwrap();
-    let err = spec.run(&engine(), &ArrivalTrace::uniform(1, 0.0, 16, 4)).unwrap_err();
+    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(1, 0.0, 16, 4)).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     let ServeError::RequestExceedsBudget { id, peak_bytes, budget_bytes } = err else {
         panic!("expected RequestExceedsBudget, got {err:?}");
@@ -154,14 +153,14 @@ fn compression_relaxes_the_admission_precheck() {
     let trace = ArrivalTrace::uniform(1, 0.0, 16, 4);
     let dense = ServeSpec::builder().config(config).build().unwrap();
     assert!(matches!(
-        dense.run(&engine(), &trace),
+        dense.run(&tiny_engine(), &trace),
         Err(CoreError::Serve(ServeError::RequestExceedsBudget { .. }))
     ));
     let compressed = ServeSpec::builder()
         .config(config.with_kv_compression(KvCompression::VedaVote { keep_ratio: 0.5 }))
         .build()
         .unwrap();
-    let report = compressed.run(&engine(), &trace).unwrap().into_single().unwrap();
+    let report = compressed.run(&tiny_engine(), &trace).unwrap().into_single().unwrap();
     assert_eq!(report.rejected_requests, 0);
     assert_eq!(report.total_generated_tokens, 4);
 }
@@ -185,7 +184,7 @@ fn weight_budget_smaller_than_one_model_is_rejected_at_run() {
         .config(ServeConfig::default().with_weight_budget(1))
         .build()
         .expect("the structural checks cannot see the model");
-    let err = spec.run(&engine(), &ArrivalTrace::uniform(1, 0.0, 16, 4)).unwrap_err();
+    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(1, 0.0, 16, 4)).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     assert_eq!(err, ServeError::WeightBudgetTooSmall { budget_bytes: 1, weight_bytes });
     assert_eq!(
@@ -202,7 +201,7 @@ fn unknown_model_without_a_weight_budget_is_rejected_at_run() {
     let mut trace = ArrivalTrace::uniform(2, 0.0, 16, 4);
     trace.requests[1] = trace.requests[1].with_model(3);
     let spec = ServeSpec::builder().config(ServeConfig::default()).build().unwrap();
-    let err = spec.run(&engine(), &trace).unwrap_err();
+    let err = spec.run(&tiny_engine(), &trace).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     assert_eq!(err, ServeError::UnknownModel { model_id: 3 });
     assert_eq!(
@@ -219,7 +218,7 @@ fn unknown_model_without_a_weight_budget_is_rejected_at_run() {
         )
         .build()
         .unwrap();
-    let report = tenant.run(&engine(), &trace).unwrap().into_single().unwrap();
+    let report = tenant.run(&tiny_engine(), &trace).unwrap().into_single().unwrap();
     assert_eq!(report.weights.unwrap().models, 2);
 }
 
@@ -360,7 +359,7 @@ fn out_of_range_placement_is_rejected_at_run() {
         }
     }
     let spec = ServeSpec::builder().chips(2).placement(Wild).build().unwrap();
-    let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
+    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     assert_eq!(err, ServeError::PlacementOutOfRange { chip: 2, chips: 2 });
     assert_eq!(err.to_string(), "placement routed a request to chip 2 of a 2-chip cluster");
@@ -389,7 +388,7 @@ fn phase_overlap_is_rejected_at_run() {
         }
     }
     let spec = ServeSpec::builder().chips(2).phases(Tangled).build().unwrap();
-    let err = spec.run(&engine(), &ArrivalTrace::uniform(4, 0.0, 8, 2)).unwrap_err();
+    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(4, 0.0, 8, 2)).unwrap_err();
     let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
     assert_eq!(err, ServeError::PhaseOverlap { chip: 1 });
     assert_eq!(

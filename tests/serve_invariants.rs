@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{requests_from_seed as seeded, serve};
+use common::{requests_from_seed as seeded, serve, tiny_engine};
 use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig};
 use meadow::core::session::InferenceSession;
 use meadow::core::{EngineConfig, MeadowEngine};
@@ -14,10 +14,6 @@ use meadow::models::presets;
 use meadow::models::workload::{ArrivalTrace, ServeRequest};
 use meadow::sim::TrafficClass;
 use proptest::prelude::*;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
 
 /// Up to 5 requests with ragged prompts/generation lengths and staggered
 /// arrivals.
@@ -52,7 +48,7 @@ proptest! {
             .with_budget(budget)
             .with_policy(policy_from(policy_idx))
             .with_page_bytes(256);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         prop_assert_eq!(report.requests, n);
         prop_assert_eq!(report.traces.len(), n);
         for (req, t) in trace.requests.iter().zip(&report.traces) {
@@ -81,7 +77,7 @@ proptest! {
             .with_budget(single_max)
             .with_policy(policy_from(policy_idx))
             .with_page_bytes(128);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         prop_assert!(
             report.peak_kv_bytes <= single_max,
             "peak {} exceeds budget {}",
@@ -100,7 +96,7 @@ proptest! {
             .with_budget(trace.total_peak_kv_bytes(&model))
             .with_policy(policy_from(policy_idx))
             .with_page_bytes(256);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         prop_assert_eq!(report.total_evictions, 0);
         prop_assert_eq!(report.total_page_spills, 0);
         prop_assert_eq!(report.total_page_faults, 0);
@@ -123,7 +119,7 @@ proptest! {
         let single_max =
             trace.requests.iter().map(|r| r.peak_kv_bytes(&model)).max().unwrap();
         let base = ServeConfig::default().with_budget(single_max).with_max_batch(cap);
-        let e = engine();
+        let e = tiny_engine();
         let lru = serve(&e, &trace, &base.with_policy(KvPolicy::Lru)).unwrap();
         let paged = serve(
             &e,
@@ -162,7 +158,7 @@ proptest! {
             .with_admission(AdmissionPolicy::RejectAfter {
                 ttft_slo_ms: slo_us as f64 / 1e3,
             });
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         let rejected = report.traces.iter().filter(|t| t.rejected).count();
         prop_assert_eq!(rejected as u64, report.rejected_requests);
         let mut expected = 0u64;
@@ -188,7 +184,7 @@ proptest! {
         let single_max =
             trace.requests.iter().map(|r| r.peak_kv_bytes(&model)).max().unwrap();
         let base = ServeConfig::default().with_budget(single_max).with_max_batch(2);
-        let e = engine();
+        let e = tiny_engine();
         let fifo = serve(&e, &trace, &base.with_policy(KvPolicy::Fifo)).unwrap();
         let lru = serve(&e, &trace, &base.with_policy(KvPolicy::Lru)).unwrap();
         prop_assert_eq!(fifo.total_generated_tokens, lru.total_generated_tokens);
@@ -208,7 +204,7 @@ fn constrained_budget_completes_with_evictions() {
     assert!(2 * single < trace.total_peak_kv_bytes(&model));
     for policy in [KvPolicy::Fifo, KvPolicy::Lru] {
         let config = ServeConfig::default().with_budget(2 * single).with_policy(policy);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         assert_eq!(report.total_generated_tokens, 32, "{policy:?}");
         assert!(report.total_evictions > 0, "{policy:?} must evict under pressure");
         assert!(report.peak_kv_bytes <= 2 * single);
@@ -243,7 +239,7 @@ fn paged_lru_with_slo_rejection_evicts_and_partitions() {
         .with_page_bytes(256)
         .with_max_batch(4)
         .with_admission(AdmissionPolicy::RejectAfter { ttft_slo_ms: 0.4 });
-    let report = serve(&engine(), &trace, &config).unwrap();
+    let report = serve(&tiny_engine(), &trace, &config).unwrap();
     assert!(report.total_evictions > 0, "the cross-case must evict");
     assert!(report.total_page_spills > 0, "the cross-case must peel pages");
     assert!(report.rejected_requests > 0, "the cross-case must shed load");
@@ -270,7 +266,7 @@ fn paged_lru_with_slo_rejection_evicts_and_partitions() {
 /// `InferenceSession` walking the same request on the same engine.
 #[test]
 fn unbounded_budget_matches_independent_sessions() {
-    let e = engine();
+    let e = tiny_engine();
     let trace = ArrivalTrace::new(vec![
         ServeRequest::new(0, 0.0, 16, 8),
         ServeRequest::new(1, 0.0, 7, 5),
@@ -304,7 +300,7 @@ fn paged_eviction_moves_fewer_bytes_than_whole_cache() {
     let trace = ArrivalTrace::uniform(4, 0.0, 16, 8);
     let single = ServeRequest::new(0, 0.0, 16, 8).peak_kv_bytes(&model);
     let base = ServeConfig::default().with_budget(5 * single / 2).with_max_batch(2);
-    let e = engine();
+    let e = tiny_engine();
     let whole = serve(&e, &trace, &base.with_policy(KvPolicy::Lru)).unwrap();
     let paged =
         serve(&e, &trace, &base.with_policy(KvPolicy::PagedLru).with_page_bytes(256)).unwrap();
@@ -337,7 +333,7 @@ fn paged_zombie_pages_never_wedge_admission() {
         .with_policy(KvPolicy::PagedLru)
         .with_page_bytes(64)
         .with_max_batch(2);
-    let report = serve(&engine(), &trace, &config).unwrap();
+    let report = serve(&tiny_engine(), &trace, &config).unwrap();
     assert_eq!(report.total_generated_tokens, 11 + 8 + 1 + 11 + 14);
     assert!(report.peak_kv_bytes <= 8049);
 }
@@ -367,7 +363,7 @@ fn poisson_serving_is_seed_deterministic() {
         .with_budget(single_max)
         .with_policy(KvPolicy::PagedLru)
         .with_page_bytes(256);
-    let e = engine();
+    let e = tiny_engine();
     let a = serve(&e, &trace, &config).unwrap();
     let b = serve(&e, &make(), &config).unwrap();
     assert_eq!(a, b);
@@ -378,7 +374,7 @@ fn poisson_serving_is_seed_deterministic() {
 /// so its TBT series dominates the solo series entry-for-entry.
 #[test]
 fn reload_penalties_only_ever_add_latency() {
-    let e = engine();
+    let e = tiny_engine();
     let model = presets::tiny_decoder();
     let trace = ArrivalTrace::uniform(3, 0.0, 16, 8);
     let single = ServeRequest::new(0, 0.0, 16, 8).peak_kv_bytes(&model);

@@ -26,20 +26,15 @@
 
 mod common;
 
-use common::{fnv1a64, requests_from_seed, serve, spread_models};
+use common::{fnv1a64, requests_from_seed, serve, spread_models, tiny_engine};
 use meadow::core::cluster::RoundRobin;
 use meadow::core::serve::{pipelined_cold_finish, KvPolicy, ServeConfig, ServeReport};
 use meadow::core::spec::ServeSpec;
-use meadow::core::{EngineConfig, MeadowEngine};
 use meadow::models::presets;
 use meadow::models::workload::ArrivalTrace;
 use meadow::sim::{Cycles, TrafficClass};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-fn engine() -> MeadowEngine {
-    MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
-}
 
 /// Brute-force reference for the EdgeFlow-style overlap: the load channel
 /// streams layers back to back, and layer `l`'s compute starts once both
@@ -64,8 +59,8 @@ fn brute_force_schedule(load: &[u64], compute: &[u64]) -> u64 {
 /// goldens stay byte-stable.
 #[test]
 fn unset_budget_serializes_the_pre_residency_identity() {
-    let report =
-        serve(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4), &ServeConfig::default()).unwrap();
+    let trace = ArrivalTrace::uniform(2, 0.0, 16, 4);
+    let report = serve(&tiny_engine(), &trace, &ServeConfig::default()).unwrap();
     assert!(report.weights.is_none());
     assert!(report.traces.iter().all(|t| t.cold_start.is_none()));
     let json = report.to_json().unwrap();
@@ -118,7 +113,7 @@ const RESIDENCY_ORACLE: &str = "\
 /// reproduces every report digest the per-tick oracle recorded.
 #[test]
 fn cores_agree_over_the_residency_matrix() {
-    let engine = engine();
+    let engine = tiny_engine();
     let got: Vec<String> = residency_matrix()
         .iter()
         .map(|(trace, config)| fnv1a64(&serve(&engine, trace, config).unwrap().to_json().unwrap()))
@@ -166,7 +161,7 @@ proptest! {
         prompt in 1usize..32,
         generate in 1usize..8,
     ) {
-        let e = engine();
+        let e = tiny_engine();
         let model = presets::tiny_decoder();
         let trace = ArrivalTrace::uniform(1, 0.0, prompt, generate);
         let budget = ServeConfig::default().with_weight_budget(model.total_weight_bytes());
@@ -201,7 +196,7 @@ proptest! {
         let config = ServeConfig::default()
             .with_weight_budget(model.total_weight_bytes())
             .with_weight_streaming(streaming);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         let weights = report.weights.unwrap();
         prop_assert_eq!(weights.cold_requests, 1);
         prop_assert_eq!(report.traces[0].cold_start, Some(true));
@@ -236,7 +231,7 @@ proptest! {
                 _ => KvPolicy::PagedLru,
             })
             .with_max_batch(2);
-        let report = serve(&engine(), &trace, &config).unwrap();
+        let report = serve(&tiny_engine(), &trace, &config).unwrap();
         let weights = report.weights.unwrap();
         prop_assert_eq!(weights.models, models.min(n as u32) as usize);
         prop_assert_eq!(weights.model_weight_bytes, model.total_weight_bytes());
@@ -268,7 +263,7 @@ proptest! {
         streaming in any::<bool>(),
     ) {
         let model = presets::tiny_decoder();
-        let engine = engine();
+        let engine = tiny_engine();
         let trace = spread_models(requests_from_seed(seed, n, 24, 8, 0.5), models);
         let config = ServeConfig::default()
             .with_weight_budget(model.total_weight_bytes())
