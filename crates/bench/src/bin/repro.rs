@@ -18,6 +18,7 @@ use meadow_bench::{
 };
 use meadow_core::CoreError;
 use meadow_tensor::parallel::{par_map, ExecConfig};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -53,6 +54,19 @@ const GENERATORS: &[(&str, Generator)] = &[
     ("ablation_overlap", ablations::ablation_overlap),
     ("ablation_zipf", ablations::ablation_zipf),
 ];
+
+/// Runs one generator, reporting a panic (a serving artifact's contract
+/// assertion, say) as an error message, so one failing artifact does not
+/// stop the others from printing and writing their CSVs.
+fn generate(generator: Generator, ctx: &ReproContext) -> Result<Artifact, String> {
+    match panic::catch_unwind(AssertUnwindSafe(|| generator(ctx))) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => Err(match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().map_or("panicked", |s| s).to_string(),
+        }),
+    }
+}
 
 fn main() -> ExitCode {
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
@@ -111,8 +125,8 @@ fn main() -> ExitCode {
     // shared worker pool (MEADOW_THREADS or available parallelism) and
     // print in the selection order.
     let exec = ExecConfig::from_env();
-    let results: Vec<(&str, Result<Artifact, CoreError>)> =
-        par_map(&selected, &exec, |(name, generator)| (*name, generator(&ctx)));
+    let results: Vec<(&str, Result<Artifact, String>)> =
+        par_map(&selected, &exec, |&&(name, generator)| (name, generate(generator, &ctx)));
     let mut failures = 0;
     for (name, result) in results {
         println!("==================================================================");
@@ -145,5 +159,31 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn broken(_: &ReproContext) -> Result<Artifact, CoreError> {
+        panic!("contract broken");
+    }
+
+    fn broken_with_values(_: &ReproContext) -> Result<Artifact, CoreError> {
+        panic!("contract broken: {} > {}", 2, 1);
+    }
+
+    /// A panicking generator fails alone: its neighbors on the worker pool
+    /// still produce their artifacts, and both panic payload kinds keep
+    /// their message.
+    #[test]
+    fn a_panicking_generator_fails_alone() {
+        let ctx = ReproContext::new();
+        let generators: [Generator; 3] = [broken, figs_design::table1, broken_with_values];
+        let results = par_map(&generators, &ExecConfig::with_threads(2), |&g| generate(g, &ctx));
+        assert_eq!(results[0].as_ref().unwrap_err(), "contract broken");
+        assert!(matches!(&results[1], Ok(artifact) if artifact.id == "table1"));
+        assert_eq!(results[2].as_ref().unwrap_err(), "contract broken: 2 > 1");
     }
 }

@@ -8,7 +8,7 @@ use meadow_models::weights::ModelPackingStats;
 use meadow_models::TransformerConfig;
 use meadow_packing::{PackingConfig, PackingLevel};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Caches per-model packing statistics across figure generators.
 #[derive(Debug, Default)]
@@ -32,7 +32,9 @@ impl ReproContext {
         &self,
         model: &TransformerConfig,
     ) -> Result<ModelPackingStats, CoreError> {
-        let mut cache = self.stats.lock().expect("stats cache poisoned");
+        // A generator that panicked while holding the lock left the map
+        // as it was (entries are inserted whole), so later ones keep using it.
+        let mut cache = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(s) = cache.get(&model.name) {
             return Ok(s.clone());
         }

@@ -2,17 +2,20 @@
 //!
 //! One edge chip saturates quickly — the ROADMAP's serving north star is a
 //! *cluster* of MEADOW chips behind a single arrival stream. This module
-//! owns that layer's policy seams and reports; every run enters through
+//! owns that layer's policies and reports; every run enters through
 //! [`ServeSpec`], whose builder validates the chip count, the per-chip
 //! [`ServeConfig`](crate::serve::ServeConfig), the policies and the
-//! interconnect with a typed [`ServeError`] instead of misbehaving mid-run.
+//! interconnect with a typed [`ServeError`](crate::serve::ServeError)
+//! instead of misbehaving mid-run.
+//!
+//! Each policy is a `Copy` enum whose variants are also importable from
+//! this module (`cluster::LeastLoadedKv`), so a spec takes them by value:
 //!
 //! * [`PlacementPolicy`] routes each arriving request to a chip —
 //!   [`RoundRobin`], [`LeastLoadedKv`] (fewest assigned peak-KV bytes),
 //!   [`LeastLoadedWeighted`] (the same, normalized by each chip's
-//!   [`throughput_score_milli`]) and [`SessionAffinity`] (sticky routing
-//!   by the request's `affinity` hint) ship in the box, and the trait is
-//!   the seam for custom routers.
+//!   analytical throughput score) and [`SessionAffinity`] (sticky routing
+//!   by the request's `affinity` hint).
 //! * [`MigrationPolicy`] decides whether an evicted session's KV bytes
 //!   *migrate* to an underloaded chip's spare budget instead of spilling
 //!   to DRAM. Migration is charged per hop on the cluster's [`Noc`] model
@@ -89,8 +92,7 @@
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
 use crate::serve::{
-    arrival_order, serve_on_chip, KvSummary, LatencySummary, ServeError, ServeReport, ServeTrace,
-    WeightSummary,
+    arrival_order, serve_on_chip, KvSummary, LatencySummary, ServeReport, ServeTrace, WeightSummary,
 };
 use crate::session::SessionPhase;
 use crate::spec::ServeSpec;
@@ -100,29 +102,25 @@ use meadow_sim::noc::{Noc, NocConfig};
 use meadow_sim::{Cycles, TrafficClass};
 use meadow_tensor::parallel::{par_map, ExecConfig};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// Placement-relevant load snapshot of one chip, updated as requests are
-/// assigned (in arrival order) and handed to
-/// [`PlacementPolicy::place`].
+pub use MigrationPolicy::{NoMigration, ToLeastLoaded};
+pub use PhasePlacement::{Colocated, PrefillDecodeSplit};
+pub use PlacementPolicy::{LeastLoadedKv, LeastLoadedWeighted, RoundRobin, SessionAffinity};
+
+/// Placement-relevant load of one chip, updated as requests are routed (in
+/// arrival order) and read by [`PlacementPolicy::place`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChipLoad {
-    /// Chip index within the cluster.
-    pub chip: usize,
+struct ChipLoad {
     /// Requests already routed to this chip.
-    pub assigned_requests: u64,
+    assigned_requests: u64,
     /// Sum of the peak KV-cache bytes of the requests routed here — the
     /// chip's worst-case memory demand.
-    pub assigned_peak_kv_bytes: u64,
-    /// The chip's KV budget (`None` = unbounded), for policies that place
-    /// by headroom.
-    pub kv_budget_bytes: Option<u64>,
-    /// The chip's analytical throughput score in milli-units
-    /// ([`throughput_score_milli`]), for speed-aware policies on
-    /// heterogeneous fleets. Every chip of a homogeneous (replica) cluster
-    /// carries the same score.
-    pub throughput_score_milli: u64,
+    assigned_peak_kv_bytes: u64,
+    /// The chip's [`throughput_score_milli`]. Every chip of a homogeneous
+    /// (replica) cluster carries the same score.
+    throughput_score_milli: u64,
 }
 
 impl ChipLoad {
@@ -148,7 +146,7 @@ impl ChipLoad {
 /// unitless *relative* rating (never zero — clamped to at least 1), not a
 /// tokens/sec prediction; the capacity planner uses real simulation probes
 /// for that.
-pub fn throughput_score_milli(config: &EngineConfig) -> u64 {
+fn throughput_score_milli(config: &EngineConfig) -> u64 {
     let compute = config.chip.peak_gmacs_per_sec();
     let memory_gbs = config.bandwidth_gbps / 8.0;
     let harmonic = 2.0 * compute * memory_gbs / (compute + memory_gbs);
@@ -157,122 +155,48 @@ pub fn throughput_score_milli(config: &EngineConfig) -> u64 {
 
 /// Routes each arriving request to a chip.
 ///
-/// The cluster calls [`PlacementPolicy::place`] once per request, in
-/// arrival order (ties broken by request id), with the running
-/// [`ChipLoad`]s of every chip. Implementations must be deterministic —
-/// the returned chip index may depend only on the arguments — and must
-/// return an index below `loads.len()` (the cluster rejects out-of-range
-/// routes with [`ServeError::PlacementOutOfRange`]).
+/// The cluster places requests once each, in arrival order (ties broken by
+/// request id), against the running load of every chip. Every policy is
+/// deterministic and returns a chip the fleet has.
 ///
 /// # Examples
 ///
-/// A custom policy that pins everything to the last chip:
+/// A policy is a value; its [`name`](Self::name) lands in the report:
 ///
 /// ```
-/// use meadow_core::cluster::{ChipLoad, PlacementPolicy};
-/// use meadow_models::workload::ServeRequest;
+/// use meadow_core::cluster::{LeastLoadedKv, PlacementPolicy};
+/// use meadow_core::spec::ServeSpec;
 ///
-/// #[derive(Debug)]
-/// struct PinToLast;
-///
-/// impl PlacementPolicy for PinToLast {
-///     fn name(&self) -> &'static str {
-///         "pin-to-last"
-///     }
-///     fn place(&self, _seq: usize, _request: &ServeRequest, loads: &[ChipLoad]) -> usize {
-///         loads.len() - 1
-///     }
-/// }
-///
-/// let loads: Vec<ChipLoad> = (0..4)
-///     .map(|chip| ChipLoad {
-///         chip,
-///         assigned_requests: 0,
-///         assigned_peak_kv_bytes: 0,
-///         kv_budget_bytes: None,
-///         throughput_score_milli: 1000,
-///     })
-///     .collect();
-/// assert_eq!(PinToLast.place(0, &ServeRequest::new(0, 0.0, 16, 8), &loads), 3);
+/// let policy: PlacementPolicy = LeastLoadedKv;
+/// assert_eq!(policy.name(), "least-loaded-kv");
+/// assert!(ServeSpec::builder().chips(2).placement(policy).build().is_ok());
 /// ```
-pub trait PlacementPolicy: fmt::Debug + Send + Sync {
-    /// Short stable identifier recorded in the [`ClusterReport`].
-    fn name(&self) -> &'static str;
-
-    /// The chip the `seq`-th arriving request is routed to.
-    fn place(&self, seq: usize, request: &ServeRequest, loads: &[ChipLoad]) -> usize;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementPolicy {
+    /// Cycle through the chips in arrival order — the oblivious baseline.
+    RoundRobin,
+    /// Route to the chip with the fewest assigned peak-KV bytes (ties to the
+    /// lowest chip index) — balances *memory demand*, not request count, so a
+    /// few long-context requests do not pile onto one chip's budget.
+    LeastLoadedKv,
+    /// Speed-aware least-loaded placement for heterogeneous fleets: route to
+    /// the chip with the smallest assigned peak-KV demand *normalized by its
+    /// analytical throughput score* (the harmonic mean of its peak compute
+    /// rate and DRAM bandwidth), so a chip that is twice as fast absorbs
+    /// twice the demand before it looks as loaded as its slower neighbor.
+    /// Ties break to the lowest chip index.
+    ///
+    /// The comparison is exact integer arithmetic — `kv_a * score_b` vs
+    /// `kv_b * score_a` in `u128` — so on a homogeneous fleet (all scores
+    /// equal) it reduces *bit-exactly* to [`LeastLoadedKv`]'s ordering: the
+    /// degeneracy contract the equivalence suites pin.
+    LeastLoadedWeighted,
+    /// Sticky routing: requests sharing an
+    /// [`affinity`](ServeRequest::affinity) hint (the same user or
+    /// conversation) land on the same chip, `hint % chips`, keeping any warm
+    /// per-user state local. Requests without a hint hash their id.
+    SessionAffinity,
 }
-
-/// Cycle through the chips in arrival order — the oblivious baseline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobin;
-
-impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn place(&self, seq: usize, _request: &ServeRequest, loads: &[ChipLoad]) -> usize {
-        seq % loads.len()
-    }
-}
-
-/// Route to the chip with the fewest assigned peak-KV bytes (ties to the
-/// lowest chip index) — balances *memory demand*, not request count, so a
-/// few long-context requests do not pile onto one chip's budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoadedKv;
-
-impl PlacementPolicy for LeastLoadedKv {
-    fn name(&self) -> &'static str {
-        "least-loaded-kv"
-    }
-
-    fn place(&self, _seq: usize, _request: &ServeRequest, loads: &[ChipLoad]) -> usize {
-        loads.iter().min_by_key(|l| (l.assigned_peak_kv_bytes, l.chip)).map(|l| l.chip).unwrap_or(0)
-    }
-}
-
-/// Speed-aware least-loaded placement for heterogeneous fleets: route to
-/// the chip with the smallest assigned peak-KV demand *normalized by its
-/// analytical throughput score* ([`throughput_score_milli`]), so a chip
-/// that is twice as fast absorbs twice the demand before it looks as
-/// loaded as its slower neighbor. Ties break to the lowest chip index.
-///
-/// The comparison is exact integer arithmetic — `kv_a * score_b` vs
-/// `kv_b * score_a` in `u128` — so on a homogeneous fleet (all scores
-/// equal) it reduces *bit-exactly* to [`LeastLoadedKv`]'s
-/// `(assigned_peak_kv_bytes, chip)` ordering: the degeneracy contract the
-/// equivalence suites pin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoadedWeighted;
-
-impl PlacementPolicy for LeastLoadedWeighted {
-    fn name(&self) -> &'static str {
-        "least-loaded-weighted"
-    }
-
-    fn place(&self, _seq: usize, _request: &ServeRequest, loads: &[ChipLoad]) -> usize {
-        loads
-            .iter()
-            .min_by(|a, b| {
-                let wa =
-                    u128::from(a.assigned_peak_kv_bytes) * u128::from(b.throughput_score_milli);
-                let wb =
-                    u128::from(b.assigned_peak_kv_bytes) * u128::from(a.throughput_score_milli);
-                wa.cmp(&wb).then(a.chip.cmp(&b.chip))
-            })
-            .map(|l| l.chip)
-            .unwrap_or(0)
-    }
-}
-
-/// Sticky routing: requests sharing an
-/// [`affinity`](ServeRequest::affinity) hint (the same user or
-/// conversation) land on the same chip, `hint % chips`, keeping any warm
-/// per-user state local. Requests without a hint hash their id.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionAffinity;
 
 /// SplitMix64 finalizer — a cheap, well-mixed stateless hash.
 fn mix64(mut x: u64) -> u64 {
@@ -281,112 +205,78 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-impl PlacementPolicy for SessionAffinity {
-    fn name(&self) -> &'static str {
-        "session-affinity"
+impl PlacementPolicy {
+    /// Short stable identifier recorded in the [`ClusterReport`].
+    pub fn name(self) -> &'static str {
+        match self {
+            RoundRobin => "round-robin",
+            LeastLoadedKv => "least-loaded-kv",
+            LeastLoadedWeighted => "least-loaded-weighted",
+            SessionAffinity => "session-affinity",
+        }
     }
 
-    fn place(&self, _seq: usize, request: &ServeRequest, loads: &[ChipLoad]) -> usize {
-        match request.affinity {
-            Some(hint) => hint as usize % loads.len(),
-            None => (mix64(u64::from(request.id)) % loads.len() as u64) as usize,
+    /// The chip the `seq`-th arriving request is routed to. Ties go to the
+    /// lowest chip index: `min_by_key` and `min_by` keep the first minimum.
+    fn place(self, seq: usize, request: &ServeRequest, loads: &[ChipLoad]) -> usize {
+        let chips = loads.len();
+        let kv = |c: usize| u128::from(loads[c].assigned_peak_kv_bytes);
+        let score = |c: usize| u128::from(loads[c].throughput_score_milli);
+        match self {
+            RoundRobin => seq % chips,
+            LeastLoadedKv => (0..chips).min_by_key(|&c| kv(c)).unwrap_or(0),
+            LeastLoadedWeighted => {
+                (0..chips).min_by(|&a, &b| (kv(a) * score(b)).cmp(&(kv(b) * score(a)))).unwrap_or(0)
+            }
+            SessionAffinity => match request.affinity {
+                Some(hint) => hint as usize % chips,
+                None => (mix64(u64::from(request.id)) % chips as u64) as usize,
+            },
         }
     }
 }
 
-/// What one chip's eviction pass sees when it asks whether to migrate a
-/// victim's bytes instead of spilling them to DRAM.
-#[derive(Debug)]
-pub struct MigrationSnapshot<'a> {
-    /// The evicting chip.
-    pub source: usize,
-    /// Remaining donatable headroom per chip, in bytes. The source's own
-    /// entry is zero; each donor's slack is statically partitioned among
-    /// the other chips, so what this snapshot offers can always be taken.
-    pub headroom: &'a [u64],
-    /// NoC hops from the source to each chip: the sum of the per-link
-    /// costs between them on the linear chip interconnect (zero only for
-    /// the source itself).
-    pub hops: &'a [u32],
-}
-
-/// Decides whether (and where) an evicted session's KV bytes migrate to a
-/// remote chip's spare budget instead of spilling to DRAM.
+/// Decides whether an evicted session's KV bytes migrate to a remote chip's
+/// spare budget instead of spilling to DRAM.
 ///
-/// Returning `Some(chip)` parks the bytes on that chip, charged per hop on
-/// the cluster NoC ([`Noc::transfer_hops`]); they return over the same
-/// path when the session reloads. Returning `None` (or a chip without
-/// `bytes` of headroom) falls back to the ordinary DRAM spill. Must be
-/// deterministic.
-pub trait MigrationPolicy: fmt::Debug + Send + Sync {
-    /// Short stable identifier recorded in the [`ClusterReport`].
-    fn name(&self) -> &'static str;
-
-    /// The chip to park `bytes` on, or `None` to spill to DRAM.
-    fn choose_target(&self, bytes: u64, snapshot: &MigrationSnapshot<'_>) -> Option<usize>;
-}
-
-/// Never migrate: every spill goes to DRAM (the single-chip behavior).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoMigration;
-
-impl MigrationPolicy for NoMigration {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn choose_target(&self, _bytes: u64, _snapshot: &MigrationSnapshot<'_>) -> Option<usize> {
-        None
-    }
-}
-
-/// Migrate to the chip with the most remaining headroom that can hold the
-/// whole transfer (ties to the fewest hops, then the lowest chip index);
-/// spill to DRAM when no chip has room.
-///
-/// The donor search **excludes the source chip**: `Noc::transfer_hops`
-/// charges zero cycles and zero link bytes for a zero-hop transfer, so a
-/// policy that returned the source would park bytes "remotely" for free
-/// without ever putting them on the interconnect. The migration context
-/// enforces the same exclusion defensively for custom policies (a
-/// source-chip target falls back to the DRAM spill), which the
-/// `self_migration_is_rejected_as_free_parking` regression test pins.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ToLeastLoaded;
-
-impl MigrationPolicy for ToLeastLoaded {
-    fn name(&self) -> &'static str {
-        "to-least-loaded"
-    }
-
-    fn choose_target(&self, bytes: u64, snapshot: &MigrationSnapshot<'_>) -> Option<usize> {
-        snapshot
-            .headroom
-            .iter()
-            .enumerate()
-            .filter(|&(chip, &room)| chip != snapshot.source && room >= bytes && bytes > 0)
-            .max_by_key(|&(chip, &room)| {
-                (room, std::cmp::Reverse(snapshot.hops[chip]), std::cmp::Reverse(chip))
-            })
-            .map(|(chip, _)| chip)
-    }
-}
-
-/// Where one request's two phases run, as decided by a
-/// [`PhasePlacement`].
+/// A migration parks the bytes on the chosen chip, charged per hop on the
+/// cluster NoC ([`Noc::transfer_hops`]); they return over the same path
+/// when the session reloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseAssignment {
+pub enum MigrationPolicy {
+    /// Never migrate: every spill goes to DRAM (the single-chip behavior).
+    NoMigration,
+    /// Migrate to the chip with the most remaining headroom that can hold
+    /// the whole transfer (ties to the fewest hops, then the lowest chip
+    /// index); spill to DRAM when no chip has room. The evicting chip's own
+    /// share of donor headroom is zero, so it never parks bytes on itself,
+    /// where a zero-hop transfer would cost nothing.
+    ToLeastLoaded,
+}
+
+impl MigrationPolicy {
+    /// Short stable identifier recorded in the [`ClusterReport`].
+    pub fn name(self) -> &'static str {
+        match self {
+            NoMigration => "none",
+            ToLeastLoaded => "to-least-loaded",
+        }
+    }
+}
+
+/// Where one request's two phases run, as decided by a [`PhasePlacement`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PhaseAssignment {
     /// The chip the prompt's prefill runs on.
-    pub prefill_chip: usize,
-    /// The chip the decode loop runs on. Equal to
-    /// [`prefill_chip`](PhaseAssignment::prefill_chip) means the request
-    /// is colocated (no handoff).
-    pub decode_chip: usize,
+    prefill_chip: usize,
+    /// The chip the decode loop runs on; equal to `prefill_chip` when the
+    /// request is colocated (no handoff).
+    decode_chip: usize,
 }
 
 impl PhaseAssignment {
     /// Both phases on one chip — no KV handoff.
-    pub fn colocated(chip: usize) -> Self {
+    fn colocated(chip: usize) -> Self {
         Self { prefill_chip: chip, decode_chip: chip }
     }
 
@@ -399,86 +289,52 @@ impl PhaseAssignment {
 /// Routes each request's *phases* to chips, on top of the base
 /// [`PlacementPolicy`]: MEADOW's compute-bound prefill and memory-bound
 /// decode need not share a chip. Setting one on a
-/// [`ServeSpec`](crate::spec::ServeSpecBuilder::phases) makes its runs disaggregated
-/// ([`DisaggReport`]).
+/// [`ServeSpec`](crate::spec::ServeSpecBuilder::phases) makes its runs
+/// disaggregated ([`DisaggReport`]).
 ///
-/// Called once per request in arrival order (ties by id) with the running
-/// [`ChipLoad`]s and the chip the cluster's base placement policy would
-/// have routed the whole request to. Implementations must be deterministic
-/// and must return chip indices below `loads.len()`. A split assignment's
-/// prefill leg runs in the prefill stage, its prompt KV hands off over the
-/// cluster NoC ([`Noc::transfer_hops`], charged the summed link costs
-/// between the two chips), and
-/// its decode leg runs in the decode stage — so the two stage pools must
-/// stay disjoint ([`ServeError::PhaseOverlap`]).
-pub trait PhasePlacement: fmt::Debug + Send + Sync {
-    /// Short stable identifier recorded in the [`DisaggReport`].
-    fn name(&self) -> &'static str;
-
-    /// The chips the `seq`-th arriving request's phases run on; `base` is
-    /// the chip the cluster's [`PlacementPolicy`] routed the request to.
-    fn place_phases(
-        &self,
-        seq: usize,
-        request: &ServeRequest,
-        loads: &[ChipLoad],
-        base: usize,
-    ) -> PhaseAssignment;
-}
-
-/// Both phases on the base placement's chip — the degenerate phase
-/// placement under which a disaggregated run's prefill stage reproduces
-/// the same spec's cluster run without phases bit-exactly (the
-/// `tests/disagg_invariants.rs` contract). Cluster runs route with it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Colocated;
-
-impl PhasePlacement for Colocated {
-    fn name(&self) -> &'static str {
-        "colocated"
-    }
-
-    fn place_phases(
-        &self,
-        _seq: usize,
-        _request: &ServeRequest,
-        _loads: &[ChipLoad],
-        base: usize,
-    ) -> PhaseAssignment {
-        PhaseAssignment::colocated(base)
-    }
-}
-
-/// Disaggregated serving: chips `[0, prefill_chips)` form the prefill
-/// pool, chips `[prefill_chips, chips)` the decode pool, and every request
-/// round-robins over each pool independently (by arrival sequence). With
-/// no decode pool to split into (`prefill_chips == 0` or ≥ the cluster
-/// size) it degenerates to [`Colocated`] on the base placement.
+/// A split request's prefill leg runs in the prefill stage, its prompt KV
+/// hands off over the cluster NoC ([`Noc::transfer_hops`], charged the
+/// summed link costs between the two chips), and its decode leg runs in
+/// the decode stage. Both variants keep the two stage pools disjoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefillDecodeSplit {
-    /// Number of chips dedicated to prefill (the rest decode).
-    pub prefill_chips: usize,
+pub enum PhasePlacement {
+    /// Both phases on the base placement's chip — the degenerate phase
+    /// placement under which a disaggregated run's prefill stage reproduces
+    /// the same spec's cluster run without phases bit-exactly (the
+    /// `tests/disagg_invariants.rs` contract). Cluster runs route with it.
+    Colocated,
+    /// Disaggregated serving: chips `[0, prefill_chips)` form the prefill
+    /// pool, chips `[prefill_chips, chips)` the decode pool, and every
+    /// request round-robins over each pool independently (by arrival
+    /// sequence). With no decode pool to split into (`prefill_chips == 0`
+    /// or ≥ the cluster size) it degenerates to [`Colocated`] on the base
+    /// placement.
+    PrefillDecodeSplit {
+        /// Number of chips dedicated to prefill (the rest decode).
+        prefill_chips: usize,
+    },
 }
 
-impl PhasePlacement for PrefillDecodeSplit {
-    fn name(&self) -> &'static str {
-        "prefill-decode-split"
+impl PhasePlacement {
+    /// Short stable identifier recorded in the [`DisaggReport`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Colocated => "colocated",
+            PrefillDecodeSplit { .. } => "prefill-decode-split",
+        }
     }
 
-    fn place_phases(
-        &self,
-        seq: usize,
-        _request: &ServeRequest,
-        loads: &[ChipLoad],
-        base: usize,
-    ) -> PhaseAssignment {
-        let chips = loads.len();
-        if self.prefill_chips == 0 || self.prefill_chips >= chips {
-            return PhaseAssignment::colocated(base);
-        }
-        PhaseAssignment {
-            prefill_chip: seq % self.prefill_chips,
-            decode_chip: self.prefill_chips + seq % (chips - self.prefill_chips),
+    /// The chips the `seq`-th arriving request's phases run on, on a fleet
+    /// of `chips`; `base` is the chip the [`PlacementPolicy`] chose.
+    fn place_phases(self, seq: usize, chips: usize, base: usize) -> PhaseAssignment {
+        match self {
+            PrefillDecodeSplit { prefill_chips } if (1..chips).contains(&prefill_chips) => {
+                PhaseAssignment {
+                    prefill_chip: seq % prefill_chips,
+                    decode_chip: prefill_chips + seq % (chips - prefill_chips),
+                }
+            }
+            _ => PhaseAssignment::colocated(base),
         }
     }
 }
@@ -501,10 +357,13 @@ pub struct MigrationStats {
 /// Per-chip migration state handed into the serving loop: tracks where
 /// each demoted session's bytes are parked, the remaining donatable
 /// headroom, and the NoC channel the transfers are charged on.
-pub(crate) struct MigrationCtx<'a> {
-    policy: &'a dyn MigrationPolicy,
-    source: usize,
+pub(crate) struct MigrationCtx {
+    policy: MigrationPolicy,
+    /// Donatable headroom per chip, in bytes: each donor's slack is
+    /// statically partitioned among the other chips, and the evicting
+    /// chip's own entry is zero.
     headroom: Vec<u64>,
+    /// NoC hops from the evicting chip to each chip.
     hops: Vec<u32>,
     noc: Noc,
     /// Session id → (target chip, bytes currently parked there).
@@ -514,17 +373,15 @@ pub(crate) struct MigrationCtx<'a> {
     reloaded_remote_bytes: u64,
 }
 
-impl<'a> MigrationCtx<'a> {
+impl MigrationCtx {
     fn new(
-        policy: &'a dyn MigrationPolicy,
-        source: usize,
+        policy: MigrationPolicy,
         headroom: Vec<u64>,
         hops: Vec<u32>,
         noc_config: NocConfig,
     ) -> Result<Self, CoreError> {
         Ok(Self {
             policy,
-            source,
             headroom,
             hops,
             noc: Noc::new(noc_config)?,
@@ -537,31 +394,25 @@ impl<'a> MigrationCtx<'a> {
 
     /// Tries to park `bytes` of `session`'s spilled KV on a remote chip.
     /// Returns the NoC cycle cost when the migration happens, `None` when
-    /// the bytes should spill to DRAM instead. A session with bytes
-    /// already parked keeps using its target (split-brain caches across
-    /// three locations are not modeled); once that chip's share is
-    /// exhausted the overflow spills to DRAM.
+    /// the bytes should spill to DRAM instead (always under
+    /// [`NoMigration`]). A session with bytes already parked keeps using
+    /// its target (split-brain caches across three locations are not
+    /// modeled); once that chip's share is exhausted the overflow spills
+    /// to DRAM.
     pub(crate) fn park(&mut self, session: u32, bytes: u64) -> Option<Cycles> {
-        if bytes == 0 {
+        if bytes == 0 || self.policy == NoMigration {
             return None;
         }
         let target = match self.parked.get(&session) {
             Some(&(target, _)) if self.headroom[target] >= bytes => target,
             Some(_) => return None,
+            // `ToLeastLoaded`: the roomiest chip that holds the whole
+            // transfer, ties to the fewest hops, then the lowest index.
             None => {
-                let snapshot = MigrationSnapshot {
-                    source: self.source,
-                    headroom: &self.headroom,
-                    hops: &self.hops,
-                };
-                let target = self.policy.choose_target(bytes, &snapshot)?;
-                if target == self.source
-                    || target >= self.headroom.len()
-                    || self.headroom[target] < bytes
-                {
-                    return None;
-                }
-                target
+                let fits = |&chip: &usize| self.headroom[chip] >= bytes;
+                let rank =
+                    |&chip: &usize| (self.headroom[chip], Reverse(self.hops[chip]), Reverse(chip));
+                (0..self.headroom.len()).filter(fits).max_by_key(rank)?
             }
         };
         self.headroom[target] -= bytes;
@@ -601,6 +452,16 @@ impl<'a> MigrationCtx<'a> {
             noc_link_cycles: self.noc.total_link_cycles(),
         }
     }
+}
+
+/// The headroom `chip` may park bytes in: each donor's slack split evenly
+/// among the other chips, so the parallel per-chip loops can never
+/// oversubscribe a donor. The evicting chip's own entry is zero: a
+/// zero-hop transfer onto itself would cost nothing on the NoC.
+fn donor_share(chip: usize, donor_headroom: &[u64]) -> Vec<u64> {
+    let others = donor_headroom.len() as u64 - 1;
+    let share = |(donor, &slack): (usize, &u64)| if donor == chip { 0 } else { slack / others };
+    donor_headroom.iter().enumerate().map(share).collect()
 }
 
 /// Serving-side record of one chip's run within a [`ClusterReport`].
@@ -773,10 +634,10 @@ pub struct RequestSummary {
 /// prompt KV (and first token) exist. Each surviving split request's
 /// decode leg then arrives on its decode chip at `prefill finish +
 /// handoff latency` and the *decode stage* serves those legs
-/// ([`SessionPhase::DecodeOnly`]). The two stages' chip pools must be
-/// disjoint — a chip hosting prefill-stage legs cannot also host
-/// decode-stage legs, because the stages would overlap in time on that
-/// chip ([`ServeError::PhaseOverlap`]).
+/// ([`SessionPhase::DecodeOnly`]). Every [`PhasePlacement`] keeps the two
+/// stages' chip pools disjoint: a chip hosting prefill-stage legs never
+/// hosts decode-stage legs, whose stage would overlap in time with the
+/// prefill stage on that chip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DisaggReport {
     /// Phase-placement identifier.
@@ -887,47 +748,27 @@ pub(crate) struct Routing {
 /// picture of every leg routed so far. A cluster run routes with
 /// [`Colocated`] phases, so a disaggregated run under `Colocated`
 /// reproduces it exactly.
-///
-/// # Errors
-///
-/// Returns [`ServeError::PlacementOutOfRange`] for a base or phase chip
-/// the fleet does not have, and [`ServeError::PhaseOverlap`] when a chip
-/// would host legs of both stages.
 pub(crate) fn route(
     spec: &ServeSpec,
     engines: &[MeadowEngine],
     trace: &ArrivalTrace,
     sizer: &KvSizer,
-) -> Result<Routing, ServeError> {
-    let chips = engines.len();
+) -> Routing {
     let fresh: Vec<ChipLoad> = engines
         .iter()
-        .enumerate()
-        .map(|(chip, engine)| ChipLoad {
-            chip,
+        .map(|engine| ChipLoad {
             assigned_requests: 0,
             assigned_peak_kv_bytes: 0,
-            kv_budget_bytes: spec.serve.kv_budget_bytes,
             throughput_score_milli: throughput_score_milli(engine.config()),
         })
         .collect();
     let (mut loads, mut prefill_loads, mut decode_loads) = (fresh.clone(), fresh.clone(), fresh);
     let order = arrival_order(trace);
-    let phases = spec.phase_placement();
-    let in_range = |chip: usize| {
-        if chip < chips {
-            Ok(chip)
-        } else {
-            Err(ServeError::PlacementOutOfRange { chip, chips })
-        }
-    };
     let mut assignment = vec![PhaseAssignment::colocated(0); trace.requests.len()];
     for (seq, &idx) in order.iter().enumerate() {
         let request = &trace.requests[idx];
-        let base = in_range(spec.placement.place(seq, request, &loads))?;
-        let pa = phases.place_phases(seq, request, &loads, base);
-        in_range(pa.prefill_chip)?;
-        in_range(pa.decode_chip)?;
+        let base = spec.placement.place(seq, request, &loads);
+        let pa = spec.phases.place_phases(seq, engines.len(), base);
         let peak = sizer.bytes(request.final_context_len());
         if pa.is_split() {
             // The prefill chip only ever holds the prompt KV (it leaves
@@ -946,18 +787,11 @@ pub(crate) fn route(
     }
 
     let mut prefill = Stage::empty(prefill_loads);
-    let mut hosts_decode = vec![false; chips];
     for (request, pa) in trace.requests.iter().zip(&assignment) {
         let phase = if pa.is_split() { SessionPhase::PrefillOnly } else { SessionPhase::Full };
         prefill.push(pa.prefill_chip, *request, phase);
-        hosts_decode[pa.decode_chip] |= pa.is_split();
     }
-    if let Some(chip) =
-        (0..chips).find(|&c| hosts_decode[c] && !prefill.shards[c].requests.is_empty())
-    {
-        return Err(ServeError::PhaseOverlap { chip });
-    }
-    Ok(Routing { order, assignment, prefill, decode_loads })
+    Routing { order, assignment, prefill, decode_loads }
 }
 
 /// Runs one stage's per-chip shards through the serving loop — fanned
@@ -970,38 +804,32 @@ pub(crate) fn run_shards(
     spec: &ServeSpec,
     engines: &[MeadowEngine],
     exec: ExecConfig,
+    sizer: &KvSizer,
     stage: &Stage,
 ) -> Result<ClusterReport, CoreError> {
     let chips = engines.len();
     let loads = &stage.loads;
-    // Donor headroom: each chip's budget slack after placement,
-    // statically split among the other chips so the parallel per-chip
-    // loops can never oversubscribe a donor.
+    // Donor headroom: each chip's budget slack after placement, split
+    // among the other chips by `donor_share`.
+    let budget = spec.serve.kv_budget_bytes;
     let donor_headroom: Vec<u64> = loads
         .iter()
-        .map(|l| l.kv_budget_bytes.map_or(0, |b| b.saturating_sub(l.assigned_peak_kv_bytes)))
+        .map(|l| budget.map_or(0, |b| b.saturating_sub(l.assigned_peak_kv_bytes)))
         .collect();
 
     let chip_ids: Vec<usize> = (0..chips).collect();
     let results: Vec<Result<(ServeReport, MigrationStats), CoreError>> =
         par_map(&chip_ids, &exec, |&chip| {
-            let share: Vec<u64> = (0..chips)
-                .map(|donor| {
-                    if donor == chip || chips < 2 {
-                        0
-                    } else {
-                        donor_headroom[donor] / (chips as u64 - 1)
-                    }
-                })
-                .collect();
+            let share = donor_share(chip, &donor_headroom);
             let hops: Vec<u32> = (0..chips).map(|j| spec.hops_between(chip, j)).collect();
-            let mut ctx = MigrationCtx::new(spec.migration.as_ref(), chip, share, hops, spec.noc)?;
+            let mut ctx = MigrationCtx::new(spec.migration, share, hops, spec.noc)?;
             let report = serve_on_chip(
                 &engines[chip],
                 &stage.shards[chip],
                 &spec.serve,
-                Some(&stage.phases[chip]),
-                Some(&mut ctx),
+                sizer,
+                &stage.phases[chip],
+                &mut ctx,
             )?;
             Ok((report, ctx.into_stats()))
         });
@@ -1199,7 +1027,7 @@ pub(crate) fn disaggregate(
         decode_legs[idx] = Some((decode.push(pa.decode_chip, leg, SessionPhase::DecodeOnly), ms));
     }
     let decode_stage =
-        if decode.legs > 0 { Some(run_shards(spec, engines, exec, &decode)?) } else { None };
+        if decode.legs > 0 { Some(run_shards(spec, engines, exec, sizer, &decode)?) } else { None };
 
     // Per-request summaries stitch the legs back together, in input
     // order. The wall-clock decode pace spans first token → last token
@@ -1274,7 +1102,7 @@ pub(crate) fn disaggregate(
     let makespan =
         prefill_stage.makespan_ms.max(decode_stage.as_ref().map_or(0.0, |s| s.makespan_ms));
     Ok(DisaggReport {
-        phase_placement: spec.phase_placement().name().to_string(),
+        phase_placement: spec.phases.name().to_string(),
         requests: trace.requests.len(),
         split_requests: assignment.iter().filter(|pa| pa.is_split()).count() as u64,
         rejected_requests: summaries.iter().filter(|s| s.rejected).count() as u64,
@@ -1300,9 +1128,10 @@ pub(crate) fn disaggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use crate::serve::{KvPolicy, ServeConfig};
+    use crate::serve::{KvPolicy, ServeConfig, ServeError};
     use meadow_models::presets;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn engine() -> MeadowEngine {
         MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), 12.0)).unwrap()
@@ -1343,13 +1172,11 @@ mod tests {
 
     #[test]
     fn placement_policies_route_deterministically() {
-        let loads: Vec<ChipLoad> = [(0, 100u64), (1, 40), (2, 70)]
+        let mut loads: Vec<ChipLoad> = [100u64, 40, 70]
             .into_iter()
-            .map(|(chip, kv)| ChipLoad {
-                chip,
+            .map(|kv| ChipLoad {
                 assigned_requests: 1,
                 assigned_peak_kv_bytes: kv,
-                kv_budget_bytes: Some(200),
                 throughput_score_milli: 1000,
             })
             .collect();
@@ -1357,6 +1184,11 @@ mod tests {
         assert_eq!(RoundRobin.place(0, &req, &loads), 0);
         assert_eq!(RoundRobin.place(5, &req, &loads), 2);
         assert_eq!(LeastLoadedKv.place(0, &req, &loads), 1);
+        // Equal scores reduce the weighted policy to `LeastLoadedKv`; a chip
+        // three times as fast absorbs three times the demand.
+        assert_eq!(LeastLoadedWeighted.place(0, &req, &loads), 1);
+        loads[0].throughput_score_milli = 3000;
+        assert_eq!(LeastLoadedWeighted.place(0, &req, &loads), 0);
         // Affinity hints route modulo the chip count; no hint hashes the id
         // (stable across calls).
         assert_eq!(SessionAffinity.place(0, &req.with_affinity(7), &loads), 1);
@@ -1367,24 +1199,39 @@ mod tests {
 
     #[test]
     fn migration_policy_picks_roomiest_reachable_chip() {
-        let headroom = [0u64, 500, 900, 900];
-        let hops = [0u32, 1, 2, 3];
-        let snap = MigrationSnapshot { source: 0, headroom: &headroom, hops: &hops };
+        let ctx = |policy| {
+            MigrationCtx::new(
+                policy,
+                vec![0, 500, 900, 900],
+                vec![0, 1, 2, 3],
+                NocConfig::default(),
+            )
+            .unwrap()
+        };
+        // The chip a fresh session's bytes were parked on, if any.
+        let park = |ctx: &mut MigrationCtx, session: u32, bytes: u64| {
+            ctx.park(session, bytes).map(|_| ctx.parked[&session].0)
+        };
+        let mut to = ctx(ToLeastLoaded);
         // Ties on headroom break to the fewer-hop chip.
-        assert_eq!(ToLeastLoaded.choose_target(100, &snap), Some(2));
+        assert_eq!(park(&mut to, 1, 100), Some(2));
+        // Chip 2 has 800 bytes left now, so chip 3 is the roomiest.
+        assert_eq!(park(&mut to, 2, 600), Some(3));
         // Chips without room are skipped; nothing fits → DRAM.
-        assert_eq!(ToLeastLoaded.choose_target(600, &snap), Some(2));
-        assert_eq!(ToLeastLoaded.choose_target(1000, &snap), None);
-        assert_eq!(ToLeastLoaded.choose_target(0, &snap), None);
-        assert_eq!(NoMigration.choose_target(100, &snap), None);
+        assert_eq!(park(&mut to, 3, 1000), None);
+        assert_eq!(park(&mut to, 4, 0), None);
+        assert_eq!(park(&mut ctx(NoMigration), 1, 100), None);
     }
 
     #[test]
     fn migration_ctx_parks_and_pulls_back_conservatively() {
-        let policy = ToLeastLoaded;
-        let mut ctx =
-            MigrationCtx::new(&policy, 0, vec![0, 1000, 300], vec![0, 1, 2], NocConfig::default())
-                .unwrap();
+        let mut ctx = MigrationCtx::new(
+            ToLeastLoaded,
+            vec![0, 1000, 300],
+            vec![0, 1, 2],
+            NocConfig::default(),
+        )
+        .unwrap();
         // First park picks chip 1 (roomiest); the session sticks to it.
         assert!(ctx.park(7, 400).is_some());
         assert!(ctx.park(7, 400).is_some());
@@ -1405,20 +1252,26 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_placement_is_rejected() {
-        #[derive(Debug)]
-        struct Wild;
-        impl PlacementPolicy for Wild {
-            fn name(&self) -> &'static str {
-                "wild"
-            }
-            fn place(&self, _: usize, _: &ServeRequest, loads: &[ChipLoad]) -> usize {
-                loads.len()
-            }
-        }
-        let spec = ServeSpec::builder().chips(2).placement(Wild).build().unwrap();
-        let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
-        assert_eq!(err, CoreError::Serve(ServeError::PlacementOutOfRange { chip: 2, chips: 2 }));
+    fn self_migration_is_rejected_as_free_parking() {
+        // Chip 0 evicts while holding the most slack of the fleet. Parking
+        // on itself would be a zero-hop transfer that "migrates" for free
+        // without touching the interconnect, so its own share is empty:
+        // bytes park on another chip, and once no other chip has room they
+        // spill to DRAM.
+        let share = donor_share(0, &[9000, 600, 300]);
+        assert_eq!(share, vec![0, 300, 150]);
+        let mut ctx =
+            MigrationCtx::new(ToLeastLoaded, share, vec![0, 1, 1], NocConfig::default()).unwrap();
+        assert!(ctx.park(1, 200).is_some());
+        assert_eq!(ctx.parked[&1].0, 1);
+        assert!(ctx.park(2, 1000).is_none(), "no other chip has room: DRAM, not self");
+        let stats = ctx.into_stats();
+        assert_eq!(stats.migrated_out_bytes, 200);
+        assert_eq!(stats.migration_events, 1);
+        // One hop to chip 1: link bytes equal payload bytes.
+        assert_eq!(stats.noc_link_bytes, 200);
+        // A lone chip has nowhere to park.
+        assert_eq!(donor_share(0, &[5000]), vec![0]);
     }
 
     #[test]
@@ -1471,6 +1324,10 @@ mod tests {
         );
         assert!(with.migrated_out_bytes <= without.dram_kv_bytes);
         assert_eq!(with.total_generated_tokens, without.total_generated_tokens);
+        // Every migrated byte crossed at least one link: the evicting chip
+        // holds no share of its own headroom, so nothing parks on itself
+        // for free over a zero-hop transfer.
+        assert!(with.noc_link_bytes >= with.migrated_out_bytes + with.reloaded_remote_bytes);
     }
 
     #[test]
@@ -1490,144 +1347,77 @@ mod tests {
     }
 
     #[test]
-    fn self_migration_is_rejected_as_free_parking() {
-        // An adversarial policy that always targets the evicting chip
-        // itself. `Noc::transfer_hops` charges nothing for zero hops, so
-        // if this were honored the bytes would "migrate" for free without
-        // touching the interconnect; the MigrationCtx must fall back to
-        // the ordinary DRAM spill instead.
-        #[derive(Debug)]
-        struct ParkOnSelf;
-        impl MigrationPolicy for ParkOnSelf {
-            fn name(&self) -> &'static str {
-                "park-on-self"
-            }
-            fn choose_target(&self, _: u64, snapshot: &MigrationSnapshot<'_>) -> Option<usize> {
-                Some(snapshot.source)
-            }
-        }
-        // Same pressure scenario as migration_replaces_dram_spill_under_
-        // pressure: chip 0 oversubscribed, chip 1 with donatable headroom.
-        let trace = ArrivalTrace::new(
-            (0..6u32)
-                .map(|i| ServeRequest::new(i, 0.0, 16, 8).with_affinity(u32::from(i == 5)))
-                .collect(),
-        );
-        let model = presets::tiny_decoder();
-        let single = trace.requests[0].peak_kv_bytes(&model);
-        let serve_config = ServeConfig::default()
-            .with_budget(2 * single)
-            .with_policy(KvPolicy::PagedLru)
-            .with_page_bytes(256)
-            .with_max_batch(1);
-        let run = |selfish: bool| {
-            let builder =
-                ServeSpec::builder().chips(2).config(serve_config).placement(SessionAffinity);
-            let builder = if selfish {
-                builder.migration(ParkOnSelf)
-            } else {
-                builder.migration(NoMigration)
-            };
-            serve(&builder.build().unwrap(), &trace)
-        };
-        let honest = run(false);
-        let selfish = run(true);
-        assert!(honest.dram_kv_bytes > 0, "the workload must spill");
-        // The self-target never migrates: no parked bytes, no NoC traffic,
-        // and exactly the DRAM spill the no-migration run pays.
-        assert_eq!(selfish.migrated_out_bytes, 0);
-        assert_eq!(selfish.migration_events, 0);
-        assert_eq!(selfish.noc_link_bytes, 0);
-        assert_eq!(selfish.noc_link_cycles, 0);
-        assert_eq!(selfish.dram_kv_bytes, honest.dram_kv_bytes);
-        assert_eq!(selfish.total_generated_tokens, honest.total_generated_tokens);
-    }
-
-    #[test]
     fn phase_placements_route_deterministically() {
-        let loads: Vec<ChipLoad> = (0..4)
-            .map(|chip| ChipLoad {
-                chip,
-                assigned_requests: 0,
-                assigned_peak_kv_bytes: 0,
-                kv_budget_bytes: None,
-                throughput_score_milli: 1000,
-            })
-            .collect();
-        let req = ServeRequest::new(0, 0.0, 16, 8);
         // Colocated always follows the base placement.
         for base in 0..4 {
-            let pa = Colocated.place_phases(7, &req, &loads, base);
+            let pa = Colocated.place_phases(7, 4, base);
             assert_eq!(pa, PhaseAssignment::colocated(base));
             assert!(!pa.is_split());
         }
         // A 1+3 split round-robins decode over chips 1..4.
         let split = PrefillDecodeSplit { prefill_chips: 1 };
         for seq in 0..6 {
-            let pa = split.place_phases(seq, &req, &loads, 3);
+            let pa = split.place_phases(seq, 4, 3);
             assert_eq!(pa.prefill_chip, 0);
             assert_eq!(pa.decode_chip, 1 + seq % 3);
             assert!(pa.is_split());
         }
         // Degenerate pool sizes collapse to the base placement.
         for degenerate in [0, 4, 5] {
-            let pa =
-                PrefillDecodeSplit { prefill_chips: degenerate }.place_phases(2, &req, &loads, 3);
+            let pa = PrefillDecodeSplit { prefill_chips: degenerate }.place_phases(2, 4, 3);
             assert_eq!(pa, PhaseAssignment::colocated(3));
         }
     }
 
+    /// Every policy routes inside the fleet and keeps the two stage pools
+    /// disjoint, on every fleet size and every split of it. Under
+    /// `Colocated` each request's chip is the base placement's choice, so
+    /// the base chip is checked too.
     #[test]
-    fn overlapping_phase_pools_are_rejected() {
-        // Splits even requests 0→1 but colocates odd requests on chip 1:
-        // chip 1 would need to serve prefill-stage legs and decode-stage
-        // legs at once.
-        #[derive(Debug)]
-        struct Tangled;
-        impl PhasePlacement for Tangled {
-            fn name(&self) -> &'static str {
-                "tangled"
-            }
-            fn place_phases(
-                &self,
-                seq: usize,
-                _: &ServeRequest,
-                _: &[ChipLoad],
-                _: usize,
-            ) -> PhaseAssignment {
-                if seq.is_multiple_of(2) {
-                    PhaseAssignment { prefill_chip: 0, decode_chip: 1 }
-                } else {
-                    PhaseAssignment::colocated(1)
+    fn routes_stay_in_range_with_disjoint_stage_pools() {
+        let mut trace = ArrivalTrace::poisson(40, 500.0, 16, 8, &mut StdRng::seed_from_u64(24))
+            .expect("a positive rate");
+        // Every third request carries an affinity hint, so `SessionAffinity`
+        // both follows hints and hashes ids.
+        for r in trace.requests.iter_mut().step_by(3) {
+            *r = r.with_affinity(r.id * 7);
+        }
+        let sizer = KvSizer::dense(&presets::tiny_decoder());
+        // Two chip speeds, so `LeastLoadedWeighted` differs from `LeastLoadedKv`.
+        let fleet: Vec<MeadowEngine> = [12.0, 3.0]
+            .map(|gbps| {
+                MeadowEngine::new(EngineConfig::zcu102(presets::tiny_decoder(), gbps)).unwrap()
+            })
+            .into();
+        for chips in 1..=6 {
+            let engines: Vec<MeadowEngine> = (0..chips).map(|c| fleet[c % 2].clone()).collect();
+            let splits = (0..=chips).map(|prefill_chips| PrefillDecodeSplit { prefill_chips });
+            for placement in [RoundRobin, LeastLoadedKv, LeastLoadedWeighted, SessionAffinity] {
+                for phases in std::iter::once(Colocated).chain(splits.clone()) {
+                    let spec = ServeSpec::builder()
+                        .chips(chips)
+                        .placement(placement)
+                        .phases(phases)
+                        .build()
+                        .unwrap();
+                    let routing = route(&spec, &engines, &trace, &sizer);
+                    let (mut prefill_host, mut decode_host) =
+                        (vec![false; chips], vec![false; chips]);
+                    for pa in &routing.assignment {
+                        assert!(
+                            pa.prefill_chip < chips && pa.decode_chip < chips,
+                            "{placement:?}/{phases:?} on {chips} chips routed {pa:?}"
+                        );
+                        prefill_host[pa.prefill_chip] = true;
+                        decode_host[pa.decode_chip] |= pa.is_split();
+                    }
+                    assert!(
+                        (0..chips).all(|c| !(prefill_host[c] && decode_host[c])),
+                        "{placement:?}/{phases:?} on {chips} chips mixed the stage pools"
+                    );
                 }
             }
         }
-        let spec = ServeSpec::builder().chips(2).phases(Tangled).build().unwrap();
-        let err = spec.run(&engine(), &ArrivalTrace::uniform(4, 0.0, 8, 2)).unwrap_err();
-        assert_eq!(err, CoreError::Serve(ServeError::PhaseOverlap { chip: 1 }));
-    }
-
-    #[test]
-    fn out_of_range_phase_placement_is_rejected() {
-        #[derive(Debug)]
-        struct WildPhases;
-        impl PhasePlacement for WildPhases {
-            fn name(&self) -> &'static str {
-                "wild-phases"
-            }
-            fn place_phases(
-                &self,
-                _: usize,
-                _: &ServeRequest,
-                loads: &[ChipLoad],
-                _: usize,
-            ) -> PhaseAssignment {
-                PhaseAssignment { prefill_chip: 0, decode_chip: loads.len() }
-            }
-        }
-        let spec = ServeSpec::builder().chips(2).phases(WildPhases).build().unwrap();
-        let err = spec.run(&engine(), &ArrivalTrace::uniform(2, 0.0, 8, 2)).unwrap_err();
-        assert_eq!(err, CoreError::Serve(ServeError::PlacementOutOfRange { chip: 2, chips: 2 }));
     }
 
     #[test]

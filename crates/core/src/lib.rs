@@ -20,7 +20,7 @@
 //!   builder for single-chip, cluster and disaggregated runs.
 //! * [`cluster`] — the cluster serving layer underneath it: shard the
 //!   session pool across N simulated chips behind one arrival stream, with
-//!   pluggable [`PlacementPolicy`] routing, per-chip KV budgets,
+//!   [`PlacementPolicy`] routing, per-chip KV budgets,
 //!   [`MigrationPolicy`]-driven cross-chip KV migration charged on the
 //!   NoC model, [`PhasePlacement`]-driven prefill/decode disaggregation
 //!   with the prompt-KV handoff charged per hop, and the
@@ -53,10 +53,9 @@ pub mod vit;
 
 pub use capacity::{CapacityPlan, CapacityPlanner, MixPlan, PaletteMix, ProbePoint, SloTarget};
 pub use cluster::{
-    throughput_score_milli, ClusterReport, Colocated, DisaggReport, HandoffStats, LeastLoadedKv,
-    LeastLoadedWeighted, MigrationPolicy, NoMigration, PhaseAssignment, PhasePlacement,
-    PlacementPolicy, PrefillDecodeSplit, RequestSummary, RoundRobin, SessionAffinity,
-    ToLeastLoaded,
+    ClusterReport, Colocated, DisaggReport, HandoffStats, LeastLoadedKv, LeastLoadedWeighted,
+    MigrationPolicy, NoMigration, PhasePlacement, PlacementPolicy, PrefillDecodeSplit,
+    RequestSummary, RoundRobin, SessionAffinity, ToLeastLoaded,
 };
 pub use engine::{EngineConfig, LatencyReport, MeadowEngine};
 pub use error::CoreError;

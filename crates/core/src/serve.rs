@@ -126,14 +126,6 @@ pub enum ServeError {
         /// The configured per-chip budget.
         budget_bytes: u64,
     },
-    /// A placement policy routed a request to a chip the cluster does not
-    /// have.
-    PlacementOutOfRange {
-        /// The chip index the policy returned.
-        chip: usize,
-        /// The number of chips in the cluster.
-        chips: usize,
-    },
     /// A [`SpecDecode`] configuration with a non-sensical parameter: zero
     /// draft length, an acceptance rate outside `[0, 1]`, or a non-finite
     /// or negative draft cost ratio.
@@ -144,14 +136,6 @@ pub enum ServeError {
         acceptance: f64,
         /// The rejected draft cost ratio.
         draft_cost_ratio: f64,
-    },
-    /// Disaggregated serving routed both a prefill-stage and a
-    /// decode-stage leg onto the same chip: the two stages simulate
-    /// independently, so one chip cannot host both without double-booking
-    /// its timeline. Phase placements must keep the pools disjoint.
-    PhaseOverlap {
-        /// The chip that received legs from both stages.
-        chip: usize,
     },
     /// A [`KvLayout`]/[`KvCompression`] combination that is structurally
     /// invalid (zero `kv_heads`, zero `window`, a `keep_ratio` outside
@@ -247,19 +231,11 @@ impl fmt::Display for ServeError {
                 f,
                 "request {id} needs {peak_bytes} KV bytes alone, per-chip budget is {budget_bytes}"
             ),
-            ServeError::PlacementOutOfRange { chip, chips } => {
-                write!(f, "placement routed a request to chip {chip} of a {chips}-chip cluster")
-            }
             ServeError::InvalidSpeculation { draft_len, acceptance, draft_cost_ratio } => write!(
                 f,
                 "speculation needs draft_len >= 1, acceptance in [0, 1] and a finite \
                  non-negative draft_cost_ratio, got ({draft_len}, {acceptance}, \
                  {draft_cost_ratio})"
-            ),
-            ServeError::PhaseOverlap { chip } => write!(
-                f,
-                "phase placement routed both prefill-stage and decode-stage legs to chip {chip}; \
-                 the stage pools must be disjoint"
             ),
             ServeError::InvalidKvLayout { reason } => {
                 write!(f, "invalid KV layout: {reason}")
@@ -580,15 +556,53 @@ impl ServeConfig {
     }
 }
 
-/// Builds the [`KvSizer`] a serving run accounts KV bytes with, mapping
-/// model incompatibility (e.g. `kv_heads` not dividing the model's head
-/// count) to a typed [`ServeError::InvalidKvLayout`].
-pub(crate) fn kv_sizer(
-    model: &TransformerConfig,
+/// Run-start validation of `trace` against the run's model and `config`,
+/// made once per [`ServeSpec`](crate::spec::ServeSpec) run before any chip
+/// runs, and the [`KvSizer`] every chip then accounts KV bytes with:
+///
+/// * the trace itself ([`ArrivalTrace::validate`]);
+/// * the KV layout against the model ([`ServeError::InvalidKvLayout`],
+///   e.g. `kv_heads` not dividing the model's head count);
+/// * every request's peak KV against the per-chip budget
+///   ([`ServeError::RequestExceedsBudget`] names the first offender in
+///   trace order);
+/// * the weight-residency configuration: a budget must hold at least one
+///   model ([`ServeError::WeightBudgetTooSmall`]), and without a budget
+///   every request must target the default resident model 0
+///   ([`ServeError::UnknownModel`]).
+pub(crate) fn validate_run(
     config: &ServeConfig,
-) -> Result<KvSizer, ServeError> {
-    KvSizer::new(model, config.kv_layout, config.kv_compression)
-        .map_err(|e| ServeError::InvalidKvLayout { reason: e.to_string() })
+    model: &TransformerConfig,
+    trace: &ArrivalTrace,
+) -> Result<KvSizer, CoreError> {
+    trace.validate(model)?;
+    let sizer = KvSizer::new(model, config.kv_layout, config.kv_compression)
+        .map_err(|e| ServeError::InvalidKvLayout { reason: e.to_string() })?;
+    if let Some(budget_bytes) = config.kv_budget_bytes {
+        for r in &trace.requests {
+            let peak_bytes = sizer.bytes(r.final_context_len());
+            if peak_bytes > budget_bytes {
+                let id = r.id;
+                return Err(
+                    ServeError::RequestExceedsBudget { id, peak_bytes, budget_bytes }.into()
+                );
+            }
+        }
+    }
+    match config.weight_budget_bytes {
+        Some(budget_bytes) => {
+            let weight_bytes = model.total_weight_bytes();
+            if budget_bytes < weight_bytes {
+                return Err(ServeError::WeightBudgetTooSmall { budget_bytes, weight_bytes }.into());
+            }
+        }
+        None => {
+            if let Some(r) = trace.requests.iter().find(|r| r.model() != 0) {
+                return Err(ServeError::UnknownModel { model_id: r.model() }.into());
+            }
+        }
+    }
+    Ok(sizer)
 }
 
 /// Serving-side record of one completed (or rejected) request.
@@ -1067,32 +1081,6 @@ impl WeightSet {
     }
 }
 
-/// Run-start validation of the weight-residency configuration against the
-/// engine's model and the trace: a budget must hold at least one model
-/// ([`ServeError::WeightBudgetTooSmall`]), and without a budget every
-/// request must target the default resident model 0
-/// ([`ServeError::UnknownModel`]).
-fn validate_weights(
-    config: &ServeConfig,
-    model: &TransformerConfig,
-    trace: &ArrivalTrace,
-) -> Result<(), ServeError> {
-    match config.weight_budget_bytes {
-        Some(budget_bytes) => {
-            let weight_bytes = model.total_weight_bytes();
-            if budget_bytes < weight_bytes {
-                return Err(ServeError::WeightBudgetTooSmall { budget_bytes, weight_bytes });
-            }
-        }
-        None => {
-            if let Some(r) = trace.requests.iter().find(|r| r.model() != 0) {
-                return Err(ServeError::UnknownModel { model_id: r.model() });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Builds the [`KvSummary`] of a run, or `None` for the dense identity
 /// (whose reports must stay byte-stable with the pre-seam scheduler).
 /// The retained mass is the context-length-weighted mean over completed
@@ -1184,47 +1172,28 @@ impl ReadyOrder {
 
 /// The per-chip serving loop behind every
 /// [`ServeSpec`](crate::spec::ServeSpec) run, single-chip, cluster or
-/// disaggregated: runs `trace` on one engine, optionally parking spilled
-/// KV bytes on remote chips through a cluster [`MigrationCtx`] instead of
-/// DRAM.
+/// disaggregated: runs `trace` on one engine, parking spilled KV bytes on
+/// remote chips through the cluster's [`MigrationCtx`] when its policy
+/// migrates, and on DRAM otherwise.
 ///
-/// `phases` (aligned with `trace.requests`; `None` = all
-/// [`SessionPhase::Full`]) lets disaggregated serving run partial legs:
-/// a `PrefillOnly` leg finishes once its prompt KV and first token are
-/// produced, a `DecodeOnly` leg starts already prefilled with its prompt
-/// KV delivered (the caller charges the handoff on the cluster NoC).
+/// `phases` (aligned with `trace.requests`) lets disaggregated serving run
+/// partial legs: a `PrefillOnly` leg finishes once its prompt KV and first
+/// token are produced, a `DecodeOnly` leg starts already prefilled with
+/// its prompt KV delivered (the caller charges the handoff on the cluster
+/// NoC). The trace, the budgets and `sizer` come from [`validate_run`],
+/// so nothing is checked again here.
 ///
 /// The run itself is a [`ChipLoop`].
 pub(crate) fn serve_on_chip(
     engine: &MeadowEngine,
     trace: &ArrivalTrace,
     config: &ServeConfig,
-    phases: Option<&[SessionPhase]>,
-    migration: Option<&mut MigrationCtx<'_>>,
+    sizer: &KvSizer,
+    phases: &[SessionPhase],
+    migration: &mut MigrationCtx,
 ) -> Result<ServeReport, CoreError> {
-    let model = &engine.config().model;
-    trace.validate(model)?;
-    config.validate()?;
-    let sizer = kv_sizer(model, config)?;
-    if let Some(budget) = config.kv_budget_bytes {
-        for r in &trace.requests {
-            let peak = sizer.bytes(r.final_context_len());
-            if peak > budget {
-                return Err(ServeError::RequestExceedsBudget {
-                    id: r.id,
-                    peak_bytes: peak,
-                    budget_bytes: budget,
-                }
-                .into());
-            }
-        }
-    }
-    validate_weights(config, model, trace)?;
-    debug_assert!(
-        phases.is_none_or(|p| p.len() == trace.requests.len()),
-        "phases must align with the trace"
-    );
-    ChipLoop::new(engine, trace, config, sizer, phases, migration)?.run()
+    debug_assert_eq!(phases.len(), trace.requests.len(), "phases must align with the trace");
+    ChipLoop::new(engine, trace, config, *sizer, phases, migration)?.run()
 }
 
 /// The state of one chip's serving run, stepped one scheduler iteration (a
@@ -1282,13 +1251,13 @@ pub(crate) fn serve_on_chip(
 /// `tests/oracle_digests.rs` pins the reports to a retired per-tick scan
 /// implementation's, case by case, on a fixed corpus that crosses every
 /// feature axis.
-struct ChipLoop<'a, 'm> {
+struct ChipLoop<'a> {
     engine: &'a MeadowEngine,
     config: &'a ServeConfig,
     sizer: KvSizer,
     paged: bool,
     use_fifo: bool,
-    migration: Option<&'a mut MigrationCtx<'m>>,
+    migration: &'a mut MigrationCtx,
     weights: Option<WeightSet>,
     /// Serving-level channel for KV spill/reload migration and weight
     /// loads; per-step attention traffic is ledgered inside each
@@ -1361,20 +1330,20 @@ struct ChipLoop<'a, 'm> {
     finished: Vec<usize>,
 }
 
-impl<'a, 'm> ChipLoop<'a, 'm> {
+impl<'a> ChipLoop<'a> {
     fn new(
         engine: &'a MeadowEngine,
         trace: &ArrivalTrace,
         config: &'a ServeConfig,
         sizer: KvSizer,
-        phases: Option<&[SessionPhase]>,
-        migration: Option<&'a mut MigrationCtx<'m>>,
+        phases: &[SessionPhase],
+        migration: &'a mut MigrationCtx,
     ) -> Result<Self, CoreError> {
         let sessions: Vec<Session> = trace
             .requests
             .iter()
-            .enumerate()
-            .map(|(i, &r)| Session::new(r, phases.map_or(SessionPhase::Full, |p| p[i]), &sizer))
+            .zip(phases)
+            .map(|(&r, &phase)| Session::new(r, phase, &sizer))
             .collect();
         let n = sessions.len();
         Ok(Self {
@@ -1707,12 +1676,13 @@ impl<'a, 'm> ChipLoop<'a, 'm> {
     }
 
     /// Charges one KV-cache spill ahead of this tick's batch, preferring
-    /// cross-chip migration when a cluster [`MigrationCtx`] accepts the
-    /// bytes and falling back to the chip's DRAM channel
-    /// ([`DramModel::transfer_kv_cache`]) otherwise. With no migration
-    /// context this is exactly the single-chip spill arithmetic.
+    /// cross-chip migration when the cluster's [`MigrationCtx`] accepts
+    /// the bytes and falling back to the chip's DRAM channel
+    /// ([`DramModel::transfer_kv_cache`]) otherwise. Under
+    /// [`NoMigration`](crate::cluster::NoMigration) this is exactly the
+    /// single-chip spill arithmetic.
     fn charge_spill(&mut self, id: u32, bytes: u64, granularity: Option<u64>) {
-        let parked = self.migration.as_deref_mut().and_then(|ctx| ctx.park(id, bytes));
+        let parked = self.migration.park(id, bytes);
         self.spill_cycles +=
             parked.unwrap_or_else(|| self.kv_dram.transfer_kv_cache(bytes, granularity));
     }
@@ -1730,12 +1700,9 @@ impl<'a, 'm> ChipLoop<'a, 'm> {
             s.loaded_bytes = self.resident_kv[i];
             let mut cycles = Cycles::ZERO;
             if fault > 0 {
-                let mut rest = fault;
-                if let Some(ctx) = self.migration.as_deref_mut() {
-                    let (noc_cycles, pulled) = ctx.pull_back(s.req.id, fault);
-                    cycles += noc_cycles;
-                    rest -= pulled;
-                }
+                let (noc_cycles, pulled) = self.migration.pull_back(s.req.id, fault);
+                cycles += noc_cycles;
+                let rest = fault - pulled;
                 if rest > 0 {
                     cycles += self.kv_dram.transfer_kv_cache(rest, page_bytes);
                 }

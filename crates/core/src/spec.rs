@@ -47,7 +47,7 @@ use crate::cluster::{self, ClusterReport, Colocated, DisaggReport};
 use crate::cluster::{MigrationPolicy, NoMigration, PhasePlacement, PlacementPolicy, RoundRobin};
 use crate::engine::EngineConfig;
 use crate::error::CoreError;
-use crate::serve::{kv_sizer, ServeConfig, ServeError, ServeReport};
+use crate::serve::{validate_run, ServeConfig, ServeError, ServeReport};
 use crate::MeadowEngine;
 use meadow_models::workload::ArrivalTrace;
 use meadow_sim::noc::{Noc, NocConfig};
@@ -74,10 +74,10 @@ enum ServeMode {
 pub struct ServeSpec {
     pub(crate) chips: usize,
     pub(crate) serve: ServeConfig,
-    pub(crate) placement: Box<dyn PlacementPolicy>,
-    pub(crate) migration: Box<dyn MigrationPolicy>,
-    /// `Some` only when [`phases`](ServeSpecBuilder::phases) was set.
-    phases: Option<Box<dyn PhasePlacement>>,
+    pub(crate) placement: PlacementPolicy,
+    pub(crate) migration: MigrationPolicy,
+    /// [`Colocated`] unless [`phases`](ServeSpecBuilder::phases) set one.
+    pub(crate) phases: PhasePlacement,
     pub(crate) noc: NocConfig,
     /// Per-chip engines of a heterogeneous fleet, built once from the
     /// [`chip_specs`](ServeSpecBuilder::chip_specs) at build (`None` =
@@ -107,12 +107,6 @@ impl ServeSpec {
         self.chip_engines.as_deref()
     }
 
-    /// The phase placement a run routes with: [`Colocated`] unless
-    /// [`phases`](ServeSpecBuilder::phases) set one.
-    pub(crate) fn phase_placement(&self) -> &dyn PhasePlacement {
-        self.phases.as_deref().unwrap_or(&Colocated)
-    }
-
     /// Hop cost between two chips on the linear interconnect: the sum of
     /// the per-link costs between them, or `|a - b|` when no per-link
     /// costs are configured. [`build`](ServeSpecBuilder::build) bounds the
@@ -138,10 +132,12 @@ impl ServeSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Serve`] for out-of-range placements,
-    /// overlapping phase pools or a request no chip's budget can hold;
-    /// propagates trace-validation and measurement errors. The
-    /// configuration itself was already validated at build time.
+    /// Returns [`CoreError::Serve`] for a KV layout the model cannot take,
+    /// a request no chip's budget can hold (the first in trace order) or a
+    /// weight configuration the trace cannot run under; propagates
+    /// trace-validation and measurement errors. The run checks each of
+    /// these once, before any chip runs; the configuration itself was
+    /// already validated at build time.
     pub fn run(
         &self,
         engine: &MeadowEngine,
@@ -156,11 +152,9 @@ impl ServeSpec {
         };
         // Traces validate against chip 0's model: every chip shares one
         // model architecture.
-        let model = &engines[0].config().model;
-        trace.validate(model)?;
-        let sizer = kv_sizer(model, &self.serve)?;
-        let routing = cluster::route(self, &engines, trace, &sizer)?;
-        let mut first = cluster::run_shards(self, &engines, exec, &routing.prefill)?;
+        let sizer = validate_run(&self.serve, &engines[0].config().model, trace)?;
+        let routing = cluster::route(self, &engines, trace, &sizer);
+        let mut first = cluster::run_shards(self, &engines, exec, &sizer, &routing.prefill)?;
         Ok(match self.mode {
             ServeMode::Single => ServeOutcome::Single(first.per_chip.remove(0).report),
             ServeMode::Cluster => ServeOutcome::Cluster(first),
@@ -225,9 +219,9 @@ pub struct ServeSpecBuilder {
     chip_specs: Option<Vec<EngineConfig>>,
     link_hops: Option<Vec<u32>>,
     serve: ServeConfig,
-    placement: Box<dyn PlacementPolicy>,
-    migration: Box<dyn MigrationPolicy>,
-    phases: Option<Box<dyn PhasePlacement>>,
+    placement: PlacementPolicy,
+    migration: MigrationPolicy,
+    phases: Option<PhasePlacement>,
     noc: NocConfig,
     has_cluster_policy: bool,
 }
@@ -239,8 +233,8 @@ impl Default for ServeSpecBuilder {
             chip_specs: None,
             link_hops: None,
             serve: ServeConfig::default(),
-            placement: Box::new(RoundRobin),
-            migration: Box::new(NoMigration),
+            placement: RoundRobin,
+            migration: NoMigration,
             phases: None,
             noc: NocConfig::default(),
             has_cluster_policy: false,
@@ -289,24 +283,24 @@ impl ServeSpecBuilder {
 
     /// Sets the request-to-chip placement policy. Setting one selects
     /// cluster serving ([`ClusterReport`]) even on one chip.
-    pub fn placement(mut self, placement: impl PlacementPolicy + 'static) -> Self {
-        self.placement = Box::new(placement);
+    pub fn placement(mut self, placement: PlacementPolicy) -> Self {
+        self.placement = placement;
         self.has_cluster_policy = true;
         self
     }
 
     /// Sets the KV migration policy. Setting one selects cluster serving
     /// ([`ClusterReport`]) even on one chip.
-    pub fn migration(mut self, migration: impl MigrationPolicy + 'static) -> Self {
-        self.migration = Box::new(migration);
+    pub fn migration(mut self, migration: MigrationPolicy) -> Self {
+        self.migration = migration;
         self.has_cluster_policy = true;
         self
     }
 
     /// Sets the prefill/decode phase placement. Setting one selects
     /// disaggregated serving ([`DisaggReport`]).
-    pub fn phases(mut self, phases: impl PhasePlacement + 'static) -> Self {
-        self.phases = Some(Box::new(phases));
+    pub fn phases(mut self, phases: PhasePlacement) -> Self {
+        self.phases = Some(phases);
         self
     }
 
@@ -368,7 +362,7 @@ impl ServeSpecBuilder {
             serve: self.serve,
             placement: self.placement,
             migration: self.migration,
-            phases: self.phases,
+            phases: self.phases.unwrap_or(Colocated),
             noc: self.noc,
             chip_engines,
             link_hops: self.link_hops,

@@ -464,14 +464,6 @@ impl ZipfLengths {
     }
 }
 
-/// Samples one exponential interarrival gap in ms for a Poisson process at
-/// `rate_per_sec` (inverse-CDF over the rng's unit sample).
-fn exp_gap_ms<R: Rng>(rng: &mut R, rate_per_sec: f64) -> f64 {
-    let u: f64 = rng.gen();
-    // u ∈ [0, 1) so 1-u ∈ (0, 1]: the log is finite and non-positive.
-    -(1.0 - u).ln() / rate_per_sec * 1e3
-}
-
 /// An ordered set of [`ServeRequest`]s — the input to the serving simulator.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ArrivalTrace {
@@ -544,7 +536,7 @@ impl ArrivalTrace {
         n: usize,
         rate_per_sec: f64,
         rng: &mut R,
-        lengths: impl FnMut(&mut R) -> (usize, usize),
+        mut lengths: impl FnMut(&mut R) -> (usize, usize),
     ) -> Result<Self, ModelError> {
         if !rate_per_sec.is_finite() || rate_per_sec <= 0.0 {
             return Err(ModelError::InvalidConfig {
@@ -552,85 +544,18 @@ impl ArrivalTrace {
                 reason: format!("must be finite and positive, got {rate_per_sec}"),
             });
         }
-        Ok(Self::arrivals_with(n, |_| rate_per_sec, rng, lengths))
-    }
-
-    /// The inhomogeneous arrival engine underneath [`poisson_with`]
-    /// (`Self::poisson_with`): each gap is drawn at the instantaneous rate
-    /// `rate_at_ms(now)`. One rng draw per gap and one `lengths` call per
-    /// request — the exact consumption order of the homogeneous engine, so
-    /// a constant rate function reproduces [`ArrivalTrace::poisson`] byte
-    /// for byte, and with a shared rng stream each diurnal gap is bounded
-    /// elementwise by the constant-rate gaps at the envelope rates (a
-    /// higher rate can only shrink a gap drawn from the same unit sample).
-    fn arrivals_with<R: Rng>(
-        n: usize,
-        rate_at_ms: impl Fn(f64) -> f64,
-        rng: &mut R,
-        mut lengths: impl FnMut(&mut R) -> (usize, usize),
-    ) -> Self {
         let mut now = 0.0;
-        Self {
-            requests: (0..n)
-                .map(|i| {
-                    now += exp_gap_ms(rng, rate_at_ms(now));
-                    let (prompt, generate) = lengths(rng);
-                    ServeRequest::new(i as u32, now, prompt, generate)
-                })
-                .collect(),
-        }
-    }
-
-    /// A diurnal open-loop trace: Poisson arrivals whose offered rate
-    /// follows a square wave — `day_rate_per_sec` for the first `phase_ms`,
-    /// `night_rate_per_sec` for the next, alternating — modeling the
-    /// time-of-day load swings that churn model residency in multi-model
-    /// serving. Equal day and night rates reproduce
-    /// [`ArrivalTrace::poisson`] exactly (same rng stream, same trace), and
-    /// with the same seed every arrival lands between the constant-rate
-    /// traces at the faster and slower of the two rates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] when either rate or the phase
-    /// length is not finite and positive.
-    pub fn diurnal<R: Rng>(
-        n: usize,
-        day_rate_per_sec: f64,
-        night_rate_per_sec: f64,
-        phase_ms: f64,
-        prompt_tokens: usize,
-        generate_tokens: usize,
-        rng: &mut R,
-    ) -> Result<Self, ModelError> {
-        for (param, rate) in
-            [("day_rate_per_sec", day_rate_per_sec), ("night_rate_per_sec", night_rate_per_sec)]
-        {
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(ModelError::InvalidConfig {
-                    param,
-                    reason: format!("must be finite and positive, got {rate}"),
-                });
-            }
-        }
-        if !phase_ms.is_finite() || phase_ms <= 0.0 {
-            return Err(ModelError::InvalidConfig {
-                param: "phase_ms",
-                reason: format!("must be finite and positive, got {phase_ms}"),
-            });
-        }
-        Ok(Self::arrivals_with(
-            n,
-            |now_ms| {
-                if ((now_ms / phase_ms) as u64).is_multiple_of(2) {
-                    day_rate_per_sec
-                } else {
-                    night_rate_per_sec
-                }
-            },
-            rng,
-            |_| (prompt_tokens, generate_tokens),
-        ))
+        let requests = (0..n)
+            .map(|i| {
+                // One exponential gap in ms by inverse CDF: u ∈ [0, 1), so
+                // 1-u ∈ (0, 1] and the log is finite and non-positive.
+                let u: f64 = rng.gen();
+                now += -(1.0 - u).ln() / rate_per_sec * 1e3;
+                let (prompt, generate) = lengths(rng);
+                ServeRequest::new(i as u32, now, prompt, generate)
+            })
+            .collect();
+        Ok(Self { requests })
     }
 
     /// An open-loop trace combining Poisson arrivals with Zipf-distributed
@@ -685,77 +610,6 @@ impl ArrivalTrace {
     /// deepest context simultaneously.
     pub fn total_peak_kv_bytes(&self, config: &TransformerConfig) -> u64 {
         self.requests.iter().map(|r| r.peak_kv_bytes(config)).sum()
-    }
-
-    /// Tags the trace's requests (in trace order) with model ids `0..mix.len()`
-    /// in the given proportions — the multi-model tenancy workload. The
-    /// assignment is deterministic and rng-free: per-model counts come from
-    /// the largest-remainder method (so model `m` gets either
-    /// `floor(n·pₘ)` or `ceil(n·pₘ)` requests, exactly proportional up to
-    /// rounding), and the ids interleave so every window of the trace sees
-    /// roughly the mix rather than long single-model runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] when the mix is empty, any
-    /// weight is not finite and non-negative, or all weights are zero.
-    pub fn with_model_mix(mut self, mix: &[f64]) -> Result<Self, ModelError> {
-        if mix.is_empty() {
-            return Err(ModelError::InvalidConfig {
-                param: "mix",
-                reason: "a model mix needs at least one weight".into(),
-            });
-        }
-        if mix.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(ModelError::InvalidConfig {
-                param: "mix",
-                reason: "mix weights must be finite and non-negative".into(),
-            });
-        }
-        let total: f64 = mix.iter().sum();
-        if total <= 0.0 {
-            return Err(ModelError::InvalidConfig {
-                param: "mix",
-                reason: "at least one mix weight must be positive".into(),
-            });
-        }
-        let n = self.requests.len();
-        // Largest-remainder quotas: floor every share, then hand the
-        // leftover requests to the largest fractional parts (ties to the
-        // lower model id — deterministic).
-        let shares: Vec<f64> = mix.iter().map(|w| n as f64 * w / total).collect();
-        let mut counts: Vec<u64> = shares.iter().map(|s| *s as u64).collect();
-        let mut leftover = n as u64 - counts.iter().sum::<u64>();
-        let mut order: Vec<usize> = (0..mix.len()).collect();
-        order.sort_by(|&a, &b| {
-            (shares[b] - counts[b] as f64)
-                .total_cmp(&(shares[a] - counts[a] as f64))
-                .then(a.cmp(&b))
-        });
-        for &m in &order {
-            if leftover == 0 {
-                break;
-            }
-            counts[m] += 1;
-            leftover -= 1;
-        }
-        // Interleave: each request goes to the unfilled model whose next
-        // assignment fraction `(assigned+1)/count` is smallest — exact
-        // integer cross-multiplication, so the schedule is deterministic.
-        let mut assigned = vec![0u64; mix.len()];
-        for r in &mut self.requests {
-            let m = (0..mix.len())
-                .filter(|&m| assigned[m] < counts[m])
-                .min_by(|&a, &b| {
-                    ((assigned[a] + 1) * counts[b])
-                        .cmp(&((assigned[b] + 1) * counts[a]))
-                        .then(a.cmp(&b))
-                })
-                .expect("Σ counts == n, so an unfilled model always exists");
-            assigned[m] += 1;
-            *r = r.with_model(m as u32);
-        }
-        Ok(self)
     }
 }
 
@@ -865,46 +719,6 @@ mod tests {
         assert_eq!(parsed.model_id, None);
         let json = serde_json::to_string(&tenant).unwrap();
         assert_eq!(serde_json::from_str::<ServeRequest>(&json).unwrap(), tenant);
-    }
-
-    #[test]
-    fn diurnal_with_equal_rates_is_exactly_poisson() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let p = ArrivalTrace::poisson(32, 80.0, 16, 4, &mut StdRng::seed_from_u64(11)).unwrap();
-        let d = ArrivalTrace::diurnal(32, 80.0, 80.0, 5.0, 16, 4, &mut StdRng::seed_from_u64(11))
-            .unwrap();
-        assert_eq!(p, d, "a flat square wave must replay the homogeneous engine");
-    }
-
-    #[test]
-    fn diurnal_rejects_bad_parameters() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(ArrivalTrace::diurnal(4, 0.0, 10.0, 5.0, 8, 2, &mut rng).is_err());
-        assert!(ArrivalTrace::diurnal(4, 10.0, -1.0, 5.0, 8, 2, &mut rng).is_err());
-        assert!(ArrivalTrace::diurnal(4, 10.0, 10.0, 0.0, 8, 2, &mut rng).is_err());
-        assert!(ArrivalTrace::diurnal(4, 10.0, 10.0, f64::NAN, 8, 2, &mut rng).is_err());
-    }
-
-    #[test]
-    fn model_mix_is_exactly_proportional_and_interleaved() {
-        let mixed = ArrivalTrace::uniform(10, 1.0, 8, 2).with_model_mix(&[0.7, 0.3]).unwrap();
-        let m0 = mixed.requests.iter().filter(|r| r.model() == 0).count();
-        let m1 = mixed.requests.iter().filter(|r| r.model() == 1).count();
-        assert_eq!((m0, m1), (7, 3));
-        // Interleaved, not 7 model-0 requests then 3 model-1 requests.
-        assert!(mixed.requests[..5].iter().any(|r| r.model() == 1));
-        // Deterministic replay.
-        let again = ArrivalTrace::uniform(10, 1.0, 8, 2).with_model_mix(&[0.7, 0.3]).unwrap();
-        assert_eq!(mixed, again);
-        // Invalid mixes are rejected.
-        let t = ArrivalTrace::uniform(4, 1.0, 8, 2);
-        assert!(t.clone().with_model_mix(&[]).is_err());
-        assert!(t.clone().with_model_mix(&[1.0, -0.5]).is_err());
-        assert!(t.clone().with_model_mix(&[f64::NAN]).is_err());
-        assert!(t.clone().with_model_mix(&[0.0, 0.0]).is_err());
     }
 
     #[test]

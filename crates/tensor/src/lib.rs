@@ -8,7 +8,6 @@
 //! * [`gemm`] — reference and tiled INT8×INT8→INT32 matrix multiplication,
 //!   bit-identical regardless of tiling (the property the dataflow executors
 //!   rely on for GEMM-vs-TPHS equivalence testing).
-//! * [`quant`] — symmetric per-tensor INT8 quantization.
 //! * [`softmax`] — numerically stable softmax, in an exact `f32` form and in
 //!   the fixed-point EXP-LUT form computed by MEADOW's pipelined softmax
 //!   module (Fig. 2d of the paper).
@@ -39,7 +38,6 @@ pub mod gemm;
 pub mod layernorm;
 pub mod matrix;
 pub mod parallel;
-pub mod quant;
 pub mod softmax;
 
 pub use error::TensorError;

@@ -192,13 +192,6 @@ impl Matrix<i8> {
     }
 }
 
-impl Matrix<f32> {
-    /// Maximum absolute element, or 0.0 for an empty matrix.
-    pub(crate) fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0_f32, |m, &v| m.max(v.abs()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,9 @@
 //! Numeric invariants of the tensor substrate: GEMM against a naive
-//! reference, softmax normalization, LayerNorm moments and quantization
-//! round-trip error bounds.
+//! reference, softmax normalization and LayerNorm moments.
 
 use meadow_tensor::fixed::ExpLut;
 use meadow_tensor::gemm::{dot_i8, matmul_i8, matmul_i8_bt, matmul_i8_tiled};
 use meadow_tensor::layernorm::{layernorm_rows, LayerNormParams};
-use meadow_tensor::quant::{quantize_auto, quantize_symmetric, QuantScale};
 use meadow_tensor::softmax::{softmax_row_exact, softmax_row_lut};
 use meadow_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -183,43 +181,4 @@ fn layernorm_applies_gamma_and_beta_affinely() {
 fn layernorm_rejects_mismatched_params() {
     let x = random_f32_matrix(2, 8, 1.0, 23);
     assert!(layernorm_rows(&x, &LayerNormParams::identity(9)).is_err());
-}
-
-#[test]
-fn quant_dequant_error_is_bounded_by_half_a_step() {
-    let m = random_f32_matrix(8, 32, 10.0, 31);
-    let (q, scale) = quantize_auto(&m);
-    let back = q.dequantize(scale.value());
-    // Symmetric rounding: every in-range value lands within scale/2 of its
-    // reconstruction (plus float slack).
-    let bound = scale.value() * 0.5 + 1e-6;
-    for (orig, rec) in m.as_slice().iter().zip(back.as_slice()) {
-        assert!((orig - rec).abs() <= bound, "|{orig} - {rec}| = {} > {bound}", (orig - rec).abs());
-    }
-}
-
-#[test]
-fn quantize_auto_maps_max_abs_to_full_scale() {
-    let mut m = random_f32_matrix(4, 4, 2.0, 32);
-    *m.get_mut(2, 3).unwrap() = -9.5;
-    let (q, scale) = quantize_auto(&m);
-    assert!((scale.value() - 9.5 / 127.0).abs() < 1e-6);
-    assert_eq!(*q.get(2, 3).unwrap(), -127);
-}
-
-#[test]
-fn quantize_clamps_out_of_range_values() {
-    let m = Matrix::from_rows(&[&[1000.0f32, -1000.0, 0.4, -0.6]]).unwrap();
-    let q = quantize_symmetric(&m, QuantScale::new(1.0).unwrap());
-    assert_eq!(q.as_slice(), &[127, -127, 0, -1]);
-}
-
-#[test]
-fn quant_scale_rejects_degenerate_values() {
-    assert!(QuantScale::new(0.0).is_err());
-    assert!(QuantScale::new(-1.0).is_err());
-    assert!(QuantScale::new(f32::NAN).is_err());
-    assert!(QuantScale::new(f32::INFINITY).is_err());
-    // All-zero tensors fall back to scale 1.0.
-    assert_eq!(QuantScale::from_max_abs(0.0).value(), 1.0);
 }

@@ -15,7 +15,7 @@
 //!   multi-session simulator (continuous batching, paged KV-cache
 //!   budgets, SLO-aware admission, speculative decoding) and the cluster
 //!   API (`core::cluster`: session-pool sharding across simulated chips
-//!   with pluggable placement, NoC-charged migration, and prefill/decode
+//!   with placement policies, NoC-charged migration, and prefill/decode
 //!   disaggregation with a NoC-charged KV handoff).
 //!
 //! # Quickstart

@@ -8,9 +8,7 @@
 mod common;
 
 use common::tiny_engine;
-use meadow::core::cluster::{
-    ChipLoad, PhaseAssignment, PhasePlacement, PlacementPolicy, PrefillDecodeSplit,
-};
+use meadow::core::cluster::PrefillDecodeSplit;
 use meadow::core::serve::{AdmissionPolicy, KvPolicy, ServeConfig, ServeError, SpecDecode};
 use meadow::core::spec::ServeSpec;
 use meadow::core::{CoreError, EngineConfig};
@@ -138,6 +136,26 @@ fn oversized_request_is_rejected_at_run() {
     assert_eq!(
         err.to_string(),
         format!("request 0 needs {peak_bytes} KV bytes alone, per-chip budget is 1")
+    );
+    // A cluster run names the first offender in trace order, wherever
+    // placement put it: round robin sends request 1 to chip 1 and request
+    // 2 to chip 0.
+    let fits = ServeRequest::new(0, 0.0, 16, 4);
+    let budget = fits.peak_kv_bytes(&presets::tiny_decoder());
+    let trace = ArrivalTrace::new(vec![
+        fits,
+        ServeRequest::new(1, 0.0, 32, 4),
+        ServeRequest::new(2, 0.0, 32, 4),
+    ]);
+    let spec = ServeSpec::builder()
+        .chips(2)
+        .config(ServeConfig::default().with_budget(budget))
+        .build()
+        .unwrap();
+    let err = spec.run(&tiny_engine(), &trace).unwrap_err();
+    assert!(
+        matches!(err, CoreError::Serve(ServeError::RequestExceedsBudget { id: 1, .. })),
+        "got {err:?}"
     );
 }
 
@@ -343,57 +361,5 @@ fn infeasible_slo_is_a_typed_planner_error() {
             "no fleet of up to 2 chips meets p95 TTFT <= 0.001 ms; best probed fleet achieved \
              {best_p95_ms} ms"
         )
-    );
-}
-
-#[test]
-fn out_of_range_placement_is_rejected_at_run() {
-    #[derive(Debug)]
-    struct Wild;
-    impl PlacementPolicy for Wild {
-        fn name(&self) -> &'static str {
-            "wild"
-        }
-        fn place(&self, _: usize, _: &ServeRequest, loads: &[ChipLoad]) -> usize {
-            loads.len()
-        }
-    }
-    let spec = ServeSpec::builder().chips(2).placement(Wild).build().unwrap();
-    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(2, 0.0, 16, 4)).unwrap_err();
-    let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
-    assert_eq!(err, ServeError::PlacementOutOfRange { chip: 2, chips: 2 });
-    assert_eq!(err.to_string(), "placement routed a request to chip 2 of a 2-chip cluster");
-}
-
-#[test]
-fn phase_overlap_is_rejected_at_run() {
-    #[derive(Debug)]
-    struct Tangled;
-    impl PhasePlacement for Tangled {
-        fn name(&self) -> &'static str {
-            "tangled"
-        }
-        fn place_phases(
-            &self,
-            seq: usize,
-            _: &ServeRequest,
-            _: &[ChipLoad],
-            _: usize,
-        ) -> PhaseAssignment {
-            if seq.is_multiple_of(2) {
-                PhaseAssignment { prefill_chip: 0, decode_chip: 1 }
-            } else {
-                PhaseAssignment::colocated(1)
-            }
-        }
-    }
-    let spec = ServeSpec::builder().chips(2).phases(Tangled).build().unwrap();
-    let err = spec.run(&tiny_engine(), &ArrivalTrace::uniform(4, 0.0, 8, 2)).unwrap_err();
-    let CoreError::Serve(err) = err else { panic!("expected a serve error, got {err:?}") };
-    assert_eq!(err, ServeError::PhaseOverlap { chip: 1 });
-    assert_eq!(
-        err.to_string(),
-        "phase placement routed both prefill-stage and decode-stage legs to chip 1; the stage \
-         pools must be disjoint"
     );
 }

@@ -109,115 +109,6 @@ proptest! {
         }
     }
 
-    /// Diurnal traces are seed-deterministic, ordered, and bounded by the
-    /// Poisson envelope: with one exponential draw per request regardless
-    /// of the instantaneous rate, every arrival lands between the
-    /// same-seed Poisson trace at the faster rate (earliest) and at the
-    /// slower rate (latest) — and equal day/night rates collapse to
-    /// exactly the Poisson generator.
-    #[test]
-    fn diurnal_is_deterministic_and_poisson_enveloped(
-        seed in any::<u64>(),
-        n in 0usize..40,
-        day_millis in 1u64..5_000_000,
-        night_millis in 1u64..5_000_000,
-        phase_ms in 1.0f64..10_000.0,
-        prompt in 1usize..32,
-        generate in 1usize..16,
-    ) {
-        let (day, night) = (day_millis as f64 / 1e3, night_millis as f64 / 1e3);
-        let gen = |d: f64, ng: f64| {
-            ArrivalTrace::diurnal(
-                n, d, ng, phase_ms, prompt, generate, &mut StdRng::seed_from_u64(seed),
-            )
-            .unwrap()
-        };
-        let a = gen(day, night);
-        prop_assert_eq!(&a, &gen(day, night), "same seed must replay the same trace");
-        prop_assert_eq!(a.requests.len(), n);
-        for (i, r) in a.requests.iter().enumerate() {
-            prop_assert_eq!(r.id, i as u32);
-            prop_assert_eq!((r.prompt_tokens, r.generate_tokens), (prompt, generate));
-            prop_assert!(r.arrival_ms.is_finite() && r.arrival_ms >= 0.0);
-            prop_assert_eq!(r.model(), 0, "diurnal arrivals default to model 0");
-        }
-        prop_assert!(
-            a.requests.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
-            "arrival times must be non-decreasing"
-        );
-        // Rate envelope: the same draws at the fast rate arrive no later,
-        // and at the slow rate no earlier, request for request.
-        let (hi, lo) = (day.max(night), day.min(night));
-        let fast =
-            ArrivalTrace::poisson(n, hi, prompt, generate, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-        let slow =
-            ArrivalTrace::poisson(n, lo, prompt, generate, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-        for ((r, f), s) in a.requests.iter().zip(&fast.requests).zip(&slow.requests) {
-            prop_assert!(
-                f.arrival_ms <= r.arrival_ms && r.arrival_ms <= s.arrival_ms,
-                "arrival {} outside Poisson envelope [{}, {}]",
-                r.arrival_ms,
-                f.arrival_ms,
-                s.arrival_ms
-            );
-        }
-        // Equal rates: the square wave is invisible and the generator IS
-        // Poisson, draw for draw.
-        prop_assert_eq!(
-            gen(day, day),
-            ArrivalTrace::poisson(n, day, prompt, generate, &mut StdRng::seed_from_u64(seed))
-                .unwrap()
-        );
-    }
-
-    /// Multi-model mixes are exactly proportional (largest-remainder:
-    /// every model's request count is the floor or ceiling of its ideal
-    /// share), cover only declared models, and are deterministic — no rng
-    /// is consumed at all.
-    #[test]
-    fn model_mix_is_exactly_proportional(
-        seed in any::<u64>(),
-        n in 0usize..60,
-        weights in proptest::collection::vec(0u32..100, 1..5),
-    ) {
-        let mut weights = weights;
-        if weights.iter().all(|&w| w == 0) {
-            // An all-zero draw is a typed error (covered below); nudge it
-            // into the valid space instead of discarding the case.
-            weights[0] = 1;
-        }
-        let mix: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
-        let base = ArrivalTrace::poisson(n, 50.0, 8, 4, &mut StdRng::seed_from_u64(seed))
-            .unwrap();
-        let tagged = base.clone().with_model_mix(&mix).unwrap();
-        prop_assert_eq!(
-            &tagged,
-            &base.clone().with_model_mix(&mix).unwrap(),
-            "the mix assignment must be deterministic"
-        );
-        // Tagging never touches arrival times or lengths.
-        for (t, b) in tagged.requests.iter().zip(&base.requests) {
-            prop_assert_eq!(t.arrival_ms, b.arrival_ms);
-            prop_assert_eq!((t.prompt_tokens, t.generate_tokens), (b.prompt_tokens, b.generate_tokens));
-            prop_assert!((t.model() as usize) < mix.len(), "model id outside the mix");
-        }
-        let total: f64 = mix.iter().sum();
-        let mut counts = vec![0usize; mix.len()];
-        for r in &tagged.requests {
-            counts[r.model() as usize] += 1;
-        }
-        prop_assert_eq!(counts.iter().sum::<usize>(), n);
-        for (m, (&count, &w)) in counts.iter().zip(&mix).enumerate() {
-            let ideal = n as f64 * w / total;
-            prop_assert!(
-                count as f64 >= ideal.floor() && count as f64 <= ideal.ceil(),
-                "model {m} got {count} requests, ideal share {ideal}"
-            );
-        }
-    }
-
     /// Invalid rates and length configurations are rejected for every
     /// seed, never silently accepted.
     #[test]
@@ -226,19 +117,6 @@ proptest! {
         for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             prop_assert!(ArrivalTrace::poisson(n, rate, 8, 4, &mut rng).is_err());
         }
-        // Diurnal: both rates and the phase must be finite and positive.
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            prop_assert!(ArrivalTrace::diurnal(n, bad, 10.0, 50.0, 8, 4, &mut rng).is_err());
-            prop_assert!(ArrivalTrace::diurnal(n, 10.0, bad, 50.0, 8, 4, &mut rng).is_err());
-            prop_assert!(ArrivalTrace::diurnal(n, 10.0, 10.0, bad, 8, 4, &mut rng).is_err());
-        }
-        // Model mixes: empty, non-finite, negative and all-zero are typed
-        // errors, not silent tags.
-        let trace = ArrivalTrace::uniform(n, 1.0, 8, 4);
-        prop_assert!(trace.clone().with_model_mix(&[]).is_err());
-        prop_assert!(trace.clone().with_model_mix(&[1.0, f64::NAN]).is_err());
-        prop_assert!(trace.clone().with_model_mix(&[1.0, -0.5]).is_err());
-        prop_assert!(trace.clone().with_model_mix(&[0.0, 0.0]).is_err());
         let ok = ZipfLengths {
             prompt_min: 2,
             prompt_max: 8,
