@@ -98,7 +98,7 @@ use crate::session::SessionPhase;
 use crate::spec::ServeSpec;
 use crate::MeadowEngine;
 use meadow_models::workload::{ArrivalTrace, KvSizer, ServeRequest};
-use meadow_sim::noc::{Noc, NocConfig};
+use meadow_sim::noc::Noc;
 use meadow_sim::{Cycles, TrafficClass};
 use meadow_tensor::parallel::{par_map, ExecConfig};
 use serde::{Deserialize, Serialize};
@@ -374,22 +374,19 @@ pub(crate) struct MigrationCtx {
 }
 
 impl MigrationCtx {
-    fn new(
-        policy: MigrationPolicy,
-        headroom: Vec<u64>,
-        hops: Vec<u32>,
-        noc_config: NocConfig,
-    ) -> Result<Self, CoreError> {
-        Ok(Self {
+    /// Fresh migration state charging transfers on a copy of `noc`, the
+    /// spec's validated NoC.
+    fn new(policy: MigrationPolicy, headroom: Vec<u64>, hops: Vec<u32>, noc: &Noc) -> Self {
+        Self {
             policy,
             headroom,
             hops,
-            noc: Noc::new(noc_config)?,
+            noc: noc.clone(),
             parked: BTreeMap::new(),
             migrated_out_bytes: 0,
             migration_events: 0,
             reloaded_remote_bytes: 0,
-        })
+        }
     }
 
     /// Tries to park `bytes` of `session`'s spilled KV on a remote chip.
@@ -822,7 +819,7 @@ pub(crate) fn run_shards(
         par_map(&chip_ids, &exec, |&chip| {
             let share = donor_share(chip, &donor_headroom);
             let hops: Vec<u32> = (0..chips).map(|j| spec.hops_between(chip, j)).collect();
-            let mut ctx = MigrationCtx::new(spec.migration, share, hops, spec.noc)?;
+            let mut ctx = MigrationCtx::new(spec.migration, share, hops, &spec.noc);
             let report = serve_on_chip(
                 &engines[chip],
                 &stage.shards[chip],
@@ -1006,7 +1003,7 @@ pub(crate) fn disaggregate(
     // (the cost model is contention-free, so ordering only needs to be
     // deterministic). A shed prefill leg hands nothing off.
     let clock = engines[0].config().chip.clock;
-    let mut noc = Noc::new(spec.noc)?;
+    let mut noc = spec.noc.clone();
     let mut handoff_bytes = 0u64;
     // Per request: the decode leg's position on its chip, and its handoff.
     let mut decode_legs: Vec<Option<(usize, f64)>> = vec![None; trace.requests.len()];
@@ -1200,13 +1197,7 @@ mod tests {
     #[test]
     fn migration_policy_picks_roomiest_reachable_chip() {
         let ctx = |policy| {
-            MigrationCtx::new(
-                policy,
-                vec![0, 500, 900, 900],
-                vec![0, 1, 2, 3],
-                NocConfig::default(),
-            )
-            .unwrap()
+            MigrationCtx::new(policy, vec![0, 500, 900, 900], vec![0, 1, 2, 3], &Noc::default())
         };
         // The chip a fresh session's bytes were parked on, if any.
         let park = |ctx: &mut MigrationCtx, session: u32, bytes: u64| {
@@ -1225,13 +1216,8 @@ mod tests {
 
     #[test]
     fn migration_ctx_parks_and_pulls_back_conservatively() {
-        let mut ctx = MigrationCtx::new(
-            ToLeastLoaded,
-            vec![0, 1000, 300],
-            vec![0, 1, 2],
-            NocConfig::default(),
-        )
-        .unwrap();
+        let mut ctx =
+            MigrationCtx::new(ToLeastLoaded, vec![0, 1000, 300], vec![0, 1, 2], &Noc::default());
         // First park picks chip 1 (roomiest); the session sticks to it.
         assert!(ctx.park(7, 400).is_some());
         assert!(ctx.park(7, 400).is_some());
@@ -1260,8 +1246,7 @@ mod tests {
         // spill to DRAM.
         let share = donor_share(0, &[9000, 600, 300]);
         assert_eq!(share, vec![0, 300, 150]);
-        let mut ctx =
-            MigrationCtx::new(ToLeastLoaded, share, vec![0, 1, 1], NocConfig::default()).unwrap();
+        let mut ctx = MigrationCtx::new(ToLeastLoaded, share, vec![0, 1, 1], &Noc::default());
         assert!(ctx.park(1, 200).is_some());
         assert_eq!(ctx.parked[&1].0, 1);
         assert!(ctx.park(2, 1000).is_none(), "no other chip has room: DRAM, not self");

@@ -127,8 +127,9 @@ pub enum ServeError {
         budget_bytes: u64,
     },
     /// A [`SpecDecode`] configuration with a non-sensical parameter: zero
-    /// draft length, an acceptance rate outside `[0, 1]`, or a non-finite
-    /// or negative draft cost ratio.
+    /// draft length, an acceptance rate outside `[0, 1]`, a non-finite or
+    /// negative draft cost ratio, or a draft cost above
+    /// [`SpecDecode::MAX_DRAFT_COST`].
     InvalidSpeculation {
         /// The rejected draft length.
         draft_len: usize,
@@ -233,9 +234,10 @@ impl fmt::Display for ServeError {
             ),
             ServeError::InvalidSpeculation { draft_len, acceptance, draft_cost_ratio } => write!(
                 f,
-                "speculation needs draft_len >= 1, acceptance in [0, 1] and a finite \
-                 non-negative draft_cost_ratio, got ({draft_len}, {acceptance}, \
-                 {draft_cost_ratio})"
+                "speculation needs draft_len >= 1, acceptance in [0, 1], a finite \
+                 non-negative draft_cost_ratio and draft_len * draft_cost_ratio <= {}, got \
+                 ({draft_len}, {acceptance}, {draft_cost_ratio})",
+                SpecDecode::MAX_DRAFT_COST
             ),
             ServeError::InvalidKvLayout { reason } => {
                 write!(f, "invalid KV layout: {reason}")
@@ -345,18 +347,27 @@ pub struct SpecDecode {
 }
 
 impl SpecDecode {
+    /// The largest draft cost, `draft_len × draft_cost_ratio`, that
+    /// [`validate`](Self::validate) accepts: one flush wastes that many of
+    /// the step's own cycles. The longest step any preset measures (an
+    /// OPT-1.3B GEMM-baseline prefill of 2,048 tokens at 1 Gbps) is under
+    /// 2³⁵ cycles, so a flush stays under 2⁴⁵ cycles, far inside a `u64`
+    /// cycle count.
+    pub const MAX_DRAFT_COST: f64 = 1024.0;
+
     /// Validates the speculation parameters.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidSpeculation`] for a zero draft length,
-    /// an acceptance rate outside `[0, 1]`, or a non-finite or negative
-    /// draft cost ratio.
+    /// an acceptance rate outside `[0, 1]`, a non-finite or negative draft
+    /// cost ratio, or a draft cost above [`Self::MAX_DRAFT_COST`].
     pub fn validate(&self) -> Result<(), ServeError> {
         let bad_acceptance =
             !self.acceptance.is_finite() || !(0.0..=1.0).contains(&self.acceptance);
         let bad_ratio = !self.draft_cost_ratio.is_finite() || self.draft_cost_ratio < 0.0;
-        if self.draft_len == 0 || bad_acceptance || bad_ratio {
+        let bad_cost = self.draft_len as f64 * self.draft_cost_ratio > Self::MAX_DRAFT_COST;
+        if self.draft_len == 0 || bad_acceptance || bad_ratio || bad_cost {
             return Err(ServeError::InvalidSpeculation {
                 draft_len: self.draft_len,
                 acceptance: self.acceptance,
@@ -1223,11 +1234,12 @@ pub(crate) fn serve_on_chip(
 ///   `(tokens_new, context)`: `(p, p)` for a `p`-token prefill and
 ///   `(1, p + i - 1)` for the `i`-th decode step. The engine's latency
 ///   model is a pure function of it — every call builds a fresh DRAM
-///   channel — so a cache hit (errors included) is bit-identical to
+///   channel — so a memo hit (errors included) is bit-identical to
 ///   re-measuring, and decode steps of different requests at the same
-///   context share one measurement. Misses fan out through an
-///   order-preserving parallel map, preserving `MEADOW_THREADS`
-///   bit-identity.
+///   context share one measurement. The memo keeps only what a tick reads
+///   of it, a [`StepCost`], and drops the per-op report. Misses fan out
+///   through an order-preserving parallel map, preserving
+///   `MEADOW_THREADS` bit-identity.
 ///
 /// `PagedLru` frames are counted, not named: a session holding `b` bytes
 /// owns `b.div_ceil(page_bytes)` frames, so one running `frames_held` sum
@@ -1261,7 +1273,7 @@ struct ChipLoop<'a> {
     weights: Option<WeightSet>,
     /// Serving-level channel for KV spill/reload migration and weight
     /// loads; per-step attention traffic is ledgered inside each
-    /// [`LatencyReport`].
+    /// [`StepCost`].
     kv_dram: DramModel,
     ledger: TrafficLedger,
     sessions: Vec<Session>,
@@ -1297,14 +1309,15 @@ struct ChipLoop<'a> {
     /// `step_epoch[i] == tick` marks membership in the current step set,
     /// so victim scans skip it without an auxiliary set.
     step_epoch: Vec<u64>,
-    /// Step measurements by step shape. The key deliberately omits the
-    /// chip: the memo lives and dies inside one `ChipLoop`, so it is
-    /// private to one chip's engine. That scoping is load-bearing for
-    /// heterogeneous fleets — the same shape measures differently on a big
-    /// chip than on a LITTLE one, so a memo shared across chips would
-    /// silently serve one chip's latencies to another. Never hoist this
-    /// memo above the per-chip serving loop.
-    cache: HashMap<StepShape, Result<LatencyReport, CoreError>>,
+    /// Step costs by step shape: `memo` maps a shape to its slot in
+    /// `costs`. The key deliberately omits the chip: the memo lives and
+    /// dies inside one `ChipLoop`, so it is private to one chip's engine.
+    /// That scoping is load-bearing for heterogeneous fleets — the same
+    /// shape measures differently on a big chip than on a LITTLE one, so a
+    /// memo shared across chips would silently serve one chip's latencies
+    /// to another. Never hoist this memo above the per-chip serving loop.
+    memo: HashMap<StepShape, usize>,
+    costs: Vec<Result<StepCost, CoreError>>,
     now: f64,
     tick: u64,
     admission_counter: u64,
@@ -1323,8 +1336,11 @@ struct ChipLoop<'a> {
     spill_cycles: Cycles,
     // Scratch buffers reused across ticks (no per-tick churn).
     reload_cycles: Vec<Cycles>,
-    step_shapes: Vec<Result<StepShape, CoreError>>,
+    /// Each stepping session's slot in `costs`, or its shape's error.
+    step_costs: Vec<Result<usize, CoreError>>,
     miss_shapes: Vec<StepShape>,
+    /// The tick's flow-shop matrix: its first `step_set.len()` rows, which
+    /// keep their allocations from tick to tick.
     matrix: Vec<Vec<Cycles>>,
     solo_ms: Vec<f64>,
     finished: Vec<usize>,
@@ -1373,7 +1389,8 @@ impl<'a> ChipLoop<'a> {
             wait_held_sum: 0,
             frames_held: 0,
             step_epoch: vec![0; n],
-            cache: HashMap::new(),
+            memo: HashMap::new(),
+            costs: Vec::new(),
             now: 0.0,
             tick: 0,
             admission_counter: 0,
@@ -1389,7 +1406,7 @@ impl<'a> ChipLoop<'a> {
             step_resident: 0,
             spill_cycles: Cycles::ZERO,
             reload_cycles: Vec::new(),
-            step_shapes: Vec::new(),
+            step_costs: Vec::new(),
             miss_shapes: Vec::new(),
             matrix: Vec::new(),
             solo_ms: Vec::new(),
@@ -1715,46 +1732,46 @@ impl<'a> ChipLoop<'a> {
     /// Measures each *distinct* step shape once and builds the tick's
     /// flow-shop rows. The engine's latency model is a pure function of
     /// (tokens new, context) — every call builds a fresh DRAM channel — so
-    /// a cached result (errors included) is bit-identical to re-measuring.
-    /// The misses fan out on the engine's execution policy through an
-    /// order-preserving parallel map, so the run is bit-identical across
-    /// thread counts.
+    /// a memoized [`StepCost`] (errors included) is bit-identical to
+    /// re-measuring. Each step looks its shape up once; the misses fan out
+    /// on the engine's execution policy through an order-preserving
+    /// parallel map, so the run is bit-identical across thread counts.
     ///
     /// # Errors
     ///
     /// The first failing step in step order propagates.
     fn measure(&mut self) -> Result<(), CoreError> {
-        self.step_shapes.clear();
+        self.step_costs.clear();
         self.miss_shapes.clear();
         for &i in &self.step_set {
-            let shape = step_shape(self.engine, &self.sessions[i]);
-            if let Ok(shape) = shape {
-                if !self.cache.contains_key(&shape) && !self.miss_shapes.contains(&shape) {
+            let slot = step_shape(self.engine, &self.sessions[i]).map(|shape| {
+                // A miss takes the slot its measurement will be pushed to.
+                *self.memo.entry(shape).or_insert_with(|| {
                     self.miss_shapes.push(shape);
-                }
-            }
-            self.step_shapes.push(shape);
+                    self.costs.len() + self.miss_shapes.len() - 1
+                })
+            });
+            self.step_costs.push(slot);
         }
         if !self.miss_shapes.is_empty() {
             let engine = self.engine;
-            let measured =
-                par_map(&self.miss_shapes, &engine.config().exec, |&shape| engine.measure(shape));
-            for (&shape, result) in self.miss_shapes.iter().zip(measured) {
-                self.cache.insert(shape, result);
-            }
+            self.costs.extend(par_map(&self.miss_shapes, &engine.config().exec, |&shape| {
+                engine.measure(shape).map(StepCost::of)
+            }));
         }
         let clock = self.engine.config().chip.clock;
-        self.matrix.clear();
         self.solo_ms.clear();
         for (pos, &i) in self.step_set.iter().enumerate() {
-            let measured = self.step_shapes[pos]
-                .as_ref()
-                .map(|shape| self.cache.get(shape).expect("measured above"));
-            let report = match measured {
-                Ok(Ok(report)) => report,
-                Ok(Err(e)) | Err(e) => return Err(e.clone()),
+            let cost = match &self.step_costs[pos] {
+                Ok(slot) => self.costs[*slot].as_ref().map_err(CoreError::clone)?,
+                Err(e) => return Err(e.clone()),
             };
-            let mut row: Vec<Cycles> = report.layers.iter().map(LayerLatency::makespan).collect();
+            if pos == self.matrix.len() {
+                self.matrix.push(Vec::new());
+            }
+            let row = &mut self.matrix[pos];
+            row.clear();
+            row.extend_from_slice(&cost.layers);
             let mut stall = self.reload_cycles[pos];
             let s = &mut self.sessions[i];
             // Weight residency: the stepping session's model must be on
@@ -1765,7 +1782,7 @@ impl<'a> ChipLoop<'a> {
             // on. A load at a session's first prefill step is a cold
             // start; later re-streams are residency churn.
             if let Some(ws) = self.weights.as_mut() {
-                let (wstall, was_cold) = ws.ensure_resident(&mut self.kv_dram, s.req.model(), &row);
+                let (wstall, was_cold) = ws.ensure_resident(&mut self.kv_dram, s.req.model(), row);
                 stall += wstall;
                 if was_cold && !s.prefilled {
                     s.cold_start = true;
@@ -1791,9 +1808,8 @@ impl<'a> ChipLoop<'a> {
             // The reload (and any speculation flush) must land before the
             // first layer can run.
             row[0] += stall;
-            self.solo_ms.push(report.total_ms() + clock.to_ms(stall));
-            self.ledger.merge(&report.ledger);
-            self.matrix.push(row);
+            self.solo_ms.push(cost.ms + clock.to_ms(stall));
+            self.ledger.merge(&cost.ledger);
         }
         Ok(())
     }
@@ -1806,7 +1822,7 @@ impl<'a> ChipLoop<'a> {
     /// snapshot. The clock then advances past the tick.
     fn commit_step(&mut self) {
         let clock = self.engine.config().chip.clock;
-        let finishes = flow_shop_completion_times(&self.matrix);
+        let finishes = flow_shop_completion_times(&self.matrix[..self.step_set.len()]);
         self.finished.clear();
         for (pos, &finish) in finishes.iter().enumerate() {
             let i = self.step_set[pos];
@@ -2034,6 +2050,25 @@ impl<'a> ChipLoop<'a> {
             kv,
             weights,
             traces,
+        }
+    }
+}
+
+/// What the chip loop reads of one measured step shape: each layer's
+/// makespan (the step's flow-shop row), the step's own latency and its DRAM
+/// traffic. The per-op [`LatencyReport`] it is built from is dropped.
+struct StepCost {
+    layers: Vec<Cycles>,
+    ms: f64,
+    ledger: TrafficLedger,
+}
+
+impl StepCost {
+    fn of(report: LatencyReport) -> Self {
+        Self {
+            layers: report.layers.iter().map(LayerLatency::makespan).collect(),
+            ms: report.total_ms(),
+            ledger: report.ledger,
         }
     }
 }

@@ -78,7 +78,9 @@ pub struct ServeSpec {
     pub(crate) migration: MigrationPolicy,
     /// [`Colocated`] unless [`phases`](ServeSpecBuilder::phases) set one.
     pub(crate) phases: PhasePlacement,
-    pub(crate) noc: NocConfig,
+    /// The chip-to-chip NoC [`build`](ServeSpecBuilder::build) validated;
+    /// every run charges a fresh copy of it.
+    pub(crate) noc: Noc,
     /// Per-chip engines of a heterogeneous fleet, built once from the
     /// [`chip_specs`](ServeSpecBuilder::chip_specs) at build (`None` =
     /// replica cluster of whatever engine the run is given).
@@ -347,7 +349,7 @@ impl ServeSpecBuilder {
                 });
             }
         }
-        Noc::new(self.noc)
+        let noc = Noc::new(self.noc)
             .map_err(|e| ServeError::InvalidInterconnect { reason: e.to_string() })?;
         self.serve.validate()?;
         let mode = if self.phases.is_some() {
@@ -363,7 +365,7 @@ impl ServeSpecBuilder {
             placement: self.placement,
             migration: self.migration,
             phases: self.phases.unwrap_or(Colocated),
-            noc: self.noc,
+            noc,
             chip_engines,
             link_hops: self.link_hops,
             mode,

@@ -12,8 +12,7 @@
 
 use crate::clock::{ClockDomain, Cycles};
 use crate::error::SimError;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 /// What a DRAM transfer was for. Mirrors the categories of the paper's
 /// latency-distribution figures.
@@ -80,11 +79,18 @@ impl TrafficClass {
     }
 }
 
-/// Byte-and-cycle ledger keyed by [`TrafficClass`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Byte-and-cycle ledger keyed by [`TrafficClass`]: one fixed slot per
+/// class, so recording a transfer and merging a ledger are array adds.
+///
+/// A mask remembers which classes were ever recorded, because the JSON
+/// lists exactly those: `{"bytes": [[class, value], ..], "cycles": [..]}`,
+/// in class order, a class recorded at zero bytes included.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficLedger {
-    bytes: BTreeMap<TrafficClass, u64>,
-    cycles: BTreeMap<TrafficClass, u64>,
+    bytes: [u64; 9],
+    cycles: [u64; 9],
+    /// Bit `class as usize` is set once `class` has been recorded.
+    recorded: u16,
 }
 
 impl TrafficLedger {
@@ -95,18 +101,20 @@ impl TrafficLedger {
 
     /// Records a transfer.
     fn record(&mut self, class: TrafficClass, bytes: u64, cycles: Cycles) {
-        *self.bytes.entry(class).or_insert(0) += bytes;
-        *self.cycles.entry(class).or_insert(0) += cycles.get();
+        let slot = class as usize;
+        self.bytes[slot] += bytes;
+        self.cycles[slot] += cycles.get();
+        self.recorded |= 1 << slot;
     }
 
     /// Bytes recorded for one class.
     pub fn bytes(&self, class: TrafficClass) -> u64 {
-        self.bytes.get(&class).copied().unwrap_or(0)
+        self.bytes[class as usize]
     }
 
     /// Cycles recorded for one class.
     pub fn cycles(&self, class: TrafficClass) -> Cycles {
-        Cycles(self.cycles.get(&class).copied().unwrap_or(0))
+        Cycles(self.cycles[class as usize])
     }
 
     /// Total bytes fetched (DRAM → chip).
@@ -143,12 +151,47 @@ impl TrafficLedger {
 
     /// Merges another ledger into this one.
     pub fn merge(&mut self, other: &TrafficLedger) {
-        for (&class, &b) in &other.bytes {
-            *self.bytes.entry(class).or_insert(0) += b;
+        for slot in 0..self.bytes.len() {
+            self.bytes[slot] += other.bytes[slot];
+            self.cycles[slot] += other.cycles[slot];
         }
-        for (&class, &c) in &other.cycles {
-            *self.cycles.entry(class).or_insert(0) += c;
+        self.recorded |= other.recorded;
+    }
+}
+
+impl Serialize for TrafficLedger {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.open_map();
+        for (key, values) in [("bytes", &self.bytes), ("cycles", &self.cycles)] {
+            w.key(key);
+            w.open_seq();
+            for class in TrafficClass::all() {
+                if self.recorded & (1 << class as usize) != 0 {
+                    w.element();
+                    (class, values[class as usize]).write_json(w);
+                }
+            }
+            w.close_seq();
         }
+        w.close_map();
+    }
+}
+
+impl Deserialize for TrafficLedger {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let list = |key| match v.get(key) {
+            Some(field) => Vec::<(TrafficClass, u64)>::from_value(field),
+            None => Err(serde::Error::msg(format!("missing field `{key}`"))),
+        };
+        let (bytes, cycles) = (list("bytes")?, list("cycles")?);
+        if !bytes.iter().map(|e| e.0).eq(cycles.iter().map(|e| e.0)) {
+            return Err(serde::Error::msg("ledger bytes and cycles list different classes"));
+        }
+        let mut ledger = Self::default();
+        for ((class, b), (_, c)) in bytes.into_iter().zip(cycles) {
+            ledger.record(class, b, Cycles(c));
+        }
+        Ok(ledger)
     }
 }
 
@@ -419,4 +462,163 @@ mod tests {
         assert_eq!(d.ledger().store_bytes(), 4096);
         assert_eq!(d.ledger().fetch_bytes(), 0);
     }
+
+    /// The ledger's JSON is part of every report, so its bytes are frozen:
+    /// one `[class, value]` list per field, recorded classes only, in class
+    /// order, and a class recorded at zero bytes still listed.
+    #[test]
+    fn ledger_json_is_frozen() {
+        let empty = TrafficLedger::new();
+        let mut zero = TrafficLedger::new();
+        zero.record(TrafficClass::KvStore, 0, Cycles::ZERO);
+        zero.record(TrafficClass::InputFetch, 48, Cycles(4));
+        let mut all = TrafficLedger::new();
+        for (k, class) in TrafficClass::all().into_iter().enumerate().rev() {
+            all.record(class, 1000 * (k as u64 + 1), Cycles(k as u64 + 7));
+        }
+        let cases = [
+            (&empty, r#"{"bytes":[],"cycles":[]}"#, EMPTY_PRETTY),
+            (
+                &zero,
+                r#"{"bytes":[["InputFetch",48],["KvStore",0]],"cycles":[["InputFetch",4],["KvStore",0]]}"#,
+                ZERO_PRETTY,
+            ),
+            (
+                &all,
+                concat!(
+                    r#"{"bytes":[["WeightFetch",1000],["InputFetch",2000],["KvFetch",3000],"#,
+                    r#"["IntermediateFetch",4000],["IntermediateStore",5000],["OutputStore",6000],"#,
+                    r#"["KvStore",7000],["KvCache",8000],["Weights",9000]],"#,
+                    r#""cycles":[["WeightFetch",7],["InputFetch",8],["KvFetch",9],"#,
+                    r#"["IntermediateFetch",10],["IntermediateStore",11],["OutputStore",12],"#,
+                    r#"["KvStore",13],["KvCache",14],["Weights",15]]}"#
+                ),
+                ALL_PRETTY,
+            ),
+        ];
+        for (ledger, compact, pretty) in cases {
+            assert_eq!(serde_json::to_string(ledger).unwrap(), compact);
+            assert_eq!(serde_json::to_string_pretty(ledger).unwrap(), pretty);
+            for text in [compact, pretty] {
+                assert_eq!(&serde_json::from_str::<TrafficLedger>(text).unwrap(), ledger);
+            }
+        }
+        // A merge lists the union of both sides' classes, zero ones included.
+        let mut merged = TrafficLedger::new();
+        merged.record(TrafficClass::Weights, 5, Cycles(1));
+        merged.merge(&zero);
+        assert_eq!(
+            serde_json::to_string(&merged).unwrap(),
+            r#"{"bytes":[["InputFetch",48],["KvStore",0],["Weights",5]],"cycles":[["InputFetch",4],["KvStore",0],["Weights",1]]}"#
+        );
+        assert_eq!(merged.bytes(TrafficClass::InputFetch), 48);
+        assert_eq!(merged.cycles(TrafficClass::Weights), Cycles(1));
+    }
+
+    const EMPTY_PRETTY: &str = r#"{
+  "bytes": [],
+  "cycles": []
+}"#;
+
+    const ZERO_PRETTY: &str = r#"{
+  "bytes": [
+    [
+      "InputFetch",
+      48
+    ],
+    [
+      "KvStore",
+      0
+    ]
+  ],
+  "cycles": [
+    [
+      "InputFetch",
+      4
+    ],
+    [
+      "KvStore",
+      0
+    ]
+  ]
+}"#;
+
+    const ALL_PRETTY: &str = r#"{
+  "bytes": [
+    [
+      "WeightFetch",
+      1000
+    ],
+    [
+      "InputFetch",
+      2000
+    ],
+    [
+      "KvFetch",
+      3000
+    ],
+    [
+      "IntermediateFetch",
+      4000
+    ],
+    [
+      "IntermediateStore",
+      5000
+    ],
+    [
+      "OutputStore",
+      6000
+    ],
+    [
+      "KvStore",
+      7000
+    ],
+    [
+      "KvCache",
+      8000
+    ],
+    [
+      "Weights",
+      9000
+    ]
+  ],
+  "cycles": [
+    [
+      "WeightFetch",
+      7
+    ],
+    [
+      "InputFetch",
+      8
+    ],
+    [
+      "KvFetch",
+      9
+    ],
+    [
+      "IntermediateFetch",
+      10
+    ],
+    [
+      "IntermediateStore",
+      11
+    ],
+    [
+      "OutputStore",
+      12
+    ],
+    [
+      "KvStore",
+      13
+    ],
+    [
+      "KvCache",
+      14
+    ],
+    [
+      "Weights",
+      15
+    ]
+  ]
+}"#;
 }

@@ -67,9 +67,47 @@ fn invalid_speculation_is_rejected_at_build() {
     );
     assert_eq!(
         err.to_string(),
-        "speculation needs draft_len >= 1, acceptance in [0, 1] and a finite non-negative \
-         draft_cost_ratio, got (0, 0.5, 0.5)"
+        "speculation needs draft_len >= 1, acceptance in [0, 1], a finite non-negative \
+         draft_cost_ratio and draft_len * draft_cost_ratio <= 1024, got (0, 0.5, 0.5)"
     );
+}
+
+/// Typical speculation: 4 draft tokens at 0.3 of a step each.
+const SPEC: SpecDecode = SpecDecode { draft_len: 4, acceptance: 0.5, draft_cost_ratio: 0.3 };
+
+/// Checks that `bad` fails the build with its own parameters in the error.
+/// A flush charges `step × draft_len × draft_cost_ratio` cycles, so a draft
+/// cost past [`SpecDecode::MAX_DRAFT_COST`] could overflow the cycle count
+/// and, in a release build, wrap the TBT series.
+fn assert_speculation_rejected(bad: SpecDecode) {
+    let err = build_err(ServeConfig::default().with_speculation(bad));
+    let SpecDecode { draft_len, acceptance, draft_cost_ratio } = bad;
+    assert_eq!(err, ServeError::InvalidSpeculation { draft_len, acceptance, draft_cost_ratio });
+}
+
+#[test]
+fn overflowing_draft_len_is_rejected_at_build() {
+    assert_speculation_rejected(SpecDecode { draft_len: usize::MAX, ..SPEC });
+    assert_speculation_rejected(SpecDecode { draft_len: 2049, draft_cost_ratio: 0.5, ..SPEC });
+}
+
+#[test]
+fn overflowing_draft_cost_ratio_is_rejected_at_build() {
+    assert_speculation_rejected(SpecDecode { draft_cost_ratio: f64::MAX, ..SPEC });
+}
+
+#[test]
+fn speculation_in_use_and_at_the_cap_builds() {
+    let build = |spec| ServeSpec::builder().config(ServeConfig::default().with_speculation(spec));
+    for draft_len in 1..=16 {
+        for draft_cost_ratio in [0.1, 0.25, 0.3, 0.5] {
+            assert!(build(SpecDecode { draft_len, draft_cost_ratio, ..SPEC }).build().is_ok());
+        }
+    }
+    let at_cap = build(SpecDecode { draft_len: 2048, draft_cost_ratio: 0.5, ..SPEC }).build();
+    let trace = ArrivalTrace::uniform(2, 0.0, 8, 4);
+    let report = at_cap.unwrap().run(&tiny_engine(), &trace).unwrap().into_single().unwrap();
+    assert_eq!(report.total_generated_tokens, 8);
 }
 
 #[test]
